@@ -60,7 +60,7 @@ class Thm1Inputs:
     c3: float | None = None
 
     def eps1_premise(self) -> bool:
-        return self.eps1 <= min(self.sK_y, math.sqrt((self.k - 1) * self.n / (4 * self.k)))
+        return bool(self.eps1 <= min(self.sK_y, math.sqrt((self.k - 1) * self.n / (4 * self.k))))
 
 
 def psi(inp: Thm1Inputs) -> float:

@@ -5,7 +5,8 @@ Configs are JSON validated against a versioned schema (unknown keys are
 errors) and every artifact is a deterministic, bit-identical function of the
 resolved config. Floats are serialized with their shortest round-trip
 representation. Exit codes: 0 ok, 1 verification failure, 2 config/IO error,
-3 divergence.
+3 divergence, 4 any other failure (e.g. an SVD that did not converge, or a
+sweep member that did not finish ok).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import jsonschema
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+EXIT_FAILED = 4
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -117,8 +119,6 @@ CONFIG_SCHEMA = {
     },
 }
 
-TRAIN_DEFAULTS = {"lr_drop_fraction": 0.8, "lr_drop_factor": 10.0,
-                  "record_every": 1, "seed": 0, "store_params": True}
 DATA_DEFAULTS = {"class_sep": 4.0, "noise": 0.3, "seed": 0,
                  "min_col_norm_one": True}
 
@@ -144,8 +144,10 @@ def load_config(path) -> dict:
 def resolve_config(raw: dict) -> dict:
     cfg = json.loads(json.dumps(raw))  # deep copy
     cfg.setdefault("bounds", {})
-    for key, val in TRAIN_DEFAULTS.items():
-        cfg["train"].setdefault(key, val)
+    train_keys = CONFIG_SCHEMA["properties"]["train"]["properties"]
+    for f in fields(TrainConfig):
+        if f.name in train_keys and f.default is not MISSING:
+            cfg["train"].setdefault(f.name, f.default)
     if cfg["data"]["kind"] == "synthetic":
         for key, val in DATA_DEFAULTS.items():
             cfg["data"].setdefault(key, val)
@@ -174,9 +176,12 @@ def build_network(cfg: dict, input_dim: int) -> NetworkConfig:
 def build_dataset(cfg: dict) -> data_mod.Dataset:
     d = cfg["data"]
     if d["kind"] == "synthetic":
-        return data_mod.synth_gaussian(
-            d["d"], d["k"], d["n_per_class"], d["class_sep"], d["noise"],
-            d["seed"], d["min_col_norm_one"])
+        try:
+            return data_mod.synth_gaussian(
+                d["d"], d["k"], d["n_per_class"], d["class_sep"], d["noise"],
+                d["seed"], d["min_col_norm_one"])
+        except ValueError as exc:
+            raise ConfigError(f"cannot generate synthetic data: {exc}") from exc
     root = Path(os.environ.get("NCLAB_DATA_DIR", "."))
     if "images" not in d or "labels" not in d:
         raise ConfigError("idx data needs 'images' and 'labels' paths")
@@ -189,14 +194,10 @@ def build_dataset(cfg: dict) -> data_mod.Dataset:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    init = InitSpec(scheme="gaussian", scales=tuple(t["init_scales"])) \
-        if "init_scales" in t else InitSpec()
-    return TrainConfig(eta=t["eta"], lam=t["lam"], steps=t["steps"],
-                       lr_drop_fraction=t["lr_drop_fraction"],
-                       lr_drop_factor=t["lr_drop_factor"],
-                       record_every=t["record_every"], seed=t["seed"],
-                       init=init, store_params=t["store_params"])
+    t = dict(cfg["train"])
+    scales = t.pop("init_scales", None)
+    init = InitSpec(scales=tuple(scales)) if scales is not None else InitSpec()
+    return TrainConfig(**t, init=init)
 
 
 # ---------------------------------------------------------------------------
@@ -243,30 +244,26 @@ def _sanitize(obj):
     return obj
 
 
-def write_trajectory_csv(out: Path, traj, interfaces, depth: int) -> None:
+def write_trajectory_csv(out: Path, traj) -> None:
+    first = traj.records[0]
     header = ["step", "c_lambda", "c_0", "param_norm", "dist_from_init", "eps1"]
-    header += [f"gap_{l}" for l in interfaces]
-    header += [f"opnorm_{l}" for l in range(1, depth + 1)]
+    header += [f"gap_{l}" for l in first.metrics.balancedness_gaps]
+    header += [f"opnorm_{l}" for l in range(1, len(first.layer_op_norms) + 1)]
     rows = []
     for r in traj.records:
-        row = [r.step, r.c_lambda, r.c_0, r.param_norm, r.dist_from_init, r.eps1]
-        row += [r.balancedness_gaps.get(l) for l in interfaces]
-        row += list(r.layer_op_norms)
+        # eps1 = ||Z_L - Y||_F, here from the loss c_0 = eps1^2 / 2
+        row = [r.step, r.c_lambda, r.c_0, r.param_norm, r.dist_from_init,
+               math.sqrt(2.0 * r.c_0)]
+        row += list(r.metrics.balancedness_gaps.values())
+        row += r.layer_op_norms
         rows.append(row)
     write_csv(out / "trajectory.csv", header, rows)
 
 
-def write_metrics_csv(out: Path, net, traj, ds) -> None:
+def write_metrics_csv(out: Path, traj) -> None:
     header = ["step", "layer", "nc1", "nc2", "nc3", "negativity"]
-    rows = []
-    for rec in traj.records:
-        if rec.params is None:
-            continue
-        trace = forward(net, rec.params, ds.x)
-        rep = metrics.measure(net, rec.params, trace, ds.y, ds.idx)
-        for lm in rep.layers:
-            rows.append([rec.step, lm.layer, lm.nc1, lm.nc2, lm.nc3,
-                         lm.negativity])
+    rows = [[rec.step, lm.layer, lm.nc1, lm.nc2, lm.nc3, lm.negativity]
+            for rec in traj.records for lm in rec.metrics.layers]
     write_csv(out / "metrics.csv", header, rows)
 
 
@@ -305,12 +302,11 @@ def cmd_train(config_path, out_dir) -> int:
         raise ConfigError(
             f"last width {net.n_classes} != number of classes {ds.y.shape[0]}")
     tcfg = build_train_config(cfg)
-    params, traj = train(net, tcfg, ds.x, ds.y)
+    params, traj = train(net, tcfg, ds.x, ds.y, ds.idx)
 
     write_json(out / "config.resolved.json", {"config": cfg})
-    interfaces = list(traj.linear_interfaces)
-    write_trajectory_csv(out, traj, interfaces, net.depth)
-    write_metrics_csv(out, net, traj, ds)
+    write_trajectory_csv(out, traj)
+    write_metrics_csv(out, traj)
     write_means_grams(out, net, params, ds)
     first = traj.records[0]
     init_p = first.params
@@ -318,21 +314,21 @@ def cmd_train(config_path, out_dir) -> int:
         save_params(out / "params_init.npz", init_p)
     save_params(out / "params_final.npz", params)
 
-    trace = forward(net, params, ds.x)
-    rep = metrics.measure(net, params, trace, ds.y, ds.idx)
+    last = traj.last()
+    rep = last.metrics
     summary = {
         "diverged": traj.diverged,
         "steps_recorded": len(traj.records),
-        "final": {"step": traj.last().step, "c_lambda": traj.last().c_lambda,
-                  "c_0": traj.last().c_0, "eps1": rep.eps1, "eps2": rep.eps2,
+        "final": {"step": last.step, "c_lambda": last.c_lambda,
+                  "c_0": last.c_0, "eps1": rep.eps1, "eps2": rep.eps2,
                   "r": rep.r},
         "balancedness_ratios": rep.balancedness_ratios,
     }
     write_json(out / "report.json", {"train": _sanitize(summary)})
     if traj.diverged:
-        print(f"diverged after step {traj.last().step}", file=sys.stderr)
+        print(f"diverged after step {last.step}", file=sys.stderr)
         return EXIT_DIVERGED
-    print(f"ok: {traj.last().step} steps, c_0={traj.last().c_0!r}")
+    print(f"ok: {last.step} steps, c_0={last.c_0!r}")
     return EXIT_OK
 
 
@@ -342,6 +338,8 @@ def _report_from(rep: bounds_mod.BoundReport) -> dict:
 
 def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     """Every applicable bound on a finished run, with premise flags."""
+    if net.depth < 2:
+        raise ConfigError("bounds need a network with at least two layers")
     bcfg = cfg.get("bounds", {})
     rank_tol = bcfg.get("rank_tol", densemat.DEFAULT_RANK_TOL)
     trace = forward(net, params, ds.x)
@@ -373,7 +371,7 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
 
     inp = bounds_mod.Thm1Inputs(
         eps1=rep.eps1, eps2=rep.eps2, r=rep.r,
-        n_lminus1=net.widths[net.depth - 2] if net.depth >= 2 else net.input_dim,
+        n_lminus1=net.widths[net.depth - 2],
         k=k, n=n, sK_y=sK_y, x_opnorm=x_op, l1=net.l1, l2=net.l2, c3=c3)
     premise = inp.eps1_premise()
 
@@ -391,7 +389,7 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
         out["reports"][name] = _report_from(r.resolve(lower_bound=lower))
 
     nc1_last = rep.layers[-2].nc1 if len(rep.layers) >= 2 else None
-    if net.depth >= 2 and nc1_last is not None:
+    if nc1_last is not None:
         attempt("thm1_nc1", lambda: bounds_mod.thm1_nc1_rhs(inp), nc1_last)
     if net.l2 >= 2 and c3 is not None:
         kappa_wl = out["measured"]["kappa_w_l"]
@@ -493,22 +491,20 @@ def sweep_member_config(cfg: dict, axis: str, value: int, seed: int) -> dict:
 def _run_member(cfg: dict, out: Path) -> dict:
     ds = build_dataset(cfg)
     net = build_network(cfg, ds.x.shape[0])
-    params, traj = train(net, build_train_config(cfg), ds.x, ds.y)
+    # measure every layer: the negativity summary covers the whole backbone
+    _, traj = train(net, build_train_config(cfg), ds.x, ds.y, ds.idx,
+                    first_layer=1)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.resolved.json", {"config": cfg})
     if traj.diverged:
         return {"status": "diverged"}
-    trace = forward(net, params, ds.x)
-    rep = metrics.measure(net, params, trace, ds.y, ds.idx)
-    head_in = rep.layers[0]
+    rep = traj.last().metrics
+    head = rep.layers[max(net.l1, 1) - 1:]
+    head_in = head[0]
     # last *feature* layer Z_{L-1}: the output layer's class means are ~Y
-    last = rep.layers[-2] if len(rep.layers) >= 2 else rep.layers[-1]
+    last = head[-2] if len(head) >= 2 else head[-1]
     ratios = [v for v in rep.balancedness_ratios.values() if v is not None]
     negs = [lm.negativity for lm in rep.layers if lm.negativity is not None]
-    if net.l1 >= 1:
-        # include nonlinear layers below the head in the negativity summary
-        full = metrics.measure(net, params, trace, ds.y, ds.idx, first_layer=1)
-        negs = [lm.negativity for lm in full.layers if lm.negativity is not None]
     return {
         "status": "ok",
         "nc1_last": last.nc1, "nc2_last": last.nc2,
@@ -540,7 +536,7 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=1) -> int:
         try:
             member = sweep_member_config(cfg, axis, v, s)
             return (v, s, _run_member(member, mdir))
-        except (ConfigError, ValueError) as exc:
+        except (ConfigError, ValueError, densemat.SvdConvergenceError) as exc:
             return (v, s, {"status": f"error: {exc}"})
 
     if jobs > 1:
@@ -553,7 +549,7 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=1) -> int:
     write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
     bad = sum(1 for _, _, r in results if r["status"] != "ok")
     print(f"{len(results)} runs, {bad} failed; wrote {out / 'sweep.csv'}")
-    return EXIT_OK
+    return EXIT_FAILED if bad else EXIT_OK
 
 
 def cmd_verify(level) -> int:
@@ -607,6 +603,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # the CLI boundary: one line, no traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     return EXIT_OK
 
 

@@ -157,7 +157,7 @@ def pinv(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     s1 = res.s[0]
     if s1 == 0.0:
         return np.zeros((a.shape[1], a.shape[0]))
-    inv = np.where(res.s > rank_tol * s1, np.divide(1.0, res.s, where=res.s > 0), 0.0)
+    inv = np.divide(1.0, res.s, out=np.zeros_like(res.s), where=res.s > rank_tol * s1)
     return (res.vt.T * inv) @ res.u.T
 
 

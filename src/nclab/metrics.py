@@ -153,9 +153,9 @@ class MetricsReport:
     layers: list
     balancedness_gaps: dict    # interface l -> gap
     balancedness_ratios: dict  # interface l -> ratio
-    eps1: float = 0.0
-    eps2: float = 0.0
-    r: float = 0.0
+    eps1: float | None = None  # None on a one-layer network
+    eps2: float | None = None
+    r: float | None = None
 
 
 def _try(fn, *args):
@@ -168,11 +168,13 @@ def _try(fn, *args):
 def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
             y: np.ndarray, idx: ClassIndex,
             first_layer: int | None = None) -> MetricsReport:
-    """Per-layer metric sweep from `first_layer` (default: head input) to Z_L.
+    """Per-layer metric sweep from `first_layer` (default: head input) to Z_L,
+    plus the balancedness and the Theorem-1 inputs.
 
     NC3 is only defined against a K-row weight matrix, so it is reported for
     Z_{L-1} (against W_L) and left unset elsewhere. Negativity applies to
-    nonlinear layers' preactivations.
+    nonlinear layers' preactivations. A quantity that is undefined on this
+    state (e.g. eps1/eps2/r of a one-layer network) is reported as None.
     """
     if first_layer is None:
         first_layer = max(cfg.l1, 1)
@@ -191,6 +193,6 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     for l in range(cfg.l1 + 1, cfg.depth):
         gaps[l] = balancedness_gap(params.weights[l], params.weights[l - 1])
         ratios[l] = _try(balancedness_ratio, params.weights[l], params.weights[l - 1])
-    eps1, eps2, r = extract_thm1_inputs(cfg, trace, params, y)
+    eps1, eps2, r = _try(extract_thm1_inputs, cfg, trace, params, y) or (None,) * 3
     return MetricsReport(layers=layers, balancedness_gaps=gaps,
-                        balancedness_ratios=ratios, eps1=eps1, eps2=eps2, r=r)
+                         balancedness_ratios=ratios, eps1=eps1, eps2=eps2, r=r)

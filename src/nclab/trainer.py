@@ -1,7 +1,8 @@
 """Full-batch gradient descent with weight decay, trajectory recording and the
 late learning-rate drop. One run is strictly sequential and deterministic for a
-fixed seed; balancedness gaps across the linear interfaces are measured at the
-recording cadence only (operator norms cost an SVD each).
+fixed seed. Each recorded step is observed once: one forward trace gives its
+losses, divergence check and `metrics.measure` report, stored in the record
+with the weights' operator norms (SVDs, hence only at the recording cadence).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import densemat
+from . import densemat, metrics
 from .network import NetworkConfig, ParamSet, forward, gradient, loss
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -61,8 +62,7 @@ class TrajectoryRecord:
     c_0: float
     param_norm: float
     dist_from_init: float
-    eps1: float
-    balancedness_gaps: dict        # linear interface l -> ||D_l||_op
+    metrics: metrics.MetricsReport
     layer_op_norms: list           # ||W_l||_op per layer
     params: ParamSet | None = None
 
@@ -71,7 +71,6 @@ class TrajectoryRecord:
 class Trajectory:
     records: list = field(default_factory=list)
     diverged: bool = False
-    linear_interfaces: tuple = ()
 
     def last(self) -> TrajectoryRecord:
         return self.records[-1]
@@ -106,23 +105,26 @@ def gd_step(cfg: NetworkConfig, params: ParamSet, x, y, eta: float, lam: float) 
     return ParamSet([w - eta * gw for w, gw in zip(params.weights, g.weights)])
 
 
-def _record(cfg, params, theta0, x, y, lam, step, store_params) -> TrajectoryRecord:
-    trace = forward(cfg, params, x)
-    clam, c0 = loss(cfg, params, x, y, lam, trace=trace)
-    gaps = {}
-    for l in range(cfg.l1 + 1, cfg.depth):
-        w, w_next = params.weights[l - 1], params.weights[l]
-        gaps[l] = densemat.op_norm(w_next.T @ w_next - w @ w.T)
+def _observe(cfg, train_cfg, params, theta0, x, y, idx, step,
+             first_layer) -> TrajectoryRecord | None:
+    """Record `params` from one forward trace; None if the loss diverged.
+
+    The initial state (step 0) is recorded whatever its loss.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = forward(cfg, params, x)
+        clam, c0 = loss(cfg, params, x, y, train_cfg.lam, trace=trace)
+    if step > 0 and (not math.isfinite(c0) or c0 > DIVERGENCE_THRESHOLD):
+        return None
     return TrajectoryRecord(
         step=step,
         c_lambda=clam,
         c_0=c0,
         param_norm=params.norm(),
         dist_from_init=params.dist(theta0),
-        eps1=math.sqrt(2.0 * c0),
-        balancedness_gaps=gaps,
+        metrics=metrics.measure(cfg, params, trace, y, idx, first_layer),
         layer_op_norms=[densemat.op_norm(w) for w in params.weights],
-        params=params.copy() if store_params else None,
+        params=params.copy() if train_cfg.store_params else None,
     )
 
 
@@ -135,9 +137,12 @@ def effective_eta(train_cfg: TrainConfig, step: int) -> float:
 
 
 def train(cfg: NetworkConfig, train_cfg: TrainConfig, x, y,
-          params0: ParamSet | None = None) -> tuple:
+          idx: metrics.ClassIndex, params0: ParamSet | None = None,
+          first_layer: int | None = None) -> tuple:
     """Run GD; returns (final ParamSet, Trajectory).
 
+    Every record carries the `metrics.measure` report of its state over the
+    layers from `first_layer` (default: the head input) to the output.
     On divergence (non-finite loss or c_0 above the threshold) the partial
     trajectory is returned with `diverged` set; the last recorded state is the
     final healthy one.
@@ -145,9 +150,9 @@ def train(cfg: NetworkConfig, train_cfg: TrainConfig, x, y,
     params = params0.copy() if params0 is not None else init_params(
         cfg, train_cfg.init, train_cfg.seed)
     theta0 = params.copy()
-    traj = Trajectory(linear_interfaces=tuple(range(cfg.l1 + 1, cfg.depth)))
-    traj.records.append(_record(cfg, params, theta0, x, y, train_cfg.lam, 0,
-                                train_cfg.store_params))
+    traj = Trajectory()
+    traj.records.append(_observe(cfg, train_cfg, params, theta0, x, y, idx, 0,
+                                 first_layer))
     last_healthy = params.copy()
     for k in range(train_cfg.steps):
         eta = effective_eta(train_cfg, k)
@@ -158,12 +163,11 @@ def train(cfg: NetworkConfig, train_cfg: TrainConfig, x, y,
             break
         step = k + 1
         if step % train_cfg.record_every == 0 or step == train_cfg.steps:
-            with np.errstate(over="ignore", invalid="ignore"):
-                _, c0 = loss(cfg, params, x, y, train_cfg.lam)
-            if not math.isfinite(c0) or c0 > DIVERGENCE_THRESHOLD:
+            rec = _observe(cfg, train_cfg, params, theta0, x, y, idx, step,
+                           first_layer)
+            if rec is None:
                 traj.diverged = True
                 break
-            traj.records.append(_record(cfg, params, theta0, x, y, train_cfg.lam,
-                                        step, train_cfg.store_params))
+            traj.records.append(rec)
             last_healthy = params.copy()
     return (last_healthy if traj.diverged else params), traj

@@ -34,7 +34,7 @@ def pyramidal_run():
                              noise=0.1, seed=0)
     tcfg = TrainConfig(eta=0.03, lam=0.02, steps=40000, record_every=1000,
                        lr_drop_fraction=1.0, seed=0)
-    params, traj = train(net, tcfg, ds.x, ds.y)
+    params, traj = train(net, tcfg, ds.x, ds.y, ds.idx)
     assert not traj.diverged
     return {"net": net, "ds": ds, "tcfg": tcfg, "params": params,
             "traj": traj}

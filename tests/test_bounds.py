@@ -229,7 +229,7 @@ def test_pl_check_on_single_linear_layer():
     alpha = 8.0 * np.linalg.svd(x, compute_uv=False)[-1] ** 2
     tcfg = TrainConfig(eta=0.01, lam=0.0, steps=30, seed=0,
                        lr_drop_fraction=1.0)
-    _, traj = train(cfg, tcfg, x, y)
+    _, traj = train(cfg, tcfg, x, y, metrics.ClassIndex((3,)))
     sched = bounds.Thm2Schedule(alpha=alpha, r0=1e9, m_lambda=0.0)
     rep = bounds.pl_check(cfg, x, y, traj, sched, lam=0.0, eta=0.01)
     assert rep.holds == bounds.HOLDS

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from nclab import cli, data
+from nclab import cli, data, densemat, metrics
 
 
 BASE_CONFIG = {
@@ -174,3 +174,130 @@ def test_class_count_mismatch_is_config_error(tmp_path, capsys):
                      "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_CONFIG
     assert "classes" in capsys.readouterr().err
+
+
+def test_bounds_report_serializes_for_ten_classes(tmp_path):
+    # for K >= 6 balanced one-hot labels, s_K(Y) is the smaller term of the
+    # eps1 premise, which then must still be a JSON boolean
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["network"]["widths"] = [12, 10, 10]
+    cfg["data"].update({"d": 10, "k": 10, "n_per_class": 2})
+    cfg["train"].update({"steps": 20, "record_every": 10})
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    reports = json.loads((out / "report.json").read_text())["bounds"]["reports"]
+    assert reports
+    for rep in reports.values():
+        assert all(isinstance(v, bool) for v in rep["premises"].values())
+
+
+def test_numerical_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(densemat, "MAX_SWEEPS", 0)  # every SVD stalls
+    code = cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_FAILED
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "SvdConvergenceError" in err and "Traceback" not in err
+
+
+def test_sweep_member_svd_failure_is_a_member_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(densemat, "MAX_SWEEPS", 0)
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"]["steps"] = 10
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                     "--axis", "linear_depth", "--values", "1,2",
+                     "--seeds", "0", "--out", str(out)])
+    assert code == cli.EXIT_FAILED
+    lines = (out / "sweep.csv").read_text().splitlines()
+    statuses = [line.split(",")[2] for line in lines[2:]]
+    assert len(statuses) == 2
+    assert all(s.startswith("error: ") and "did not converge" in s
+               for s in statuses)
+
+
+def test_sweep_exits_nonzero_when_a_member_diverges(tmp_path):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"]["eta"] = 100.0
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                     "--axis", "linear_depth", "--values", "2",
+                     "--seeds", "0", "--out", str(out)])
+    assert code == cli.EXIT_FAILED
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in lines[2:]] == ["diverged"]
+
+
+def _count_measure_calls(monkeypatch):
+    calls = []
+    real = metrics.measure
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "measure", counting)
+    return calls
+
+
+def test_train_measures_each_record_once(tmp_path, monkeypatch):
+    calls = _count_measure_calls(monkeypatch)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    records = json.loads((out / "report.json").read_text())["train"]["steps_recorded"]
+    assert records == 5
+    assert len(calls) == records
+
+
+def test_sweep_member_measures_each_record_once(tmp_path, monkeypatch):
+    calls = _count_measure_calls(monkeypatch)
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"]["steps"] = 100
+    member = cli.sweep_member_config(cli.resolve_config(cfg), "linear_depth", 2, 0)
+    assert cli._run_member(member, tmp_path / "member")["status"] == "ok"
+    assert len(calls) == 3  # records at steps 0, 50 and 100
+
+
+def test_metrics_csv_does_not_depend_on_store_params(tmp_path):
+    outs = []
+    for store in (True, False):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["train"]["store_params"] = store
+        out = tmp_path / f"store_{store}"
+        assert cli.main(["train", "--config",
+                         str(write_config(tmp_path, cfg, f"c_{store}.json")),
+                         "--out", str(out)]) == cli.EXIT_OK
+        outs.append(out)
+    rows = (outs[1] / "metrics.csv").read_text().splitlines()[2:]
+    # 5 records x layers 1..3 (the head starts at layer max(l1, 1) = 1)
+    assert len(rows) == 5 * 3
+    for name in ("metrics.csv", "trajectory.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert not (outs[1] / "params_init.npz").exists()
+
+
+def test_depth_one_network_trains_and_bounds_fail_cleanly(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["network"].update({"widths": [3], "l1": 0})
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    final = json.loads((out / "report.json").read_text())["train"]["final"]
+    assert final["r"] is None  # the radius needs two layers
+    capsys.readouterr()
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_impossible_synthetic_data_is_config_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["data"]["d"] = 2  # fewer dimensions than the k=3 class directions
+    code = cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
