@@ -185,12 +185,14 @@ def init_spectra(cfg: NetworkConfig, params0: ParamSet, x: np.ndarray) -> Thm2Sc
     if gamma is None:
         raise ValueError("activation must have a gamma slope parameter")
     sched = Thm2Schedule()
+    op_norms = {}
     for layer in range(1, cfg.depth + 1):
-        sched.lambda_l[layer] = _s_min(params0.weights[layer - 1])
+        s = densemat.svd(params0.weights[layer - 1]).s
+        sched.lambda_l[layer] = float(s[-1])
+        op_norms[layer] = float(s[0])
     lam_min_tail = min(sched.lambda_l[l] for l in range(3, cfg.depth + 1))
     for layer in range(1, cfg.depth + 1):
-        sched.bar_lambda_l[layer] = (densemat.op_norm(params0.weights[layer - 1])
-                                     + lam_min_tail)
+        sched.bar_lambda_l[layer] = op_norms[layer] + lam_min_tail
     sched.lambda_f = _s_min(act_apply(cfg.activation, params0.weights[0] @ x))
     sched.lambda_3_to_l = math.prod(sched.lambda_l[l] for l in range(3, cfg.depth + 1))
     L = cfg.depth

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import math
 import os
@@ -213,9 +214,11 @@ def _fmt(v) -> str:
 
 
 def write_csv(path: Path, header: list, rows: list) -> None:
-    lines = [f"# nclab schema_version={SCHEMA_VERSION}", ",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as f:
+        f.write(f"# nclab schema_version={SCHEMA_VERSION}\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -323,6 +326,7 @@ def cmd_train(config_path, out_dir) -> int:
                   "c_0": last.c_0, "eps1": rep.eps1, "eps2": rep.eps2,
                   "r": rep.r},
         "balancedness_ratios": rep.balancedness_ratios,
+        "data_sha256": ds.fingerprint(),
     }
     write_json(out / "report.json", {"train": _sanitize(summary)})
     if traj.diverged:
@@ -456,14 +460,20 @@ def cmd_bounds(run_dir) -> int:
         print(f"missing run artifacts in {run}", file=sys.stderr)
         return EXIT_CONFIG
     cfg = json.loads(cfg_path.read_text())["config"]
+    report_path = run / "report.json"
+    report = json.loads(report_path.read_text()) if report_path.exists() else {}
     ds = build_dataset(cfg)
+    trained_on = report.get("train", {}).get("data_sha256")
+    if trained_on is None:
+        raise ConfigError(f"{report_path} records no training-data fingerprint")
+    if trained_on != ds.fingerprint():
+        raise ConfigError("the data rebuilt from the config are not the data "
+                          "the run was trained on (SHA-256 mismatch)")
     net = build_network(cfg, ds.x.shape[0])
     params = load_params(final_path)
     init_path = run / "params_init.npz"
     params_init = load_params(init_path) if init_path.exists() else None
     payload = evaluate_bounds(cfg, net, ds, params, params_init)
-    report_path = run / "report.json"
-    report = json.loads(report_path.read_text()) if report_path.exists() else {}
     report.pop("schema_version", None)
     report["bounds"] = payload
     write_json(report_path, report)

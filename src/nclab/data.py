@@ -6,6 +6,7 @@ Columns are always grouped contiguously by class.
 from __future__ import annotations
 
 import gzip
+import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +36,15 @@ class Dataset:
         col_sums = self.y.sum(axis=0)
         if not np.allclose(col_sums, 1.0) or not np.all((self.y == 0) | (self.y == 1)):
             raise ValueError("labels must be one-hot columns")
+
+    def fingerprint(self) -> str:
+        """SHA-256 over the shapes and float64 bytes of x and y."""
+        h = hashlib.sha256()
+        for a in (self.x, self.y):
+            a = np.ascontiguousarray(a, dtype=np.float64)
+            h.update(repr(a.shape).encode())
+            h.update(a.tobytes())
+        return h.hexdigest()
 
 
 def one_hot(labels, k: int) -> np.ndarray:

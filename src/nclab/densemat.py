@@ -1,13 +1,28 @@
 """Dense linear algebra substrate: SVD, pseudoinverse, condition numbers.
 
 All matrices are 2-D float64 numpy arrays. The SVD is a one-sided Jacobi
-with cyclic sweeps; everything else (pinv, cond, op_norm) is derived from it.
-Results are deterministic for a fixed input: singular vectors follow a fixed
-sign convention and ties are resolved by a stable sort.
+(Hestenes); everything else (pinv, cond, op_norm) is derived from it. Two
+pair orderings share its tolerance, rotation and sweep cap:
+
+- below ROUND_ROBIN_MIN_COLS columns, cyclic sweeps rotate one column pair
+  at a time in row order;
+- from ROUND_ROBIN_MIN_COLS columns on, each sweep is a round-robin
+  tournament (Brent & Luk 1985): every round rotates n/2 disjoint pairs
+  with the same few numpy calls.
+
+Both are one-sided Jacobi with the same accuracy argument (Demmel & Veselic
+1992). The crossover is measured (one Xeon core, one BLAS thread): the
+fixed cost of the numpy calls per round makes the round-robin SVD 1.8-2.6x
+slower than the cyclic one at 3 columns and 1.3x at 5; the two are level at
+6 and 7 columns, and round-robin wins from 8 on (1.4 vs 1.9 ms at 8x8, 0.8
+vs 3.3 s at 256x200). Results are deterministic for a fixed input: singular
+vectors follow a fixed sign convention and ties are resolved by a stable
+sort.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +31,7 @@ import numpy as np
 JACOBI_TOL = 1e-14
 MAX_SWEEPS = 60
 DEFAULT_RANK_TOL = 1e-10
+ROUND_ROBIN_MIN_COLS = 8  # measured crossover, see the module docstring
 
 
 class SvdConvergenceError(RuntimeError):
@@ -77,6 +93,105 @@ def _complete_orthonormal(u: np.ndarray, known: int) -> None:
                 col += 1
 
 
+def _cyclic_sweep(b: np.ndarray, v: np.ndarray) -> float:
+    """One sweep over the column pairs (i, j) in row order, one pair at a time.
+
+    Rotates b and v in place; returns the largest relative off-diagonal
+    |b_i . b_j| / (|b_i| |b_j|) rotated away, 0.0 when no pair needed a rotation.
+    """
+    cols = b.shape[1]
+    worst = 0.0
+    for i in range(cols - 1):
+        for j in range(i + 1, cols):
+            bi = b[:, i]
+            bj = b[:, j]
+            app = bi @ bi
+            aqq = bj @ bj
+            apq = bi @ bj
+            scale = math.sqrt(app * aqq)
+            if scale == 0.0 or abs(apq) <= JACOBI_TOL * scale:
+                continue
+            worst = max(worst, abs(apq) / scale)
+            tau = (aqq - app) / (2.0 * apq)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            bi_new = c * bi - s * bj
+            b[:, j] = s * bi + c * bj
+            b[:, i] = bi_new
+            vi = c * v[:, i] - s * v[:, j]
+            v[:, j] = s * v[:, i] + c * v[:, j]
+            v[:, i] = vi
+    return worst
+
+
+@functools.lru_cache(maxsize=None)
+def _round_robin_pairs(cols: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Rounds of a round-robin tournament between the columns (circle method).
+
+    Each round is a pair of read-only index arrays (p, q) with p < q; the
+    pairs of one round are disjoint, and every pair of columns meets in
+    exactly one round. An odd count is padded with a column that sits out.
+    """
+    n = cols + cols % 2
+    seats = list(range(n))
+    rounds = []
+    for _ in range(n - 1):
+        pairs = [(min(a, b), max(a, b))
+                 for a, b in zip(seats[:n // 2], reversed(seats[n // 2:]))
+                 if max(a, b) < cols]
+        p, q = (np.array(ix, dtype=np.intp) for ix in zip(*pairs))
+        p.flags.writeable = False
+        q.flags.writeable = False
+        rounds.append((p, q))
+        seats = [seats[0], seats[-1]] + seats[1:-1]
+    return tuple(rounds)
+
+
+def _round_robin_sweep(w: np.ndarray, rows: int) -> float:
+    """One sweep over the column pairs in round-robin order, all disjoint
+    pairs of a round rotated by the same numpy calls.
+
+    w is row-major and holds B^T in its first `rows` columns and V^T in the
+    rest, so gathering a pair fetches its columns of B and V as contiguous
+    rows. Same tolerance, rotation and return value as _cyclic_sweep.
+    Every round reuses the same four work arrays: allocating them afresh
+    each round makes the allocator return and re-fault their pages.
+    """
+    rounds = _round_robin_pairs(w.shape[0])
+    wp, wq, t1, t2 = np.empty((4, len(rounds[0][0]), w.shape[1]))
+    worst = 0.0
+    for p, q in rounds:
+        np.take(w, p, axis=0, out=wp)
+        np.take(w, q, axis=0, out=wq)
+        bp, bq = wp[:, :rows], wq[:, :rows]
+        app = np.einsum("ij,ij->i", bp, bp)
+        aqq = np.einsum("ij,ij->i", bq, bq)
+        apq = np.einsum("ij,ij->i", bp, bq)
+        scale = np.sqrt(app * aqq)
+        rot = (scale != 0.0) & (np.abs(apq) > JACOBI_TOL * scale)
+        k = int(np.count_nonzero(rot))
+        if k == 0:
+            continue
+        gp, gq, n1, n2 = wp[:k], wq[:k], t1[:k], t2[:k]
+        if k < len(p):  # gather again, only the pairs that rotate
+            p, q = p[rot], q[rot]
+            np.take(w, p, axis=0, out=gp)
+            np.take(w, q, axis=0, out=gq)
+            app, aqq, apq, scale = app[rot], aqq[rot], apq[rot], scale[rot]
+        worst = max(worst, float(np.max(np.abs(apq) / scale)))
+        tau = (aqq - app) / (2.0 * apq)
+        t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = (t * c)[:, None]
+        c = c[:, None]
+        np.subtract(np.multiply(c, gp, out=n1), np.multiply(s, gq, out=n2), out=n1)
+        w[p] = n1
+        np.add(np.multiply(s, gp, out=n1), np.multiply(c, gq, out=n2), out=n1)
+        w[q] = n1
+    return worst
+
+
 def svd(a) -> SvdResult:
     """One-sided Jacobi SVD. Deterministic; raises SvdConvergenceError on stall."""
     a = as_matrix(a)
@@ -84,38 +199,23 @@ def svd(a) -> SvdResult:
     transposed = m < n
     b = np.array(a.T if transposed else a, dtype=np.float64, order="F")
     rows, cols = b.shape
-    v = np.eye(cols)
+    if cols < ROUND_ROBIN_MIN_COLS:
+        v = np.eye(cols)
+        sweep = functools.partial(_cyclic_sweep, b, v)
+    else:
+        w = np.empty((cols, rows + cols))
+        w[:, :rows] = b.T
+        w[:, rows:] = np.eye(cols)
+        b, v = w[:, :rows].T, w[:, rows:].T  # views the sweeps rotate
+        sweep = functools.partial(_round_robin_sweep, w, rows)
 
     converged = cols == 1
     worst = 0.0
     for _ in range(MAX_SWEEPS):
         if converged:
             break
-        rotated = False
-        worst = 0.0
-        for i in range(cols - 1):
-            for j in range(i + 1, cols):
-                bi = b[:, i]
-                bj = b[:, j]
-                app = bi @ bi
-                aqq = bj @ bj
-                apq = bi @ bj
-                scale = math.sqrt(app * aqq)
-                if scale == 0.0 or abs(apq) <= JACOBI_TOL * scale:
-                    continue
-                worst = max(worst, abs(apq) / scale)
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                bi_new = c * bi - s * bj
-                b[:, j] = s * bi + c * bj
-                b[:, i] = bi_new
-                vi = c * v[:, i] - s * v[:, j]
-                v[:, j] = s * v[:, i] + c * v[:, j]
-                v[:, i] = vi
-        converged = not rotated
+        worst = sweep()
+        converged = worst == 0.0
     if not converged:
         raise SvdConvergenceError(worst, MAX_SWEEPS)
 

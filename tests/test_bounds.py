@@ -147,6 +147,25 @@ def test_init_spectra_matches_direct_computation():
         rel=1e-12)
 
 
+def test_init_spectra_takes_one_svd_per_weight(monkeypatch):
+    cfg, params, x, _ = schedule_net()
+    calls = []
+    real = densemat.svd
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(densemat, "svd", counting)
+    sched = bounds.init_spectra(cfg, params, x)
+    assert len(calls) == cfg.depth + 1  # each weight, then the first features
+    tail_min = min(sched.lambda_l[l] for l in range(3, cfg.depth + 1))
+    for layer in range(1, cfg.depth + 1):
+        w = params.weights[layer - 1]
+        assert sched.lambda_l[layer] == real(w).s[-1]
+        assert sched.bar_lambda_l[layer] == real(w).s[0] + tail_min
+
+
 def test_init_spectra_requires_depth_and_gamma():
     shallow = NetworkConfig(input_dim=2, widths=(3, 2), l1=1, l2=1,
                             activation=SMOOTH)

@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 
@@ -301,3 +302,45 @@ def test_impossible_synthetic_data_is_config_error(tmp_path, capsys):
                      "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_csv_quotes_a_status_with_a_comma(tmp_path, monkeypatch):
+    def failing_member(cfg, out):
+        raise ValueError("width 0, depth 2")
+
+    monkeypatch.setattr(cli, "_run_member", failing_member)
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--axis", "linear_depth", "--values", "1,2",
+                     "--seeds", "0", "--out", str(out)])
+    assert code == cli.EXIT_FAILED
+    with open(out / "sweep.csv", newline="") as f:
+        rows = list(csv.reader(f))[2:]
+    assert len(rows) == 2
+    for row in rows:
+        assert len(row) == len(cli.SWEEP_COLUMNS)
+        assert row[2] == "error: width 0, depth 2"
+
+
+def test_bounds_refuses_data_other_than_the_training_data(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    resolved = out / "config.resolved.json"
+    payload = json.loads(resolved.read_text())
+    payload["config"]["data"]["seed"] += 1
+    resolved.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "SHA-256" in err
+
+    # a report without the fingerprint cannot be tied to any data
+    payload["config"]["data"]["seed"] -= 1
+    resolved.write_text(json.dumps(payload))
+    report = json.loads((out / "report.json").read_text())
+    del report["train"]["data_sha256"]
+    (out / "report.json").write_text(json.dumps(report))
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_CONFIG
+    assert "fingerprint" in capsys.readouterr().err

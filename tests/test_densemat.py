@@ -53,6 +53,83 @@ def test_svd_matches_lapack_singular_values():
         assert np.allclose(got, ref, rtol=1e-11, atol=1e-12)
 
 
+ROUND_ROBIN_SHAPES = [
+    (7, 7), (12, 7),                 # largest cyclic column count
+    (8, 8), (20, 8), (8, 30),        # crossover, tall and wide
+    (9, 9), (30, 9), (10, 25),       # odd and even column counts
+    (64, 33), (100, 64), (33, 90),
+    (60, 200), (210, 200),           # up to 200 columns
+]
+
+
+@pytest.mark.parametrize("shape", ROUND_ROBIN_SHAPES)
+def test_svd_round_robin_sizes_match_lapack(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape)
+    ref = np.linalg.svd(a, compute_uv=False)
+    got = densemat.svd(a).s
+    assert np.allclose(got, ref, rtol=1e-11, atol=1e-12)
+
+
+@pytest.mark.parametrize("cols", [2, 3, 8, 9, 64])
+def test_round_robin_rounds_meet_every_pair_once(cols):
+    rounds = densemat._round_robin_pairs(cols)
+    seen = []
+    for p, q in rounds:
+        assert not p.flags.writeable and not q.flags.writeable
+        assert np.all(p < q)
+        assert len(set(p) | set(q)) == 2 * len(p)  # disjoint within a round
+        seen += zip(p.tolist(), q.tolist())
+    assert len(rounds) == cols - 1 + cols % 2
+    assert sorted(seen) == [(i, j) for i in range(cols) for j in range(i + 1, cols)]
+
+
+def _with_singular_values(rng, m, n, s):
+    u, _ = np.linalg.qr(rng.standard_normal((m, len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    return (u * s) @ v.T
+
+
+def _hard_cases():
+    rng = np.random.default_rng(17)
+    tied = _with_singular_values(
+        rng, 30, 20, np.r_[1.0, 1.0 - 1e-10, np.linspace(0.9, 0.1, 18)])
+    rank5 = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 60))
+    zero_cols = rng.standard_normal((30, 12))
+    zero_cols[:, [3, 7, 8]] = 0.0
+    return {"near_tied_s1_s2": tied, "rank_5_of_40x60": rank5,
+            "exact_zero_columns": zero_cols}
+
+
+@pytest.mark.parametrize("name", sorted(_hard_cases()))
+def test_svd_round_robin_hard_cases_stay_orthonormal(name):
+    a = _hard_cases()[name]
+    assert min(a.shape) >= densemat.ROUND_ROBIN_MIN_COLS
+    res = densemat.svd(a)
+    k = min(a.shape)
+    assert np.linalg.norm(res.u.T @ res.u - np.eye(k)) < 1e-10
+    assert np.linalg.norm(res.vt @ res.vt.T - np.eye(k)) < 1e-10
+    assert np.linalg.norm(a - res.reconstruct()) < 1e-10 * np.linalg.norm(a)
+    ref = np.linalg.norm(a, 2)
+    assert abs(densemat.op_norm(a) - ref) <= 1e-12 * ref
+
+
+def test_svd_round_robin_is_bit_identical_across_calls():
+    a = np.random.default_rng(8).standard_normal((120, 100))
+    r1, r2 = densemat.svd(a), densemat.svd(a)
+    assert np.array_equal(r1.u, r2.u)
+    assert np.array_equal(r1.s, r2.s)
+    assert np.array_equal(r1.vt, r2.vt)
+
+
+def test_svd_round_robin_raises_when_sweeps_run_out(monkeypatch):
+    monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
+    a = np.random.default_rng(4).standard_normal((20, 12))
+    with pytest.raises(densemat.SvdConvergenceError) as err:
+        densemat.svd(a)
+    assert err.value.sweeps == 1 and err.value.residual > densemat.JACOBI_TOL
+
+
 def test_svd_rank_deficient_completes_orthonormal_basis():
     # rank-1 3x3: two zero singular values must still give orthonormal U, V
     u = np.array([1.0, 2.0, -1.0])
