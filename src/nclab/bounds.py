@@ -339,24 +339,101 @@ def lipschitz_const(radii, b: float, n: int, beta: float) -> float:
 
 
 def balanced_power_gap(cfg: NetworkConfig, params: ParamSet, r: float,
-                       eps2: float) -> BoundReport:
-    """||(W_L W_L^T)^{L2} - W_{L:L1+1} W_{L:L1+1}^T||_op vs (L2^2/2) eps2 r^{2(L2-1)}."""
+                       eps2: float, op_norms: dict) -> BoundReport:
+    """||(W_L W_L^T)^{L2} - W_{L:L1+1} W_{L:L1+1}^T||_op vs (L2^2/2) eps2 r^{2(L2-1)};
+    `op_norms` maps each linear layer l to ||W_l||_op."""
     rep = BoundReport(name="balanced_power_gap")
     l2 = cfg.l2
-    norms = [densemat.op_norm(params.weights[l - 1])
-             for l in range(cfg.l1 + 1, cfg.depth + 1)]
-    rep.premises["weights_bounded_by_r"] = all(nv <= r * (1 + 1e-12) for nv in norms)
+    rep.premises["weights_bounded_by_r"] = all(
+        op_norms[l] <= r * (1 + 1e-12) for l in range(cfg.l1 + 1, cfg.depth + 1))
     w_l = params.weights[-1]
     prod = partial_product(cfg, params, cfg.depth, cfg.l1 + 1)
-    lhs = densemat.op_norm(np.linalg.matrix_power(w_l @ w_l.T, l2) - prod @ prod.T)
-    rep.measured = lhs
+    rep.measured = densemat.op_norm(np.linalg.matrix_power(w_l @ w_l.T, l2) - prod @ prod.T)
     rep.value = 0.5 * l2 ** 2 * eps2 * r ** (2 * (l2 - 1))
-    try:
-        rep.detail["kappa_w_l"] = densemat.cond(w_l)
-        rep.detail["kappa_prod_root"] = densemat.cond(prod) ** (1.0 / l2)
-    except ValueError:
-        pass
     return rep.resolve()
+
+
+def bound_report(name: str, premises: dict, rhs, measured: float | None,
+                 lower: bool = False) -> BoundReport:
+    """Report for the bound value `rhs()` against `measured`; vacuous, with
+    the reason, when `rhs` raises or the measured value is undefined."""
+    rep = BoundReport(name=name, measured=measured, premises=dict(premises))
+    try:
+        rep.value = rhs()
+    except (VacuousBound, ValueError) as exc:
+        rep.detail["vacuous_reason"] = str(exc)
+        return rep
+    if measured is None:
+        rep.detail["vacuous_reason"] = "measured value undefined on this state"
+    return rep.resolve(lower_bound=lower)
+
+
+@dataclass
+class Thm1Verdicts:
+    inputs: Thm1Inputs
+    reports: dict                # bound name -> BoundReport
+    kappa_w_l: float | None      # cond(W_L)
+    kappa_prod: float | None     # cond(W_{L:L1+1})
+
+
+THM1_LINEAR_BOUNDS = ("thm1_kappa", "thm1_nc2", "thm1_nc3", "balanced_power_gap")
+
+
+def _cond_or_none(a: np.ndarray, rank_tol: float) -> float | None:
+    try:
+        return densemat.cond(a, rank_tol)
+    except ValueError:
+        return None
+
+
+def thm1_verdicts(cfg: NetworkConfig, params: ParamSet, rep, sK_y: float,
+                  x_opnorm: float, n: int, rank_tol: float = densemat.DEFAULT_RANK_TOL,
+                  proof_exponent: bool = False) -> Thm1Verdicts:
+    """Theorem-1 and balanced-power-gap reports of a state, reading NC1/NC2/NC3
+    of Z_{L-1}, eps1/eps2/r and the linear layers' norms from its
+    `metrics.measure` report `rep` (taken at `rank_tol`). The bounds on the
+    linear head need a linear interface (L2 >= 2). A quantity that cannot be
+    computed makes its reports vacuous, with the reason."""
+    kappa_wl = _cond_or_none(params.weights[-1], rank_tol)
+    kappa_prod = kappa_wl if cfg.l2 == 1 else None  # W_{L:L} = W_L
+    if cfg.l2 >= 2:
+        kappa_prod = _cond_or_none(partial_product(cfg, params, cfg.depth, cfg.l1 + 1),
+                                   rank_tol)
+    inp = Thm1Inputs(eps1=rep.eps1, eps2=rep.eps2, r=rep.r,
+                     n_lminus1=cfg.widths[cfg.depth - 2], k=cfg.n_classes, n=n,
+                     sK_y=sK_y, x_opnorm=x_opnorm, l1=cfg.l1, l2=cfg.l2,
+                     c3=kappa_prod)
+    out = Thm1Verdicts(inputs=inp, reports={}, kappa_w_l=kappa_wl, kappa_prod=kappa_prod)
+    head = next((lm for lm in rep.layers if lm.layer == cfg.depth - 1), None)
+    nc1, nc2, nc3 = (head.nc1, head.nc2, head.nc3) if head else (None,) * 3
+    premises = {"eps1_small": inp.eps1_premise()}
+
+    def kappa():
+        if kappa_wl is None:
+            raise ValueError("cond(W_L) is undefined")
+        return kappa_wl
+
+    out.reports["thm1_nc1"] = bound_report("thm1_nc1", premises,
+                                           lambda: thm1_nc1_rhs(inp), nc1)
+    if cfg.l2 < 2:
+        for name in THM1_LINEAR_BOUNDS:
+            out.reports[name] = BoundReport(
+                name=name, premises={"has_linear_interface": False})
+        return out
+    out.reports["thm1_kappa"] = bound_report(
+        "thm1_kappa", premises,
+        lambda: thm1_kappa_rhs(inp, proof_exponent=proof_exponent), kappa_wl)
+    out.reports["thm1_nc2"] = bound_report(
+        "thm1_nc2", premises, lambda: thm1_nc2_rhs(inp, kappa()), nc2)
+    out.reports["thm1_nc3"] = bound_report(
+        "thm1_nc3", premises, lambda: thm1_nc3_rhs(inp, kappa()), nc3, lower=True)
+    gap = balanced_power_gap(cfg, params, rep.r, rep.eps2, rep.head_op_norms)
+    if kappa_wl is not None:
+        gap.detail["kappa_w_l"] = kappa_wl
+    if kappa_prod is not None:
+        gap.detail["kappa_prod_root"] = kappa_prod ** (1.0 / cfg.l2)
+    out.reports["balanced_power_gap"] = gap
+    return out
 
 
 # ---------------------------------------------------------------------------

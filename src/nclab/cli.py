@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import inspect
 import json
 import math
 import os
@@ -120,10 +121,6 @@ CONFIG_SCHEMA = {
     },
 }
 
-DATA_DEFAULTS = {"class_sep": 4.0, "noise": 0.3, "seed": 0,
-                 "min_col_norm_one": True}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -150,8 +147,9 @@ def resolve_config(raw: dict) -> dict:
         if f.name in train_keys and f.default is not MISSING:
             cfg["train"].setdefault(f.name, f.default)
     if cfg["data"]["kind"] == "synthetic":
-        for key, val in DATA_DEFAULTS.items():
-            cfg["data"].setdefault(key, val)
+        for name, param in inspect.signature(data_mod.synth_gaussian).parameters.items():
+            if param.default is not inspect.Parameter.empty:
+                cfg["data"].setdefault(name, param.default)
         cfg["data"].setdefault("d", 16)
         cfg["data"].setdefault("k", cfg["network"]["widths"][-1])
         cfg["data"].setdefault("n_per_class", 8)
@@ -347,79 +345,19 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     bcfg = cfg.get("bounds", {})
     rank_tol = bcfg.get("rank_tol", densemat.DEFAULT_RANK_TOL)
     trace = forward(net, params, ds.x)
-    rep = metrics.measure(net, params, trace, ds.y, ds.idx)
+    rep = metrics.measure(net, params, trace, ds.y, ds.idx, rank_tol=rank_tol)
     sK_y = densemat.svd(ds.y).s[net.n_classes - 1]
     x_op = densemat.op_norm(ds.x)
     k, n = net.n_classes, ds.x.shape[1]
+    thm1 = bounds_mod.thm1_verdicts(net, params, rep, sK_y, x_op, n, rank_tol,
+                                    bcfg.get("proof_exponent", False))
 
     out = {"measured": _sanitize({
         "eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r, "sK_y": sK_y,
         "x_opnorm": x_op,
-        "nc1": rep.layers[-2].nc1 if len(rep.layers) >= 2 else None,
-        "kappa_w_l": None, "kappa_prod": None,
-    }), "reports": {}}
-
-    try:
-        out["measured"]["kappa_w_l"] = densemat.cond(params.weights[-1], rank_tol)
-    except ValueError:
-        pass
-    c3 = None
-    if net.l2 >= 1 and net.l1 >= 1:
-        try:
-            from .network import partial_product
-            c3 = densemat.cond(
-                partial_product(net, params, net.depth, net.l1 + 1), rank_tol)
-            out["measured"]["kappa_prod"] = c3
-        except ValueError:
-            pass
-
-    inp = bounds_mod.Thm1Inputs(
-        eps1=rep.eps1, eps2=rep.eps2, r=rep.r,
-        n_lminus1=net.widths[net.depth - 2],
-        k=k, n=n, sK_y=sK_y, x_opnorm=x_op, l1=net.l1, l2=net.l2, c3=c3)
-    premise = inp.eps1_premise()
-
-    def attempt(name, fn, measured, lower=False, extra_premises=None):
-        r = bounds_mod.BoundReport(name=name, measured=measured)
-        r.premises["eps1_small"] = premise
-        r.premises.update(extra_premises or {})
-        try:
-            r.value = fn()
-        except (bounds_mod.VacuousBound, ValueError) as exc:
-            r.detail["vacuous_reason"] = str(exc)
-            r.holds = bounds_mod.VACUOUS
-            out["reports"][name] = _report_from(r)
-            return
-        out["reports"][name] = _report_from(r.resolve(lower_bound=lower))
-
-    nc1_last = rep.layers[-2].nc1 if len(rep.layers) >= 2 else None
-    if nc1_last is not None:
-        attempt("thm1_nc1", lambda: bounds_mod.thm1_nc1_rhs(inp), nc1_last)
-    if net.l2 >= 2 and c3 is not None:
-        kappa_wl = out["measured"]["kappa_w_l"]
-        attempt("thm1_kappa",
-                lambda: bounds_mod.thm1_kappa_rhs(
-                    inp, proof_exponent=bcfg.get("proof_exponent", False)),
-                kappa_wl)
-        zbar, _ = metrics.class_means(trace.z[net.depth - 1], ds.idx)
-        try:
-            nc2_means = densemat.cond(zbar, rank_tol)
-        except ValueError:
-            nc2_means = None
-        if nc2_means is not None and kappa_wl is not None:
-            attempt("thm1_nc2",
-                    lambda: bounds_mod.thm1_nc2_rhs(inp, kappa_wl), nc2_means)
-        nc3_val = rep.layers[-2].nc3
-        if nc3_val is not None and kappa_wl is not None:
-            attempt("thm1_nc3",
-                    lambda: bounds_mod.thm1_nc3_rhs(inp, kappa_wl), nc3_val,
-                    lower=True)
-        gap_rep = bounds_mod.balanced_power_gap(net, params, rep.r, rep.eps2)
-        out["reports"]["balanced_power_gap"] = _report_from(gap_rep)
-    elif net.l2 < 2:
-        for name in ("thm1_kappa", "thm1_nc2", "thm1_nc3", "balanced_power_gap"):
-            out["reports"][name] = _report_from(bounds_mod.BoundReport(
-                name=name, premises={"has_linear_interface": False}))
+        "nc1": thm1.reports["thm1_nc1"].measured,
+        "kappa_w_l": thm1.kappa_w_l, "kappa_prod": thm1.kappa_prod,
+    }), "reports": {name: _report_from(r) for name, r in thm1.reports.items()}}
 
     try:
         out["measured"]["residual_to_pinv"] = bounds_mod.residual_to_pinv(
@@ -431,9 +369,10 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     nrep = ntk.ntk_opnorm(net, params, ds.x, seed=ntk_seed)
     out["ntk"] = _sanitize({"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
                             "residual": nrep.residual, "converged": nrep.converged})
-    attempt("ntk_lower",
-            lambda: bounds_mod.ntk_lower_bound(sK_y, rep.eps1, k, rep.r, net.l2),
-            nrep.rho, lower=True)
+    out["reports"]["ntk_lower"] = _report_from(bounds_mod.bound_report(
+        "ntk_lower", {"eps1_small": thm1.inputs.eps1_premise()},
+        lambda: bounds_mod.ntk_lower_bound(sK_y, rep.eps1, k, rep.r, net.l2),
+        nrep.rho, lower=True))
 
     if net.depth >= 3 and net.activation.gamma is not None and params_init is not None:
         try:

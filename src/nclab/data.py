@@ -72,8 +72,9 @@ def _make_dataset(x: np.ndarray, labels: np.ndarray, k: int,
     return Dataset(x=x, y=one_hot(labels, k), idx=ClassIndex(tuple(counts)), b=b)
 
 
-def synth_gaussian(d: int, k: int, n_per_class: int, class_sep: float,
-                   noise: float, seed: int, min_col_norm_one: bool = False) -> Dataset:
+def synth_gaussian(d: int, k: int, n_per_class: int, class_sep: float = 4.0,
+                   noise: float = 0.3, seed: int = 0,
+                   min_col_norm_one: bool = True) -> Dataset:
     """Class c centered at class_sep * u_c for orthonormal directions u_c."""
     if d < 1 or k < 1 or n_per_class < 1:
         raise ValueError("all counts must be positive")

@@ -199,6 +199,10 @@ def svd(a) -> SvdResult:
     transposed = m < n
     b = np.array(a.T if transposed else a, dtype=np.float64, order="F")
     rows, cols = b.shape
+    # scale the largest entry into [0.5, 1) by a power of two, which is exact:
+    # the pair products app * aqq then neither under- nor overflow
+    _, exp = math.frexp(float(np.max(np.abs(b))))
+    np.ldexp(b, -exp, out=b)
     if cols < ROUND_ROBIN_MIN_COLS:
         v = np.eye(cols)
         sweep = functools.partial(_cyclic_sweep, b, v)
@@ -243,6 +247,7 @@ def svd(a) -> SvdResult:
             u[:, k] = -u[:, k]
             v[:, k] = -v[:, k]
 
+    sigma = np.ldexp(sigma, exp)
     if transposed:
         return SvdResult(u=v, s=sigma, vt=u.T)
     return SvdResult(u=u, s=sigma, vt=v.T)

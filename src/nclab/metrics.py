@@ -7,7 +7,6 @@ Feature matrices carry samples as columns, grouped contiguously by class.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,14 +102,13 @@ def balancedness_gap(w_next: np.ndarray, w: np.ndarray) -> float:
     return densemat.op_norm(w_next.T @ w_next - w @ w.T)
 
 
-def balancedness_ratio(w_next: np.ndarray, w: np.ndarray) -> float:
-    """Gap normalized by the smaller Gram operator norm."""
-    w_next = np.asarray(w_next, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    denom = min(densemat.op_norm(w_next.T @ w_next), densemat.op_norm(w @ w.T))
+def balancedness_ratio(gap: float, norm_next: float, norm: float) -> float:
+    """Gap at an interface relative to the smaller squared weight operator
+    norm, min(||W_{l+1}||_op, ||W_l||_op)^2 (= the smaller Gram operator norm)."""
+    denom = min(norm_next, norm) ** 2
     if denom == 0.0:
-        raise ValueError("balancedness ratio undefined: zero Gram matrix")
-    return balancedness_gap(w_next, w) / denom
+        raise ValueError("balancedness ratio undefined: zero weight matrix")
+    return gap / denom
 
 
 def negativity(preact: np.ndarray, spec: ActivationSpec) -> float:
@@ -122,20 +120,17 @@ def negativity(preact: np.ndarray, spec: ActivationSpec) -> float:
     return densemat.op_norm(a - act_apply(spec, a)) / denom
 
 
-def extract_thm1_inputs(cfg: NetworkConfig, trace: ForwardTrace, params: ParamSet,
-                        y: np.ndarray) -> tuple:
-    """(eps1, max balancedness gap over linear interfaces, radius r)."""
+def extract_thm1_inputs(cfg: NetworkConfig, trace: ForwardTrace, y: np.ndarray,
+                        gaps: dict, head_op_norms: dict) -> tuple:
+    """(eps1, max balancedness gap over linear interfaces, radius r), from the
+    interface gaps and the linear layers' operator norms of this state."""
     if cfg.depth < 2:
         raise ValueError("radius extraction needs at least two layers")
     y = np.asarray(y, dtype=np.float64)
     eps1 = densemat.fro_norm(trace.z[-1] - y)
-    eps2 = 0.0
-    for l in range(cfg.l1 + 1, cfg.depth):
-        eps2 = max(eps2, balancedness_gap(params.weights[l], params.weights[l - 1]))
+    eps2 = max([0.0, *gaps.values()])
     norms = [densemat.op_norm(trace.z[cfg.depth - 2]),
-             densemat.op_norm(trace.z[cfg.depth - 1])]
-    norms += [densemat.op_norm(params.weights[l - 1])
-              for l in range(cfg.l1 + 1, cfg.depth + 1)]
+             densemat.op_norm(trace.z[cfg.depth - 1]), *head_op_norms.values()]
     return eps1, eps2, max(norms)
 
 
@@ -153,6 +148,7 @@ class MetricsReport:
     layers: list
     balancedness_gaps: dict    # interface l -> gap
     balancedness_ratios: dict  # interface l -> ratio
+    head_op_norms: dict        # linear layer l -> ||W_l||_op
     eps1: float | None = None  # None on a one-layer network
     eps2: float | None = None
     r: float | None = None
@@ -166,15 +162,17 @@ def _try(fn, *args):
 
 
 def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
-            y: np.ndarray, idx: ClassIndex,
-            first_layer: int | None = None) -> MetricsReport:
+            y: np.ndarray, idx: ClassIndex, first_layer: int | None = None,
+            rank_tol: float = densemat.DEFAULT_RANK_TOL) -> MetricsReport:
     """Per-layer metric sweep from `first_layer` (default: head input) to Z_L,
-    plus the balancedness and the Theorem-1 inputs.
+    plus the balancedness and the Theorem-1 inputs; each linear layer's
+    ||W_l||_op and each interface gap is computed once and feeds the ratios
+    and eps2/r.
 
-    NC3 is only defined against a K-row weight matrix, so it is reported for
-    Z_{L-1} (against W_L) and left unset elsewhere. Negativity applies to
-    nonlinear layers' preactivations. A quantity that is undefined on this
-    state (e.g. eps1/eps2/r of a one-layer network) is reported as None.
+    NC2 uses `rank_tol`. NC3 is only defined against a K-row weight matrix, so
+    it is reported for Z_{L-1} (against W_L) and left unset elsewhere.
+    Negativity applies to nonlinear layers' preactivations. A quantity that is
+    undefined on this state (e.g. eps1/eps2/r of a one-layer network) is None.
     """
     if first_layer is None:
         first_layer = max(cfg.l1, 1)
@@ -183,16 +181,19 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
         lm = LayerMetrics(layer=layer)
         z = trace.z[layer]
         lm.nc1 = _try(nc1, z, idx)
-        lm.nc2 = _try(nc2, z, idx)
+        lm.nc2 = _try(nc2, z, idx, rank_tol)
         if layer == cfg.depth - 1:
             lm.nc3 = _try(nc3, z, params.weights[cfg.depth - 1], idx)
         if 1 <= layer <= cfg.l1:
             lm.negativity = _try(negativity, trace.preact[layer - 1], cfg.activation)
         layers.append(lm)
+    norms = {l: densemat.op_norm(params.weights[l - 1])
+             for l in range(cfg.l1 + 1, cfg.depth + 1)}
     gaps, ratios = {}, {}
     for l in range(cfg.l1 + 1, cfg.depth):
         gaps[l] = balancedness_gap(params.weights[l], params.weights[l - 1])
-        ratios[l] = _try(balancedness_ratio, params.weights[l], params.weights[l - 1])
-    eps1, eps2, r = _try(extract_thm1_inputs, cfg, trace, params, y) or (None,) * 3
+        ratios[l] = _try(balancedness_ratio, gaps[l], norms[l + 1], norms[l])
+    eps1, eps2, r = _try(extract_thm1_inputs, cfg, trace, y, gaps, norms) or (None,) * 3
     return MetricsReport(layers=layers, balancedness_gaps=gaps,
-                         balancedness_ratios=ratios, eps1=eps1, eps2=eps2, r=r)
+                         balancedness_ratios=ratios, head_op_norms=norms,
+                         eps1=eps1, eps2=eps2, r=r)

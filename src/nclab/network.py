@@ -70,14 +70,6 @@ def act_grad(spec: ActivationSpec, x):
     return spec.gamma + (1.0 - spec.gamma) * ndtr(x / spec.kernel_sd)
 
 
-def act_eval(spec: ActivationSpec, x: float) -> float:
-    return float(act_apply(spec, x))
-
-
-def act_deriv(spec: ActivationSpec, x: float) -> float:
-    return float(act_grad(spec, x))
-
-
 def check_activation_bounds(spec: ActivationSpec, lo: float = -50.0, hi: float = 50.0,
                             points: int = 2001) -> dict:
     """Numerical check of the derivative range, curvature cap and |sigma(x)| <= |x|.
@@ -151,10 +143,6 @@ class ParamSet:
     def dist(self, other: "ParamSet") -> float:
         return math.sqrt(sum(float(np.sum((a - b) ** 2))
                              for a, b in zip(self.weights, other.weights)))
-
-    def axpy(self, alpha: float, other: "ParamSet") -> "ParamSet":
-        """self + alpha * other, as a new ParamSet."""
-        return ParamSet([a + alpha * b for a, b in zip(self.weights, other.weights)])
 
     def scaled(self, alpha: float) -> "ParamSet":
         return ParamSet([alpha * w for w in self.weights])

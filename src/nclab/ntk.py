@@ -31,12 +31,6 @@ def pullback(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     return backprop(cfg, params, trace, np.asarray(cotangent, dtype=float))
 
 
-def jacobian_pullback(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
-                      cotangent: np.ndarray) -> ParamSet:
-    """grad_theta Tr[Z_L A^T], running the forward pass internally."""
-    return pullback(cfg, params, forward(cfg, params, x), cotangent)
-
-
 def pushforward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
                 tangent: ParamSet) -> np.ndarray:
     """Directional derivative of the network output along a parameter tangent."""

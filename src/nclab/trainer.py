@@ -116,14 +116,16 @@ def _observe(cfg, train_cfg, params, theta0, x, y, idx, step,
         clam, c0 = loss(cfg, params, x, y, train_cfg.lam, trace=trace)
     if step > 0 and (not math.isfinite(c0) or c0 > DIVERGENCE_THRESHOLD):
         return None
+    rep = metrics.measure(cfg, params, trace, y, idx, first_layer)
     return TrajectoryRecord(
         step=step,
         c_lambda=clam,
         c_0=c0,
         param_norm=params.norm(),
         dist_from_init=params.dist(theta0),
-        metrics=metrics.measure(cfg, params, trace, y, idx, first_layer),
-        layer_op_norms=[densemat.op_norm(w) for w in params.weights],
+        metrics=rep,
+        layer_op_norms=[densemat.op_norm(w) for w in params.weights[:cfg.l1]]
+        + list(rep.head_op_norms.values()),
         params=params.copy() if train_cfg.store_params else None,
     )
 

@@ -14,9 +14,8 @@ import time
 import numpy as np
 
 from . import bounds, data, densemat, metrics, ntk
-from .network import (ActivationSpec, NetworkConfig, ParamSet, act_apply,
-                      check_activation_bounds, forward, gradient, loss,
-                      partial_product)
+from .network import (ActivationSpec, NetworkConfig, ParamSet,
+                      check_activation_bounds, forward, gradient, loss)
 
 SMOOTH = ActivationSpec("smoothed_leaky_relu", gamma=0.3, beta=2.0)
 
@@ -91,45 +90,27 @@ def make_thm1_instance(seed: int, eps1_scale: float = 1e-3,
 
 
 def check_thm1_instance(inst: dict) -> tuple:
-    """Evaluate all four Theorem-1-style bounds on a constructed instance.
+    """Evaluate the Theorem-1 reports of `nclab bounds` on a constructed
+    instance: `metrics.measure` of Z_{L-1} and Z_L, then
+    `bounds.thm1_verdicts`.
 
-    Returns (ok, detail); vacuous-weak alignment bounds (RHS outside [-1, 1])
-    are skipped, everything else must hold.
+    Returns (ok, detail); every report must hold, except a vacuous-weak
+    alignment bound (RHS outside [-1, 1]), which is skipped.
     """
     cfg, params, x, y, idx = (inst["cfg"], inst["params"], inst["x"],
                               inst["y"], inst["idx"])
-    trace = forward(cfg, params, x)
-    eps1, eps2, r = metrics.extract_thm1_inputs(cfg, trace, params, y)
-    k, n = cfg.n_classes, x.shape[1]
-    sK_y = densemat.svd(y).s[k - 1]
-    x_op = densemat.op_norm(x)
-    c3 = densemat.cond(partial_product(cfg, params, cfg.depth, cfg.l1 + 1))
-    inp = bounds.Thm1Inputs(eps1=eps1, eps2=eps2, r=r,
-                            n_lminus1=cfg.widths[cfg.depth - 2], k=k, n=n,
-                            sK_y=sK_y, x_opnorm=x_op, l1=cfg.l1, l2=cfg.l2,
-                            c3=c3)
-    detail = {"seed": inst["seed"], "eps1": eps1, "eps2": eps2, "r": r}
-    if not inp.eps1_premise():
-        return False, {**detail, "reason": "constructed instance broke premise"}
-    try:
-        z_head = trace.z[cfg.depth - 1]
-        nc1_val = metrics.nc1(z_head, idx)
-        rhs1 = bounds.thm1_nc1_rhs(inp)
-        kappa_wl = densemat.cond(params.weights[-1])
-        rhs_k = bounds.thm1_kappa_rhs(inp)
-        zbar, _ = metrics.class_means(z_head, idx)
-        nc2_val = densemat.cond(zbar)
-        rhs2 = bounds.thm1_nc2_rhs(inp, kappa_wl)
-        nc3_val = metrics.nc3(z_head, params.weights[-1], idx)
-        rhs3 = bounds.thm1_nc3_rhs(inp, kappa_wl)
-    except (bounds.VacuousBound, ValueError) as exc:
-        return False, {**detail, "reason": f"unexpectedly vacuous: {exc}"}
-    detail.update(nc1=nc1_val, nc1_rhs=rhs1, kappa=kappa_wl, kappa_rhs=rhs_k,
-                  nc2=nc2_val, nc2_rhs=rhs2, nc3=nc3_val, nc3_rhs=rhs3)
-    ok = nc1_val <= rhs1 and kappa_wl <= rhs_k and nc2_val <= rhs2
-    if -1.0 <= rhs3 <= 1.0:  # vacuous-weak alignment bounds don't count
-        ok = ok and nc3_val >= rhs3
-    return ok, detail
+    rep = metrics.measure(cfg, params, forward(cfg, params, x), y, idx,
+                          first_layer=cfg.depth - 1)
+    verdicts = bounds.thm1_verdicts(cfg, params, rep, densemat.svd(y).s[cfg.n_classes - 1],
+                                    densemat.op_norm(x), x.shape[1])
+    detail = {"seed": inst["seed"], "eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r}
+    for name, r in verdicts.reports.items():
+        detail[name] = (r.measured, r.value)
+        weak = name == "thm1_nc3" and r.value is not None and not -1.0 <= r.value <= 1.0
+        if r.holds != bounds.HOLDS and not weak:
+            return False, {**detail, "failed": name, "holds": r.holds,
+                           "premises": r.premises, **r.detail}
+    return True, detail
 
 
 def thm1_suite(n_instances: int = 200, seed0: int = 0) -> tuple:
@@ -155,19 +136,20 @@ def lemma_c2_suite(n_instances: int = 100, seed0: int = 1000,
         cfg = NetworkConfig(input_dim=width, widths=tuple(dims[1:]), l1=0,
                             l2=l2, activation=SMOOTH)
         params = ParamSet([w.copy() for w in weights])
-        r = max(densemat.op_norm(w) for w in weights)
-        rep = bounds.balanced_power_gap(cfg, params, r, eps2=0.0)
+        norms = {l: densemat.op_norm(w) for l, w in enumerate(weights, start=1)}
+        rep = bounds.balanced_power_gap(cfg, params, max(norms.values()), 0.0, norms)
         if rep.measured > exact_tol:
             return False, {"seed": seed, "exact_gap": rep.measured}
         eps2_scale = 10.0 ** rng.uniform(-8, -2)
         j = int(rng.integers(0, l2 - 1))
         pert = rng.standard_normal(weights[j].shape)
         weights[j] = weights[j] + eps2_scale * pert / np.linalg.norm(pert)
+        norms[j + 1] = densemat.op_norm(weights[j])
         params = ParamSet(weights)
         eps2 = max(metrics.balancedness_gap(params.weights[l], params.weights[l - 1])
                    for l in range(1, cfg.depth))
-        r = max(max(densemat.op_norm(w) for w in weights), 1.0)
-        rep = bounds.balanced_power_gap(cfg, params, r, eps2=eps2)
+        r = max(max(norms.values()), 1.0)
+        rep = bounds.balanced_power_gap(cfg, params, r, eps2, norms)
         if rep.holds != bounds.HOLDS:
             return False, {"seed": seed, "gap": rep.measured, "cap": rep.value}
     return True, {"instances": n_instances}

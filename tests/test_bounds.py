@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from nclab import bounds, densemat, metrics
+from nclab import bounds, data, densemat, metrics
 from nclab.network import ActivationSpec, NetworkConfig, ParamSet, forward, loss
 from nclab.trainer import InitSpec, TrainConfig, train
 from nclab.verify import make_balanced_chain, make_thm1_instance, check_thm1_instance
@@ -89,6 +90,62 @@ def test_thm1_suite_small_sample():
     for i in range(20):
         ok, detail = check_thm1_instance(make_thm1_instance(5000 + i))
         assert ok, detail
+
+
+def test_thm1_suite_runs_the_bounds_evaluator(monkeypatch):
+    calls = []
+    real = bounds.thm1_verdicts
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "thm1_verdicts", counting)
+    ok, detail = check_thm1_instance(make_thm1_instance(5000))
+    assert ok, detail
+    assert len(calls) == 1 and "balanced_power_gap" in detail
+    # a violated report fails the instance
+    monkeypatch.setattr(bounds, "thm1_nc1_rhs", lambda inp: 0.0)
+    ok, detail = check_thm1_instance(make_thm1_instance(5000))
+    assert not ok and detail["failed"] == "thm1_nc1"
+
+
+def _digest(a) -> str:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+def _record_svd_inputs(monkeypatch) -> list:
+    """Patch densemat.svd to log a digest of every matrix it decomposes."""
+    seen = []
+    real = densemat.svd
+
+    def hashing(a):
+        seen.append(_digest(a))
+        return real(a)
+
+    monkeypatch.setattr(densemat, "svd", hashing)
+    return seen
+
+
+@pytest.mark.parametrize("l1", [0, 2])
+def test_each_matrix_is_decomposed_once(monkeypatch, l1):
+    widths = (8, 6, 5, 4, 3)
+    cfg = NetworkConfig(input_dim=6, widths=widths, l1=l1, l2=len(widths) - l1,
+                        activation=SMOOTH)
+    ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
+    seen = _record_svd_inputs(monkeypatch)
+    # one trainer record (step 0): every matrix at most once
+    params, traj = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
+    assert len(seen) == len(set(seen)) > 0
+    # measure + the Theorem-1 evaluator: only W_L comes twice (norm and cond)
+    seen.clear()
+    rep = metrics.measure(cfg, params, forward(cfg, params, ds.x), ds.y, ds.idx)
+    verdicts = bounds.thm1_verdicts(cfg, params, rep, 2.0, 1.0, ds.x.shape[1])
+    w_l = _digest(params.weights[-1])
+    assert {h for h in seen if seen.count(h) > 1} == {w_l} and seen.count(w_l) == 2
+    assert verdicts.kappa_prod is not None
+    assert set(verdicts.reports) == {"thm1_nc1", *bounds.THM1_LINEAR_BOUNDS}
 
 
 def test_residual_to_pinv():
@@ -271,16 +328,18 @@ def test_balanced_power_gap_exact_and_perturbed():
     cfg = NetworkConfig(input_dim=5, widths=(4, 4, 3), l1=0, l2=3,
                         activation=SMOOTH)
     params = ParamSet([w.copy() for w in weights])
-    r = max(densemat.op_norm(w) for w in weights)
-    rep = bounds.balanced_power_gap(cfg, params, r, eps2=0.0)
+    norms = {l: densemat.op_norm(w) for l, w in enumerate(weights, start=1)}
+    r = max(norms.values())
+    rep = bounds.balanced_power_gap(cfg, params, r, eps2=0.0, op_norms=norms)
     assert rep.measured <= 1e-10
     # perturbation: the lemma cap (L2^2/2) eps2 r^(2(L2-1)) must hold
     weights[0] = weights[0] + 1e-5 * np.ones_like(weights[0])
     params = ParamSet(weights)
     eps2 = max(metrics.balancedness_gap(params.weights[l], params.weights[l - 1])
                for l in range(1, 3))
-    r = max(max(densemat.op_norm(w) for w in weights), 1.0)
-    rep = bounds.balanced_power_gap(cfg, params, r, eps2=eps2)
+    norms = {l: densemat.op_norm(w) for l, w in enumerate(weights, start=1)}
+    r = max(max(norms.values()), 1.0)
+    rep = bounds.balanced_power_gap(cfg, params, r, eps2=eps2, op_norms=norms)
     assert rep.holds == bounds.HOLDS
 
 

@@ -344,3 +344,39 @@ def test_bounds_refuses_data_other_than_the_training_data(tmp_path, capsys):
     (out / "report.json").write_text(json.dumps(report))
     assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_CONFIG
     assert "fingerprint" in capsys.readouterr().err
+
+
+def test_bounds_on_a_linear_only_head_reports_every_bound(tmp_path):
+    # l1 = 0: the whole network is the linear head W_{L:1}
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["network"].update({"widths": [6, 4, 3], "l1": 0})
+    cfg["train"]["eta"] = 0.01
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    bounds_out = json.loads((out / "report.json").read_text())["bounds"]
+    assert bounds_out["measured"]["kappa_prod"] is not None
+    reports = bounds_out["reports"]
+    assert set(reports) == {"thm1_nc1", "thm1_kappa", "thm1_nc2", "thm1_nc3",
+                            "balanced_power_gap", "ntk_lower"}
+    lower = {"thm1_nc3", "ntk_lower"}
+    for name, rep in reports.items():
+        if (all(v is True for v in rep["premises"].values())
+                and rep["value"] is not None and rep["measured"] is not None):
+            ok = (rep["measured"] >= rep["value"] if name in lower
+                  else rep["measured"] <= rep["value"])
+            assert rep["holds"] == ("holds" if ok else "violated"), name
+        else:
+            assert rep["holds"] == "vacuous", name
+
+
+def test_synthetic_data_defaults_come_from_synth_gaussian():
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    for key in ("class_sep", "noise", "seed"):
+        del cfg["data"][key]
+    resolved = cli.resolve_config(cfg)["data"]
+    assert {k: resolved[k] for k in ("class_sep", "noise", "seed", "min_col_norm_one")} \
+        == {"class_sep": 4.0, "noise": 0.3, "seed": 0, "min_col_norm_one": True}
+    ds = cli.build_dataset(cli.resolve_config(cfg))
+    assert ds.fingerprint() == data.synth_gaussian(d=5, k=3, n_per_class=4).fingerprint()

@@ -122,6 +122,26 @@ def test_svd_round_robin_is_bit_identical_across_calls():
     assert np.array_equal(r1.vt, r2.vt)
 
 
+@pytest.mark.parametrize("shape", [(10, 6), (6, 10), (24, 12), (12, 30)])
+@pytest.mark.parametrize("factor", [1e-90, 1e-170, 1e+160])
+def test_svd_far_from_unit_scale_matches_lapack(shape, factor):
+    # the pair products app * aqq would under- or overflow without the
+    # power-of-two pre-scaling; 6 columns are swept cyclically, 12 round-robin
+    a = np.random.default_rng(9).standard_normal(shape) * factor
+    np.testing.assert_allclose(densemat.svd(a).s,
+                               np.linalg.svd(a, compute_uv=False), rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(10, 6), (24, 12)])
+def test_svd_commutes_exactly_with_power_of_two_scaling(shape):
+    a = np.random.default_rng(10).standard_normal(shape)
+    base = densemat.svd(a)
+    for exp in (-300, -40, 3, 200):
+        res = densemat.svd(np.ldexp(a, exp))
+        assert np.array_equal(res.s, np.ldexp(base.s, exp))
+        assert np.array_equal(res.u, base.u) and np.array_equal(res.vt, base.vt)
+
+
 def test_svd_round_robin_raises_when_sweeps_run_out(monkeypatch):
     monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
     a = np.random.default_rng(4).standard_normal((20, 12))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclab import metrics
+from nclab import densemat, metrics
 from nclab.metrics import ClassIndex
 from nclab.network import ActivationSpec, NetworkConfig, ParamSet, forward
 
@@ -93,12 +93,16 @@ def test_nc3_scale_invariance():
 def test_balancedness_gap_hand_example():
     w = np.diag([2.0, 1.0])           # W W^T = diag(4, 1)
     w_next = np.array([[1.0, 0.0]])   # W'^T W' = diag(1, 0)
-    assert metrics.balancedness_gap(w_next, w) == pytest.approx(3.0, rel=1e-12)
-    assert metrics.balancedness_ratio(w_next, w) == pytest.approx(3.0, rel=1e-12)
+    gap = metrics.balancedness_gap(w_next, w)
+    assert gap == pytest.approx(3.0, rel=1e-12)
+    # ||W'||_op^2 = 1 and ||W||_op^2 = 4 are the two Gram operator norms
+    ratio = metrics.balancedness_ratio(gap, densemat.op_norm(w_next), densemat.op_norm(w))
+    assert ratio == pytest.approx(3.0, rel=1e-12)
     with pytest.raises(ValueError):
         metrics.balancedness_gap(np.ones((2, 3)), np.ones((2, 2)))
     with pytest.raises(ValueError):
-        metrics.balancedness_ratio(np.zeros((2, 2)), np.zeros((2, 2)))
+        metrics.balancedness_ratio(0.0, densemat.op_norm(np.zeros((2, 2))),
+                                   densemat.op_norm(np.zeros((2, 2))))
 
 
 def test_balancedness_gap_zero_for_balanced_pair():
@@ -132,7 +136,9 @@ def test_extract_thm1_inputs_on_hand_built_net():
     x = np.eye(2)
     y = np.eye(2)
     trace = forward(cfg, params, x)
-    eps1, eps2, r = metrics.extract_thm1_inputs(cfg, trace, params, y)
+    gaps = {1: metrics.balancedness_gap(w2, w1)}
+    norms = {1: densemat.op_norm(w1), 2: densemat.op_norm(w2)}
+    eps1, eps2, r = metrics.extract_thm1_inputs(cfg, trace, y, gaps, norms)
     # Z_2 = diag(2, .5): eps1 = ||diag(1, -.5)||_F
     assert eps1 == pytest.approx(math.sqrt(1.25), rel=1e-12)
     # gap = ||W2^T W2 - W1 W1^T||_op = ||diag(3, -0.75)||_op
@@ -143,7 +149,7 @@ def test_extract_thm1_inputs_on_hand_built_net():
                             activation=SMOOTH)
     with pytest.raises(ValueError):
         metrics.extract_thm1_inputs(shallow, forward(shallow, ParamSet([w1]), x),
-                                    ParamSet([w1]), y)
+                                    y, {}, {1: densemat.op_norm(w1)})
 
 
 def test_measure_layer_sweep_fields():
