@@ -122,7 +122,8 @@ def thm1_nc2_rhs(inp: Thm1Inputs, kappa_wl: float) -> float:
 
 
 def thm1_nc3_rhs(inp: Thm1Inputs, kappa_wl: float) -> float:
-    """Lower bound on the feature/weight alignment; may be vacuous-weak (< -1)."""
+    """Lower bound on the feature/weight alignment; may be vacuous-weak (< -1),
+    which `thm1_verdicts` reports as a failed `nontrivial` premise."""
     p = psi(inp)
     num = ((math.sqrt(inp.n) - inp.eps1) ** 2
            + inp.n / kappa_wl ** 2
@@ -425,8 +426,12 @@ def thm1_verdicts(cfg: NetworkConfig, params: ParamSet, rep, sK_y: float,
         lambda: thm1_kappa_rhs(inp, proof_exponent=proof_exponent), kappa_wl)
     out.reports["thm1_nc2"] = bound_report(
         "thm1_nc2", premises, lambda: thm1_nc2_rhs(inp, kappa()), nc2)
-    out.reports["thm1_nc3"] = bound_report(
+    nc3_rep = bound_report(
         "thm1_nc3", premises, lambda: thm1_nc3_rhs(inp, kappa()), nc3, lower=True)
+    if nc3_rep.value is not None:  # a cosine is >= -1, so a lower RHS says nothing
+        nc3_rep.premises["nontrivial"] = bool(nc3_rep.value >= -1.0)
+        nc3_rep.resolve(lower_bound=True)
+    out.reports["thm1_nc3"] = nc3_rep
     gap = balanced_power_gap(cfg, params, rep.r, rep.eps2, rep.head_op_norms)
     if kappa_wl is not None:
         gap.detail["kappa_w_l"] = kappa_wl

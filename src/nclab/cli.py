@@ -12,7 +12,6 @@ sweep member that did not finish ok).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import inspect
 import json
@@ -470,30 +469,22 @@ SWEEP_COLUMNS = ["value", "seed", "status", "nc1_last", "nc2_last",
                  "mean_balancedness", "min_negativity", "mean_negativity"]
 
 
-def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=1) -> int:
+def cmd_sweep(config_path, axis, values, seeds, out_dir) -> int:
     if axis not in ("linear_depth", "nonlinear_depth"):
         print(f"unknown sweep axis {axis!r}", file=sys.stderr)
         return EXIT_CONFIG
     cfg = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    members = [(v, s) for v in values for s in seeds]
 
-    def job(vs):
-        v, s = vs
-        mdir = out / f"value_{v}_seed_{s}"
+    def job(v, s):
         try:
             member = sweep_member_config(cfg, axis, v, s)
-            return (v, s, _run_member(member, mdir))
+            return (v, s, _run_member(member, out / f"value_{v}_seed_{s}"))
         except (ConfigError, ValueError, densemat.SvdConvergenceError) as exc:
             return (v, s, {"status": f"error: {exc}"})
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(job, members))
-    else:
-        results = [job(m) for m in members]
-    results.sort(key=lambda t: (t[0], t[1]))
+    results = sorted((job(v, s) for v in values for s in seeds), key=lambda t: t[:2])
     rows = [[v, s] + [r.get(c) for c in SWEEP_COLUMNS[2:]] for v, s, r in results]
     write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
     bad = sum(1 for _, _, r in results if r["status"] != "ok")
@@ -528,7 +519,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--seeds", required=True,
                          help="comma-separated integers")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--level", choices=["fast", "full"], default="fast")
@@ -542,8 +532,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             values = [int(v) for v in args.values.split(",") if v]
             seeds = [int(s) for s in args.seeds.split(",") if s]
-            return cmd_sweep(args.config, args.axis, values, seeds, args.out,
-                             jobs=args.jobs)
+            return cmd_sweep(args.config, args.axis, values, seeds, args.out)
         if args.command == "verify":
             return cmd_verify(args.level)
     except ConfigError as exc:

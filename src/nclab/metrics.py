@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densemat
-from .network import ActivationSpec, ForwardTrace, NetworkConfig, ParamSet, act_apply
+from .network import ForwardTrace, NetworkConfig, ParamSet
 
 
 @dataclass(frozen=True)
@@ -79,18 +79,14 @@ def nc3(z: np.ndarray, w: np.ndarray, idx: ClassIndex) -> float:
     w = np.asarray(w, dtype=np.float64)
     if w.shape[0] != idx.n_classes:
         raise ValueError(f"weight matrix has {w.shape[0]} rows, expected {idx.n_classes}")
-    total = 0.0
-    col = 0
-    for c, s in enumerate(idx.slices()):
-        row = w[c]
-        row_norm = float(np.linalg.norm(row))
-        for i in range(s.start, s.stop):
-            zn = float(np.linalg.norm(z[:, i]))
-            if zn == 0.0 or row_norm == 0.0:
-                raise ValueError(f"zero vector in cosine pair (class {c}, column {i})")
-            total += float(z[:, i] @ row) / (zn * row_norm)
-            col += 1
-    return total / idx.total
+    rows = np.repeat(w, idx.class_counts, axis=0)  # row i: weight row of column i's class
+    norms = np.linalg.norm(z, axis=0) * np.linalg.norm(rows, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        i = int(zero[0])
+        c = int(np.searchsorted(np.cumsum(idx.class_counts), i, side="right"))
+        raise ValueError(f"zero vector in cosine pair (class {c}, column {i})")
+    return float(np.sum(np.einsum("ij,ji->i", rows, z) / norms)) / idx.total
 
 
 def balancedness_gap(w_next: np.ndarray, w: np.ndarray) -> float:
@@ -111,13 +107,14 @@ def balancedness_ratio(gap: float, norm_next: float, norm: float) -> float:
     return gap / denom
 
 
-def negativity(preact: np.ndarray, spec: ActivationSpec) -> float:
-    """||A - sigma(A)||_op / ||A||_op on a layer's preactivations."""
+def negativity(preact: np.ndarray, activated: np.ndarray) -> float:
+    """||A - sigma(A)||_op / ||A||_op on a layer's preactivations A, with
+    sigma(A) the layer's output as the forward trace recorded it."""
     a = np.asarray(preact, dtype=np.float64)
     denom = densemat.op_norm(a)
     if denom == 0.0:
         raise ValueError("negativity undefined on the zero matrix")
-    return densemat.op_norm(a - act_apply(spec, a)) / denom
+    return densemat.op_norm(a - activated) / denom
 
 
 def extract_thm1_inputs(cfg: NetworkConfig, trace: ForwardTrace, y: np.ndarray,
@@ -185,7 +182,7 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
         if layer == cfg.depth - 1:
             lm.nc3 = _try(nc3, z, params.weights[cfg.depth - 1], idx)
         if 1 <= layer <= cfg.l1:
-            lm.negativity = _try(negativity, trace.preact[layer - 1], cfg.activation)
+            lm.negativity = _try(negativity, trace.preact[layer - 1], z)
         layers.append(lm)
     norms = {l: densemat.op_norm(params.weights[l - 1])
              for l in range(cfg.l1 + 1, cfg.depth + 1)}

@@ -144,9 +144,6 @@ class ParamSet:
         return math.sqrt(sum(float(np.sum((a - b) ** 2))
                              for a, b in zip(self.weights, other.weights)))
 
-    def scaled(self, alpha: float) -> "ParamSet":
-        return ParamSet([alpha * w for w in self.weights])
-
     def check_shapes(self, cfg: NetworkConfig) -> None:
         if len(self.weights) != cfg.depth:
             raise ValueError(f"expected {cfg.depth} weight matrices, got {len(self.weights)}")
@@ -160,15 +157,19 @@ class ParamSet:
 class ForwardTrace:
     z: list       # Z_0 .. Z_L
     preact: list  # W_l Z_{l-1} for the l1 nonlinear layers
+    dact: list    # act_grad of each entry of preact
 
 
 def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray) -> ForwardTrace:
+    """Every forward quantity of a state: the layer outputs, and the
+    preactivations of the nonlinear layers with the activation's derivative
+    there, which backprop and the NTK tangents read."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != cfg.input_dim:
         raise ValueError(f"input has {x.shape[0]} rows, network expects {cfg.input_dim}")
     params.check_shapes(cfg)
     z = [x]
-    preact = []
+    preact, dact = [], []
     cur = x
     for layer in range(1, cfg.depth + 1):
         w = params.weights[layer - 1]
@@ -178,11 +179,12 @@ def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray) -> ForwardTrace
             raise ValueError(f"shape mismatch at layer {layer}: {exc}") from exc
         if layer <= cfg.l1:
             preact.append(pre)
+            dact.append(act_grad(cfg.activation, pre))
             cur = act_apply(cfg.activation, pre)
         else:
             cur = pre
         z.append(cur)
-    return ForwardTrace(z=z, preact=preact)
+    return ForwardTrace(z=z, preact=preact, dact=dact)
 
 
 def loss(cfg: NetworkConfig, params: ParamSet, x, y, lam: float = 0.0,
@@ -204,7 +206,7 @@ def backprop(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     delta = cotangent
     for layer in range(cfg.depth, 0, -1):
         if layer <= cfg.l1:
-            delta = delta * act_grad(cfg.activation, trace.preact[layer - 1])
+            delta = delta * trace.dact[layer - 1]
         grads[layer - 1] = delta @ trace.z[layer - 1].T
         if layer > 1:
             delta = params.weights[layer - 1].T @ delta

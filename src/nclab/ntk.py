@@ -1,6 +1,8 @@
 """Matrix-free neural tangent kernel: the NTK acts on K x N output probes as
 pushforward(pullback(.)), its operator norm comes from power iteration, and a
 dense Jacobian assembly is available for problems small enough to cross-check.
+Both directions read one `network.forward` trace of the state; neither runs
+the network again.
 """
 
 from __future__ import annotations
@@ -9,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (ForwardTrace, NetworkConfig, ParamSet, act_apply, act_grad,
-                      backprop, forward, partial_product)
+from .network import ForwardTrace, NetworkConfig, ParamSet, backprop, forward
 
 POWER_TOL = 1e-8
 POWER_MAX_ITER = 10000
@@ -31,27 +32,22 @@ def pullback(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     return backprop(cfg, params, trace, np.asarray(cotangent, dtype=float))
 
 
-def pushforward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
+def pushforward(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
                 tangent: ParamSet) -> np.ndarray:
-    """Directional derivative of the network output along a parameter tangent."""
-    x = np.asarray(x, dtype=float)
-    z, dz = x, np.zeros_like(x)
+    """Directional derivative of the network output along a parameter tangent,
+    carried through the recorded trace: dU_l = dW_l Z_{l-1} + W_l dZ_{l-1},
+    and dZ_l = sigma'(U_l) * dU_l on the nonlinear layers."""
+    dz = np.zeros_like(trace.z[0])
     for layer in range(1, cfg.depth + 1):
-        w = params.weights[layer - 1]
-        dw = tangent.weights[layer - 1]
-        u = w @ z
-        du = dw @ z + w @ dz
+        dz = tangent.weights[layer - 1] @ trace.z[layer - 1] + params.weights[layer - 1] @ dz
         if layer <= cfg.l1:
-            dz = act_grad(cfg.activation, u) * du
-            z = act_apply(cfg.activation, u)
-        else:
-            z, dz = u, du
+            dz = trace.dact[layer - 1] * dz
     return dz
 
 
-def ntk_apply(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
-              trace: ForwardTrace, probe: np.ndarray) -> np.ndarray:
-    return pushforward(cfg, params, x, pullback(cfg, params, trace, probe))
+def ntk_apply(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
+              probe: np.ndarray) -> np.ndarray:
+    return pushforward(cfg, params, trace, pullback(cfg, params, trace, probe))
 
 
 def ntk_quadratic_form(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
@@ -75,7 +71,7 @@ def ntk_opnorm(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
-        ta = ntk_apply(cfg, params, x, trace, a)
+        ta = ntk_apply(cfg, params, trace, a)
         rho = float(np.sum(a * ta))
         nrm = np.linalg.norm(ta)
         if nrm == 0.0:
@@ -86,7 +82,7 @@ def ntk_opnorm(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
             converged = True
             break
         rho_prev = rho
-    residual = float(np.linalg.norm(ntk_apply(cfg, params, x, trace, a) - rho * a))
+    residual = float(np.linalg.norm(ntk_apply(cfg, params, trace, a) - rho * a))
     return NTKReport(rho=rho, iterations=it, residual=residual, converged=converged)
 
 
@@ -101,13 +97,14 @@ def dense_jacobian(cfg: NetworkConfig, params: ParamSet, x: np.ndarray) -> np.nd
     n_params = sum(w.size for w in params.weights)
     if n_params * k * n > DENSE_ASSEMBLY_LIMIT:
         raise ValueError("problem too large for dense Jacobian assembly")
+    trace = forward(cfg, params, x)
     cols = np.empty((k * n, n_params))
     j = 0
     for li, w in enumerate(params.weights):
         for flat in range(w.size):
             tangent = ParamSet([np.zeros_like(wl) for wl in params.weights])
             tangent.weights[li].flat[flat] = 1.0
-            cols[:, j] = pushforward(cfg, params, x, tangent).ravel()
+            cols[:, j] = pushforward(cfg, params, trace, tangent).ravel()
             j += 1
     return cols
 
@@ -116,21 +113,3 @@ def dense_ntk(cfg: NetworkConfig, params: ParamSet, x: np.ndarray) -> np.ndarray
     m = dense_jacobian(cfg, params, x)
     return m @ m.T
 
-
-def linear_decomposition(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
-                         probe: np.ndarray) -> dict:
-    """Per-layer NTK contributions of the linear layers.
-
-    For a linear layer l the gradient of <A, Z_L> with respect to W_l is
-    W_{L:l+1}^T A Z_{l-1}^T, so its NTK contribution is that matrix's squared
-    Frobenius norm; the returned 'total' sums them.
-    """
-    probe = np.asarray(probe, dtype=float)
-    terms = {}
-    for layer in range(cfg.l1 + 1, cfg.depth + 1):
-        left = (partial_product(cfg, params, cfg.depth, layer + 1)
-                if layer < cfg.depth else np.eye(cfg.n_classes))
-        g = left.T @ probe @ trace.z[layer - 1].T
-        terms[layer] = float(np.sum(g * g))
-    terms["total"] = sum(v for k_, v in terms.items() if isinstance(k_, int))
-    return terms

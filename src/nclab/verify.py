@@ -95,7 +95,7 @@ def check_thm1_instance(inst: dict) -> tuple:
     `bounds.thm1_verdicts`.
 
     Returns (ok, detail); every report must hold, except a vacuous-weak
-    alignment bound (RHS outside [-1, 1]), which is skipped.
+    alignment bound (its `nontrivial` premise fails), which is skipped.
     """
     cfg, params, x, y, idx = (inst["cfg"], inst["params"], inst["x"],
                               inst["y"], inst["idx"])
@@ -106,8 +106,7 @@ def check_thm1_instance(inst: dict) -> tuple:
     detail = {"seed": inst["seed"], "eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r}
     for name, r in verdicts.reports.items():
         detail[name] = (r.measured, r.value)
-        weak = name == "thm1_nc3" and r.value is not None and not -1.0 <= r.value <= 1.0
-        if r.holds != bounds.HOLDS and not weak:
+        if r.holds != bounds.HOLDS and r.premises.get("nontrivial", True):
             return False, {**detail, "failed": name, "holds": r.holds,
                            "premises": r.premises, **r.detail}
     return True, detail

@@ -199,8 +199,7 @@ def test_criterion_8_linear_depth_sweep_trend(tmp_path):
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--config", str(cfg_path),
                      "--axis", "linear_depth", "--values", "1,2,3,4,5",
-                     "--seeds", "0,1,2,3,4", "--out", str(out),
-                     "--jobs", "4"]) == 0
+                     "--seeds", "0,1,2,3,4", "--out", str(out)]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     header = lines[1].split(",")
     by_depth = {}

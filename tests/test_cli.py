@@ -129,18 +129,6 @@ def test_sweep_degenerate_row_matches_standalone_train(tmp_path):
     assert float(row["nc2_last"]) == pytest.approx(res["nc2_last"], rel=1e-12)
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    cfg = json.loads(json.dumps(BASE_CONFIG))
-    cfg["train"]["steps"] = 60
-    cfg_path = write_config(tmp_path, cfg)
-    out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    args = ["sweep", "--config", str(cfg_path), "--axis", "linear_depth",
-            "--values", "1,2", "--seeds", "0,1"]
-    assert cli.main(args + ["--out", str(out1)]) == 0
-    assert cli.main(args + ["--out", str(out2), "--jobs", "4"]) == 0
-    assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
-
-
 def test_idx_config_uses_data_dir_env(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(9, 2, 2), dtype=np.uint8)
@@ -346,8 +334,9 @@ def test_bounds_refuses_data_other_than_the_training_data(tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
-def test_bounds_on_a_linear_only_head_reports_every_bound(tmp_path):
-    # l1 = 0: the whole network is the linear head W_{L:1}
+def _linear_only_head_bounds(tmp_path) -> dict:
+    """`bounds` block of a trained l1 = 0 net: the whole network is the
+    linear head W_{L:1}."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["network"].update({"widths": [6, 4, 3], "l1": 0})
     cfg["train"]["eta"] = 0.01
@@ -355,7 +344,11 @@ def test_bounds_on_a_linear_only_head_reports_every_bound(tmp_path):
     assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)]) == cli.EXIT_OK
     assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
-    bounds_out = json.loads((out / "report.json").read_text())["bounds"]
+    return json.loads((out / "report.json").read_text())["bounds"]
+
+
+def test_bounds_on_a_linear_only_head_reports_every_bound(tmp_path):
+    bounds_out = _linear_only_head_bounds(tmp_path)
     assert bounds_out["measured"]["kappa_prod"] is not None
     reports = bounds_out["reports"]
     assert set(reports) == {"thm1_nc1", "thm1_kappa", "thm1_nc2", "thm1_nc3",
@@ -369,6 +362,15 @@ def test_bounds_on_a_linear_only_head_reports_every_bound(tmp_path):
             assert rep["holds"] == ("holds" if ok else "violated"), name
         else:
             assert rep["holds"] == "vacuous", name
+
+
+def test_vacuous_weak_alignment_bound_is_reported_vacuous(tmp_path, capsys):
+    # on this net the NC3 lower bound falls below -1, where every cosine lies
+    nc3 = _linear_only_head_bounds(tmp_path)["reports"]["thm1_nc3"]
+    assert nc3["value"] < -1.0
+    assert nc3["premises"] == {"eps1_small": True, "nontrivial": False}
+    assert nc3["holds"] == "vacuous"
+    assert "evaluated 6 bounds, 3 hold" in capsys.readouterr().out
 
 
 def test_synthetic_data_defaults_come_from_synth_gaussian():

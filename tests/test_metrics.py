@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nclab import densemat, metrics
 from nclab.metrics import ClassIndex
-from nclab.network import ActivationSpec, NetworkConfig, ParamSet, forward
+from nclab.network import ActivationSpec, NetworkConfig, ParamSet, act_apply, forward
 
 SMOOTH = ActivationSpec("smoothed_leaky_relu", gamma=0.3, beta=2.0)
 
@@ -79,6 +79,25 @@ def test_nc3_alignment_extremes():
         metrics.nc3(z, np.ones((3, 2)), idx)
 
 
+def test_nc3_matches_per_sample_loop_with_uneven_classes():
+    rng = np.random.default_rng(11)
+    idx = ClassIndex((1, 4, 2, 5))
+    z = rng.standard_normal((6, idx.total))
+    w = rng.standard_normal((4, 6))
+    total = 0.0
+    for c, s in enumerate(idx.slices()):
+        for i in range(s.start, s.stop):
+            total += float(z[:, i] @ w[c]) / (np.linalg.norm(z[:, i]) * np.linalg.norm(w[c]))
+    assert metrics.nc3(z, w, idx) == pytest.approx(total / idx.total, rel=1e-12)
+    z[:, 6] = 0.0  # the second column of class 2
+    with pytest.raises(ValueError, match=r"class 2, column 6"):
+        metrics.nc3(z, w, idx)
+    w[3] = 0.0
+    z[:, 6] = 1.0
+    with pytest.raises(ValueError, match=r"class 3, column 7"):
+        metrics.nc3(z, w, idx)
+
+
 def test_nc3_scale_invariance():
     # rescaling features and weights leaves the alignment unchanged, so the
     # plain metric doubles as its rescaled variant
@@ -119,12 +138,12 @@ def test_balancedness_gap_zero_for_balanced_pair():
 def test_negativity_leaky_relu():
     leaky = ActivationSpec("leaky_relu", gamma=0.25)
     pos = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert metrics.negativity(pos, leaky) == 0.0
+    assert metrics.negativity(pos, act_apply(leaky, pos)) == 0.0
     neg = np.array([[-2.0, 0.0], [0.0, -2.0]])
     # A - sigma(A) = 0.75*A on the negative part, ratio = 0.75
-    assert metrics.negativity(neg, leaky) == pytest.approx(0.75, rel=1e-12)
+    assert metrics.negativity(neg, act_apply(leaky, neg)) == pytest.approx(0.75, rel=1e-12)
     with pytest.raises(ValueError):
-        metrics.negativity(np.zeros((2, 2)), leaky)
+        metrics.negativity(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_extract_thm1_inputs_on_hand_built_net():
@@ -194,7 +213,7 @@ def test_property_nc1_nc2_scale_invariant(seed, k, n_per, scale):
 def test_property_negativity_bounded(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((3, 5))
-    v = metrics.negativity(a, SMOOTH)
+    v = metrics.negativity(a, act_apply(SMOOTH, a))
     assert v >= 0.0
     # ||A - sigma(A)||_op <= (1 - gamma) ||A||_op + shift-induced slack
     assert v <= (1.0 - SMOOTH.gamma) + 1.0

@@ -219,4 +219,3 @@ def test_paramset_algebra():
     b = ParamSet([np.full((2, 2), 2.0), np.ones((1, 2))])
     assert a.norm() == pytest.approx(2.0)
     assert a.dist(b) == pytest.approx(math.sqrt(4.0 + 2.0))
-    assert np.allclose(a.scaled(3.0).weights[0], 3.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nclab import densemat, ntk
+from nclab import densemat, network, ntk
 from nclab.network import (ActivationSpec, NetworkConfig, ParamSet, backprop,
                            forward)
 
@@ -73,7 +73,7 @@ def test_quadratic_form_equals_pullback_norm_and_apply_inner_product():
     q = ntk.ntk_quadratic_form(cfg, params, trace, a)
     g = ntk.pullback(cfg, params, trace, a)
     assert q == pytest.approx(g.norm() ** 2, rel=1e-12)
-    theta_a = ntk.ntk_apply(cfg, params, x, trace, a)
+    theta_a = ntk.ntk_apply(cfg, params, trace, a)
     assert q == pytest.approx(float(np.sum(a * theta_a)), rel=1e-10)
 
 
@@ -87,7 +87,7 @@ def test_dense_ntk_agrees_with_matrix_free_path():
         a = np.random.default_rng(100 + seed).standard_normal((2, 5))
         direct = (theta @ a.reshape(-1)).reshape(2, 5)
         np.testing.assert_allclose(
-            ntk.ntk_apply(cfg, params, x, trace, a), direct,
+            ntk.ntk_apply(cfg, params, trace, a), direct,
             rtol=1e-8, atol=1e-10)
     rep = ntk.ntk_opnorm(cfg, params, x)
     eigs = np.linalg.eigvalsh(theta)
@@ -110,32 +110,33 @@ def test_opnorm_invariant_under_sample_permutation():
     assert r1.rho == pytest.approx(r2.rho, rel=1e-6)
 
 
-def test_linear_decomposition_single_term_and_total():
-    # one linear layer on top: its contribution is ||A Z_{L-1}^T||_F^2 and
-    # equals the linear share of the full quadratic form
-    cfg, params, rng = random_net(7, 4, [5, 3], l1=1)
+@pytest.mark.parametrize("l1", [0, 1, 2])
+def test_pushforward_matches_central_difference_of_forward(l1):
+    cfg, params, rng = random_net(9 + l1, 4, [5, 4, 3], l1=l1)
     x = rng.standard_normal((4, 6))
-    a = rng.standard_normal((3, 6))
-    trace = forward(cfg, params, x)
-    dec = ntk.linear_decomposition(cfg, params, trace, a)
-    expected = float(np.sum((a @ trace.z[1].T) ** 2))
-    assert dec[2] == pytest.approx(expected, rel=1e-10)
-    assert dec["total"] == pytest.approx(sum(v for k, v in dec.items()
-                                             if k != "total"), rel=1e-12)
-    q = ntk.ntk_quadratic_form(cfg, params, trace, a)
-    assert dec["total"] <= q + 1e-10 * max(1.0, q)
+    tangent = ParamSet([rng.standard_normal(w.shape) for w in params.weights])
+    jvp = ntk.pushforward(cfg, params, forward(cfg, params, x), tangent)
+    h = 1e-6
+    plus = ParamSet([w + h * t for w, t in zip(params.weights, tangent.weights)])
+    minus = ParamSet([w - h * t for w, t in zip(params.weights, tangent.weights)])
+    fd = (forward(cfg, plus, x).z[-1] - forward(cfg, minus, x).z[-1]) / (2 * h)
+    np.testing.assert_allclose(jvp, fd, rtol=1e-6, atol=1e-8)
 
 
-def test_linear_decomposition_identity_head_shares_equally():
-    cfg = NetworkConfig(input_dim=3, widths=(3, 3), l1=0, l2=2,
-                        activation=SMOOTH)
-    params = ParamSet([np.eye(3), np.eye(3)])
-    x = np.eye(3)
-    a = np.random.default_rng(8).standard_normal((3, 3))
-    trace = forward(cfg, params, x)
-    dec = ntk.linear_decomposition(cfg, params, trace, a)
-    assert dec[1] == pytest.approx(float(np.sum(a * a)), rel=1e-12)
-    assert dec[1] == pytest.approx(dec[2], rel=1e-12)
-    # purely linear network: the decomposition is the whole kernel
-    q = ntk.ntk_quadratic_form(cfg, params, trace, a)
-    assert dec["total"] == pytest.approx(q, rel=1e-12)
+def test_power_iteration_reads_the_forward_trace(monkeypatch):
+    # after its one forward pass, ntk_opnorm evaluates no activation
+    cfg, params, rng = random_net(12, 4, [5, 4, 3], l1=2)
+    x = rng.standard_normal((4, 6))
+    calls = []
+    for name in ("act_apply", "act_grad"):
+        real = getattr(network, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        for module in (network, ntk):  # every binding site of the name
+            monkeypatch.setattr(module, name, counting, raising=False)
+    rep = ntk.ntk_opnorm(cfg, params, x)
+    assert rep.iterations > 1
+    assert sorted(calls) == ["act_apply"] * cfg.l1 + ["act_grad"] * cfg.l1

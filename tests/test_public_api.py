@@ -24,8 +24,6 @@ UNWIRED = {
     "bounds.pl_check",
     "bounds.thm2_nc1_rhs",
     "network.NetworkConfig.is_pyramidal",
-    "network.ParamSet.scaled",
-    "ntk.linear_decomposition",
 }
 
 FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
