@@ -135,7 +135,7 @@ def residual_to_pinv(z_lminus1: np.ndarray, w_l: np.ndarray, y: np.ndarray,
                      rank_tol: float = densemat.DEFAULT_RANK_TOL) -> float:
     """||Z_{L-1} - pinv(W_L) Y||_F; needs W_L of full row rank."""
     w_l = densemat.as_matrix(w_l)
-    s = densemat.svd(w_l).s
+    s = densemat.svd(w_l, compute_uv=False).s
     if s[min(w_l.shape) - 1] <= rank_tol * s[0] or w_l.shape[0] > w_l.shape[1]:
         raise VacuousBound("W_L is rank-deficient")
     return densemat.fro_norm(np.asarray(z_lminus1) - densemat.pinv(w_l, rank_tol) @ np.asarray(y))
@@ -173,7 +173,7 @@ class Thm2Schedule:
 
 
 def _s_min(a: np.ndarray) -> float:
-    s = densemat.svd(a).s
+    s = densemat.svd(a, compute_uv=False).s
     return float(s[min(a.shape) - 1])
 
 
@@ -188,7 +188,7 @@ def init_spectra(cfg: NetworkConfig, params0: ParamSet, x: np.ndarray) -> Thm2Sc
     sched = Thm2Schedule()
     op_norms = {}
     for layer in range(1, cfg.depth + 1):
-        s = densemat.svd(params0.weights[layer - 1]).s
+        s = densemat.svd(params0.weights[layer - 1], compute_uv=False).s
         sched.lambda_l[layer] = float(s[-1])
         op_norms[layer] = float(s[0])
     lam_min_tail = min(sched.lambda_l[l] for l in range(3, cfg.depth + 1))

@@ -345,7 +345,7 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     rank_tol = bcfg.get("rank_tol", densemat.DEFAULT_RANK_TOL)
     trace = forward(net, params, ds.x)
     rep = metrics.measure(net, params, trace, ds.y, ds.idx, rank_tol=rank_tol)
-    sK_y = densemat.svd(ds.y).s[net.n_classes - 1]
+    sK_y = densemat.svd(ds.y, compute_uv=False).s[net.n_classes - 1]
     x_op = densemat.op_norm(ds.x)
     k, n = net.n_classes, ds.x.shape[1]
     thm1 = bounds_mod.thm1_verdicts(net, params, rep, sK_y, x_op, n, rank_tol,
@@ -365,7 +365,7 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
         pass
 
     ntk_seed = bcfg.get("ntk_seed", 0)
-    nrep = ntk.ntk_opnorm(net, params, ds.x, seed=ntk_seed)
+    nrep = ntk.ntk_opnorm(net, params, ds.x, seed=ntk_seed, trace=trace)
     out["ntk"] = _sanitize({"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
                             "residual": nrep.residual, "converged": nrep.converged})
     out["reports"]["ntk_lower"] = _report_from(bounds_mod.bound_report(

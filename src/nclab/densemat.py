@@ -1,8 +1,13 @@
 """Dense linear algebra substrate: SVD, pseudoinverse, condition numbers.
 
 All matrices are 2-D float64 numpy arrays. The SVD is a one-sided Jacobi
-(Hestenes); everything else (pinv, cond, op_norm) is derived from it. Two
-pair orderings share its tolerance, rotation and sweep cap:
+(Hestenes), and pinv, cond and op_norm are derived from it. Only pinv reads
+singular vectors; cond, op_norm and every other caller that needs singular
+values alone call svd(a, compute_uv=False), which rotates B without
+accumulating V and skips building U. Its values are bit-identical to those
+of the full SVD: each rotation angle is computed from the columns of B, so
+leaving V out changes no operation on B. Two pair orderings share the
+tolerance, rotation and sweep cap:
 
 - below ROUND_ROBIN_MIN_COLS columns, cyclic sweeps rotate one column pair
   at a time in row order;
@@ -58,11 +63,12 @@ def as_matrix(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """u has orthonormal columns, s is non-increasing, vt has orthonormal rows."""
+    """u has orthonormal columns, s is non-increasing, vt has orthonormal rows;
+    u and vt are None when the SVD was asked for values only."""
 
-    u: np.ndarray
+    u: np.ndarray | None
     s: np.ndarray
-    vt: np.ndarray
+    vt: np.ndarray | None
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.s) @ self.vt
@@ -93,11 +99,12 @@ def _complete_orthonormal(u: np.ndarray, known: int) -> None:
                 col += 1
 
 
-def _cyclic_sweep(b: np.ndarray, v: np.ndarray) -> float:
+def _cyclic_sweep(b: np.ndarray, v: np.ndarray | None) -> float:
     """One sweep over the column pairs (i, j) in row order, one pair at a time.
 
-    Rotates b and v in place; returns the largest relative off-diagonal
-    |b_i . b_j| / (|b_i| |b_j|) rotated away, 0.0 when no pair needed a rotation.
+    Rotates b and v (when given) in place; returns the largest relative
+    off-diagonal |b_i . b_j| / (|b_i| |b_j|) rotated away, 0.0 when no pair
+    needed a rotation.
     """
     cols = b.shape[1]
     worst = 0.0
@@ -119,9 +126,10 @@ def _cyclic_sweep(b: np.ndarray, v: np.ndarray) -> float:
             bi_new = c * bi - s * bj
             b[:, j] = s * bi + c * bj
             b[:, i] = bi_new
-            vi = c * v[:, i] - s * v[:, j]
-            v[:, j] = s * v[:, i] + c * v[:, j]
-            v[:, i] = vi
+            if v is not None:
+                vi = c * v[:, i] - s * v[:, j]
+                v[:, j] = s * v[:, i] + c * v[:, j]
+                v[:, i] = vi
     return worst
 
 
@@ -152,10 +160,10 @@ def _round_robin_sweep(w: np.ndarray, rows: int) -> float:
     """One sweep over the column pairs in round-robin order, all disjoint
     pairs of a round rotated by the same numpy calls.
 
-    w is row-major and holds B^T in its first `rows` columns and V^T in the
-    rest, so gathering a pair fetches its columns of B and V as contiguous
-    rows. Same tolerance, rotation and return value as _cyclic_sweep.
-    Every round reuses the same four work arrays: allocating them afresh
+    w is row-major and holds B^T in its first `rows` columns and V^T, if
+    vectors are wanted, in the rest, so gathering a pair fetches its columns
+    of B and V as contiguous rows. Same tolerance, rotation and return value
+    as _cyclic_sweep. Every round reuses the same four work arrays: allocating them afresh
     each round makes the allocator return and re-fault their pages.
     """
     rounds = _round_robin_pairs(w.shape[0])
@@ -192,8 +200,12 @@ def _round_robin_sweep(w: np.ndarray, rows: int) -> float:
     return worst
 
 
-def svd(a) -> SvdResult:
-    """One-sided Jacobi SVD. Deterministic; raises SvdConvergenceError on stall."""
+def svd(a, compute_uv: bool = True) -> SvdResult:
+    """One-sided Jacobi SVD. Deterministic; raises SvdConvergenceError on stall.
+
+    With compute_uv=False only B is rotated and u and vt are None; s is
+    bit-identical to svd(a).s, since every rotation angle is read from B.
+    """
     a = as_matrix(a)
     m, n = a.shape
     transposed = m < n
@@ -203,14 +215,16 @@ def svd(a) -> SvdResult:
     # the pair products app * aqq then neither under- nor overflow
     _, exp = math.frexp(float(np.max(np.abs(b))))
     np.ldexp(b, -exp, out=b)
+    v = np.eye(cols) if compute_uv else None
     if cols < ROUND_ROBIN_MIN_COLS:
-        v = np.eye(cols)
         sweep = functools.partial(_cyclic_sweep, b, v)
     else:
-        w = np.empty((cols, rows + cols))
+        w = np.empty((cols, rows + (cols if compute_uv else 0)))
         w[:, :rows] = b.T
-        w[:, rows:] = np.eye(cols)
-        b, v = w[:, :rows].T, w[:, rows:].T  # views the sweeps rotate
+        b = w[:, :rows].T  # views the sweeps rotate
+        if compute_uv:
+            w[:, rows:] = v
+            v = w[:, rows:].T
         sweep = functools.partial(_round_robin_sweep, w, rows)
 
     converged = cols == 1
@@ -226,18 +240,15 @@ def svd(a) -> SvdResult:
     sigma = np.sqrt(np.einsum("ij,ij->j", b, b))
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
+    sigma[sigma < 1e-300] = 0.0  # no unit left vector from so small a column
+    if not compute_uv:
+        return SvdResult(u=None, s=np.ldexp(sigma, exp), vt=None)
     b = b[:, order]
     v = v[:, order]
 
     u = np.zeros_like(b)
-    s_max = sigma[0] if sigma.size else 0.0
-    nonzero = 0
-    for k in range(cols):
-        if sigma[k] > 0.0 and (s_max == 0.0 or sigma[k] >= 1e-300):
-            u[:, k] = b[:, k] / sigma[k]
-            nonzero = k + 1
-        else:
-            sigma[k] = 0.0
+    nonzero = int(np.count_nonzero(sigma))  # sigma is non-increasing
+    u[:, :nonzero] = b[:, :nonzero] / sigma[:nonzero]
     _complete_orthonormal(u, nonzero)
 
     # sign convention: largest-magnitude entry of each left vector positive
@@ -270,7 +281,7 @@ def cond(a, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """s1 / s_k over non-zero singular values (numerical rank under rank_tol)."""
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"rank_tol must be in (0, 1), got {rank_tol}")
-    s = svd(a).s
+    s = svd(a, compute_uv=False).s
     if not np.all(np.isfinite(s)):
         raise ValueError("undefined condition number: non-finite matrix")
     if s[0] == 0.0:
@@ -281,7 +292,7 @@ def cond(a, rank_tol: float = DEFAULT_RANK_TOL) -> float:
 
 def op_norm(a) -> float:
     """Largest singular value."""
-    return float(svd(a).s[0])
+    return float(svd(a, compute_uv=False).s[0])
 
 
 def fro_norm(a) -> float:

@@ -59,9 +59,11 @@ def ntk_quadratic_form(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace
 
 def ntk_opnorm(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
                tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER,
-               seed: int = 0) -> NTKReport:
-    """Largest NTK eigenvalue by power iteration on K x N probes."""
-    trace = forward(cfg, params, x)
+               seed: int = 0, trace: ForwardTrace | None = None) -> NTKReport:
+    """Largest NTK eigenvalue by power iteration on K x N probes; `trace`, if
+    given, is forward(cfg, params, x) and is read instead of running it again."""
+    if trace is None:
+        trace = forward(cfg, params, x)
     k, n = trace.z[-1].shape
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((k, n))

@@ -101,8 +101,8 @@ def check_thm1_instance(inst: dict) -> tuple:
                               inst["y"], inst["idx"])
     rep = metrics.measure(cfg, params, forward(cfg, params, x), y, idx,
                           first_layer=cfg.depth - 1)
-    verdicts = bounds.thm1_verdicts(cfg, params, rep, densemat.svd(y).s[cfg.n_classes - 1],
-                                    densemat.op_norm(x), x.shape[1])
+    s_k = densemat.svd(y, compute_uv=False).s[cfg.n_classes - 1]
+    verdicts = bounds.thm1_verdicts(cfg, params, rep, s_k, densemat.op_norm(x), x.shape[1])
     detail = {"seed": inst["seed"], "eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r}
     for name, r in verdicts.reports.items():
         detail[name] = (r.measured, r.value)
@@ -273,7 +273,7 @@ def check_one_hot_identities() -> tuple:
         n_per = 6
         y = data.one_hot(np.repeat(np.arange(k), n_per), k)
         idx = metrics.ClassIndex(tuple([n_per] * k))
-        sK = densemat.svd(y).s[k - 1]
+        sK = densemat.svd(y, compute_uv=False).s[k - 1]
         if abs(sK - math.sqrt(n_per)) > 1e-12:
             return False, {"k": k, "sK": sK}
         zbar, mu_g = metrics.class_means(y, idx)
@@ -292,7 +292,7 @@ def check_dense_ntk_agreement(seed: int = 6) -> tuple:
     params = ParamSet(weights)
     x = rng.standard_normal((3, 5))
     dense = ntk.dense_ntk(cfg, params, x)
-    top = max(densemat.svd(dense).s)
+    top = max(densemat.svd(dense, compute_uv=False).s)
     rep = ntk.ntk_opnorm(cfg, params, x, seed=seed)
     rel = abs(rep.rho - top) / max(top, 1e-300)
     if rel > 1e-6:

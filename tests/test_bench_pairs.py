@@ -1,0 +1,35 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_gain_needs_nine_in_ten_wins_and_a_gap_beyond_the_parent_spread():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    c = bench_pairs.compare(parent, [p - 1.0 for p in parent], 0.25, True)
+    assert (c["change_wins"], c["parent_wins"]) == (10, 0)
+    assert c["verdict"] == "improved (gain rule met)"
+    assert c["parent"]["q1"] <= c["parent"]["median"] <= c["parent"]["q3"]
+    # one pair lost in ten: the 9/10 rule still holds
+    change = [p - 1.0 for p in parent[:9]] + [parent[9] + 1.0]
+    assert bench_pairs.compare(parent, change, 0.25, True)["verdict"] \
+        == "improved (gain rule met)"
+    # a gap inside the parent's quartile distance is no gain
+    c = bench_pairs.compare(parent, [p - 0.05 for p in parent], 0.25, True)
+    assert c["change_wins"] == 10 and c["verdict"] == "no regression beyond bound"
+
+
+@pytest.mark.parametrize("lower_is_better", [True, False])
+def test_regression_and_unresolved_verdicts(lower_is_better):
+    worse = 1.5 if lower_is_better else 0.5
+    parent = [1.0, 1.01, 0.99, 1.0]
+    assert bench_pairs.compare(parent, [p * worse for p in parent], 0.25,
+                               lower_is_better)["verdict"] == "regression beyond bound"
+    wide = [0.5, 1.0, 1.5, 2.0]
+    c = bench_pairs.compare(wide, [1.0, 1.1, 1.2, 1.3], 0.25, lower_is_better)
+    assert c["verdict"] == "unresolved (spread wider than bound)"

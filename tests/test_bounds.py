@@ -1,10 +1,11 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from nclab import bounds, data, densemat, metrics
+from nclab import bounds, cli, data, densemat, metrics
 from nclab.network import ActivationSpec, NetworkConfig, ParamSet, forward, loss
 from nclab.trainer import InitSpec, TrainConfig, train
 from nclab.verify import make_balanced_chain, make_thm1_instance, check_thm1_instance
@@ -120,9 +121,9 @@ def _record_svd_inputs(monkeypatch) -> list:
     seen = []
     real = densemat.svd
 
-    def hashing(a):
+    def hashing(a, compute_uv=True):
         seen.append(_digest(a))
-        return real(a)
+        return real(a, compute_uv=compute_uv)
 
     monkeypatch.setattr(densemat, "svd", hashing)
     return seen
@@ -146,6 +147,29 @@ def test_each_matrix_is_decomposed_once(monkeypatch, l1):
     assert {h for h in seen if seen.count(h) > 1} == {w_l} and seen.count(w_l) == 2
     assert verdicts.kappa_prod is not None
     assert set(verdicts.reports) == {"thm1_nc1", *bounds.THM1_LINEAR_BOUNDS}
+
+
+def test_singular_vectors_are_built_only_for_pinv(monkeypatch):
+    widths = (8, 6, 5, 4, 3)
+    cfg = NetworkConfig(input_dim=6, widths=widths, l1=2, l2=3, activation=SMOOTH)
+    ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
+    calls = []
+    real = densemat.svd
+
+    def recording(a, compute_uv=True):
+        caller = sys._getframe(1)
+        calls.append((f"{caller.f_globals['__name__']}.{caller.f_code.co_name}", compute_uv))
+        return real(a, compute_uv=compute_uv)
+
+    monkeypatch.setattr(densemat, "svd", recording)
+    params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
+    rep = metrics.measure(cfg, params, forward(cfg, params, ds.x), ds.y, ds.idx)
+    bounds.thm1_verdicts(cfg, params, rep, 2.0, 1.0, ds.x.shape[1])
+    bounds.init_spectra(cfg, params, ds.x)
+    out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
+    assert "residual_to_pinv" in out["measured"] and "error" not in out["schedule"]
+    assert {name for name, uv in calls if uv} == {"nclab.densemat.pinv"}
+    assert sum(not uv for _, uv in calls) > len(calls) // 2
 
 
 def test_residual_to_pinv():
@@ -209,9 +233,9 @@ def test_init_spectra_takes_one_svd_per_weight(monkeypatch):
     calls = []
     real = densemat.svd
 
-    def counting(a):
+    def counting(a, compute_uv=True):
         calls.append(np.shape(a))
-        return real(a)
+        return real(a, compute_uv=compute_uv)
 
     monkeypatch.setattr(densemat, "svd", counting)
     sched = bounds.init_spectra(cfg, params, x)

@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from nclab import cli, data, densemat, metrics
+from nclab import cli, data, densemat, metrics, network, ntk
 
 
 BASE_CONFIG = {
@@ -98,6 +99,28 @@ def test_bounds_updates_report_and_respects_premises(tmp_path):
         assert rep["holds"] in ("holds", "violated", "vacuous")
         if any(v is False for v in rep["premises"].values()):
             assert rep["holds"] == "vacuous", name
+
+
+def _params_digest(params) -> bytes:
+    return hashlib.sha256(b"".join(w.tobytes() for w in params.weights)).digest()
+
+
+def test_bounds_traces_the_final_state_once(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    traced = []
+    real = network.forward
+
+    def recording(cfg, params, x):
+        traced.append(_params_digest(params))
+        return real(cfg, params, x)
+
+    for module in (cli, network, ntk):  # every module that calls forward in `bounds`
+        monkeypatch.setattr(module, "forward", recording)
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    final = cli.load_params(out / "params_final.npz")
+    assert traced.count(_params_digest(final)) == 1
 
 
 def test_bounds_missing_artifacts_is_exit_2(tmp_path, capsys):

@@ -150,6 +150,42 @@ def test_svd_round_robin_raises_when_sweeps_run_out(monkeypatch):
     assert err.value.sweeps == 1 and err.value.residual > densemat.JACOBI_TOL
 
 
+def _values_only_cases():
+    rng = np.random.default_rng(11)
+    cases = {f"{m}x{n}": rng.standard_normal((m, n))
+             for m, n in [(20, 7), (7, 20), (20, 8), (8, 20), (7, 7), (8, 8),
+                          (64, 32), (128, 256), (256, 200)]}
+    cases["rank 3 of 12x9"] = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 9))
+    cases["rank 2 of 6x5"] = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
+    cases["zero 9x9"] = np.zeros((9, 9))
+    cases["zero 4x3"] = np.zeros((4, 3))
+    for name in ("20x7", "20x8"):
+        a = cases[name].copy()
+        a[:, 2] = 0.0
+        cases[f"{name} zero column"] = a
+        for factor in (1e-170, 1e+160):
+            cases[f"{name} x {factor:g}"] = cases[name] * factor
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_values_only_cases()))
+def test_svd_values_only_is_bit_identical(name):
+    # 7 columns are swept cyclically, 8 and more round-robin
+    a = _values_only_cases()[name]
+    res = densemat.svd(a, compute_uv=False)
+    assert res.u is None and res.vt is None
+    assert np.array_equal(res.s, densemat.svd(a).s)
+
+
+@pytest.mark.parametrize("shape", [(20, 6), (20, 12)])
+def test_svd_values_only_raises_when_sweeps_run_out(monkeypatch, shape):
+    monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
+    a = np.random.default_rng(4).standard_normal(shape)
+    with pytest.raises(densemat.SvdConvergenceError) as err:
+        densemat.svd(a, compute_uv=False)
+    assert err.value.sweeps == 1 and err.value.residual > densemat.JACOBI_TOL
+
+
 def test_svd_rank_deficient_completes_orthonormal_basis():
     # rank-1 3x3: two zero singular values must still give orthonormal U, V
     u = np.array([1.0, 2.0, -1.0])
