@@ -135,10 +135,10 @@ def residual_to_pinv(z_lminus1: np.ndarray, w_l: np.ndarray, y: np.ndarray,
                      rank_tol: float = densemat.DEFAULT_RANK_TOL) -> float:
     """||Z_{L-1} - pinv(W_L) Y||_F; needs W_L of full row rank."""
     w_l = densemat.as_matrix(w_l)
-    s = densemat.svd(w_l, compute_uv=False).s
-    if s[min(w_l.shape) - 1] <= rank_tol * s[0] or w_l.shape[0] > w_l.shape[1]:
+    res = densemat.svd(w_l)  # one decomposition: rank check and pseudoinverse
+    if res.s[-1] <= rank_tol * res.s[0] or w_l.shape[0] > w_l.shape[1]:
         raise VacuousBound("W_L is rank-deficient")
-    return densemat.fro_norm(np.asarray(z_lminus1) - densemat.pinv(w_l, rank_tol) @ np.asarray(y))
+    return densemat.fro_norm(np.asarray(z_lminus1) - densemat.pinv(res, rank_tol) @ np.asarray(y))
 
 
 # ---------------------------------------------------------------------------

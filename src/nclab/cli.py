@@ -21,7 +21,6 @@ import sys
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import bounds as bounds_mod
@@ -125,6 +124,8 @@ class ConfigError(ValueError):
 
 
 def load_config(path) -> dict:
+    import jsonschema  # only config validation needs it; bounds and verify start without
+
     try:
         with open(path) as f:
             raw = json.load(f)

@@ -1,28 +1,45 @@
 """Dense linear algebra substrate: SVD, pseudoinverse, condition numbers.
 
 All matrices are 2-D float64 numpy arrays. The SVD is a one-sided Jacobi
-(Hestenes), and pinv, cond and op_norm are derived from it. Only pinv reads
-singular vectors; cond, op_norm and every other caller that needs singular
-values alone call svd(a, compute_uv=False), which rotates B without
-accumulating V and skips building U. Its values are bit-identical to those
-of the full SVD: each rotation angle is computed from the columns of B, so
-leaving V out changes no operation on B. Two pair orderings share the
-tolerance, rotation and sweep cap:
+(Hestenes), and pinv, cond and op_norm are derived from it. Only pinv
+reads singular vectors (bounds.residual_to_pinv hands it the svd it took
+for its rank check); cond, op_norm and every other caller that needs
+singular values alone call svd(a, compute_uv=False), which rotates B
+without accumulating V and skips building U. Its values are
+bit-identical to those of the full SVD: each rotation angle is computed
+from the columns of B, and both modes take the same sweep. Two pair
+orderings share the tolerance, rotation and sweep cap; rows * cols of B
+(rows >= cols, a wide matrix is transposed first) picks one:
 
-- below ROUND_ROBIN_MIN_COLS columns, cyclic sweeps rotate one column pair
-  at a time in row order;
-- from ROUND_ROBIN_MIN_COLS columns on, each sweep is a round-robin
-  tournament (Brent & Luk 1985): every round rotates n/2 disjoint pairs
-  with the same few numpy calls.
+- up to SMALL_MAX_ENTRIES, cyclic sweeps rotate one column pair at a time in
+  row order, on Python floats (columns as lists): at this size a numpy call
+  on a 2- to 16-element vector costs more than the arithmetic it does;
+- above it, each sweep is a round-robin tournament (Brent & Luk 1985):
+  every round rotates n/2 disjoint pairs with the same few numpy calls.
 
 Both are one-sided Jacobi with the same accuracy argument (Demmel & Veselic
-1992). The crossover is measured (one Xeon core, one BLAS thread): the
-fixed cost of the numpy calls per round makes the round-robin SVD 1.8-2.6x
-slower than the cyclic one at 3 columns and 1.3x at 5; the two are level at
-6 and 7 columns, and round-robin wins from 8 on (1.4 vs 1.9 ms at 8x8, 0.8
-vs 3.3 s at 256x200). Results are deterministic for a fixed input: singular
-vectors follow a fixed sign convention and ties are resolved by a stable
-sort.
+1992). The bound is measured: values-only calls, microseconds per call,
+median of 7 interleaved repeats on one Xeon core with one BLAS thread:
+
+    shape    entries  round-robin  Python floats
+    3x3          9        521            54
+    5x5         25       1699           303
+    8x8         64       2576          1208
+    12x12      144       4274          3601
+    20x10      200       3410          2953
+    32x8       256       2347          2164
+    16x16      256       6678          7030
+    64x4       256        693           722
+    24x12      288       4458          5586
+    17x17      289       7044          9280
+
+Python floats win up to about 256 entries and lose from 270 on. With
+vectors the crossover comes earlier (12x12: 4530 round-robin vs 5199 us),
+since every rotation also turns two columns of V; one bound for both modes
+keeps values-only singular values bit-identical to the full SVD's, and most
+calls are values-only. Results are deterministic for a fixed input:
+singular vectors follow a fixed sign convention and ties are resolved by a
+stable sort.
 """
 
 from __future__ import annotations
@@ -30,13 +47,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 JACOBI_TOL = 1e-14
 MAX_SWEEPS = 60
 DEFAULT_RANK_TOL = 1e-10
-ROUND_ROBIN_MIN_COLS = 8  # measured crossover, see the module docstring
+SMALL_MAX_ENTRIES = 256  # rows * cols; measured crossover, see the module docstring
 
 
 class SvdConvergenceError(RuntimeError):
@@ -99,22 +117,23 @@ def _complete_orthonormal(u: np.ndarray, known: int) -> None:
                 col += 1
 
 
-def _cyclic_sweep(b: np.ndarray, v: np.ndarray | None) -> float:
-    """One sweep over the column pairs (i, j) in row order, one pair at a time.
+def _cyclic_sweep(b: list, v: list | None) -> float:
+    """One sweep over the column pairs (i, j) in row order, one pair at a time,
+    on Python floats: b and v are lists of column lists.
 
     Rotates b and v (when given) in place; returns the largest relative
     off-diagonal |b_i . b_j| / (|b_i| |b_j|) rotated away, 0.0 when no pair
     needed a rotation.
     """
-    cols = b.shape[1]
+    cols = len(b)
     worst = 0.0
     for i in range(cols - 1):
         for j in range(i + 1, cols):
-            bi = b[:, i]
-            bj = b[:, j]
-            app = bi @ bi
-            aqq = bj @ bj
-            apq = bi @ bj
+            bi = b[i]
+            bj = b[j]
+            app = sum(map(mul, bi, bi))
+            aqq = sum(map(mul, bj, bj))
+            apq = sum(map(mul, bi, bj))
             scale = math.sqrt(app * aqq)
             if scale == 0.0 or abs(apq) <= JACOBI_TOL * scale:
                 continue
@@ -123,13 +142,13 @@ def _cyclic_sweep(b: np.ndarray, v: np.ndarray | None) -> float:
             t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
-            bi_new = c * bi - s * bj
-            b[:, j] = s * bi + c * bj
-            b[:, i] = bi_new
+            b[i] = [c * x - s * y for x, y in zip(bi, bj)]
+            b[j] = [s * x + c * y for x, y in zip(bi, bj)]
             if v is not None:
-                vi = c * v[:, i] - s * v[:, j]
-                v[:, j] = s * v[:, i] + c * v[:, j]
-                v[:, i] = vi
+                vi = v[i]
+                vj = v[j]
+                v[i] = [c * x - s * y for x, y in zip(vi, vj)]
+                v[j] = [s * x + c * y for x, y in zip(vi, vj)]
     return worst
 
 
@@ -215,15 +234,17 @@ def svd(a, compute_uv: bool = True) -> SvdResult:
     # the pair products app * aqq then neither under- nor overflow
     _, exp = math.frexp(float(np.max(np.abs(b))))
     np.ldexp(b, -exp, out=b)
-    v = np.eye(cols) if compute_uv else None
-    if cols < ROUND_ROBIN_MIN_COLS:
-        sweep = functools.partial(_cyclic_sweep, b, v)
+    small = rows * cols <= SMALL_MAX_ENTRIES
+    if small:
+        b_cols = b.T.tolist()
+        v_cols = np.eye(cols).tolist() if compute_uv else None
+        sweep = functools.partial(_cyclic_sweep, b_cols, v_cols)
     else:
         w = np.empty((cols, rows + (cols if compute_uv else 0)))
         w[:, :rows] = b.T
         b = w[:, :rows].T  # views the sweeps rotate
         if compute_uv:
-            w[:, rows:] = v
+            w[:, rows:] = np.eye(cols)
             v = w[:, rows:].T
         sweep = functools.partial(_round_robin_sweep, w, rows)
 
@@ -236,6 +257,10 @@ def svd(a, compute_uv: bool = True) -> SvdResult:
         converged = worst == 0.0
     if not converged:
         raise SvdConvergenceError(worst, MAX_SWEEPS)
+    if small:
+        b = np.array(b_cols).T
+        if compute_uv:
+            v = np.array(v_cols).T
 
     sigma = np.sqrt(np.einsum("ij,ij->j", b, b))
     order = np.argsort(-sigma, kind="stable")
@@ -265,14 +290,15 @@ def svd(a, compute_uv: bool = True) -> SvdResult:
 
 
 def pinv(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; singular values below rank_tol*s1 are zeroed."""
+    """Moore-Penrose pseudoinverse of a matrix, or of the matrix that an
+    SvdResult with vectors decomposes; singular values below rank_tol*s1
+    are zeroed."""
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"rank_tol must be in (0, 1), got {rank_tol}")
-    a = as_matrix(a)
-    res = svd(a)
+    res = a if isinstance(a, SvdResult) else svd(a)
     s1 = res.s[0]
     if s1 == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
+        return np.zeros((res.vt.shape[1], res.u.shape[0]))
     inv = np.divide(1.0, res.s, out=np.zeros_like(res.s), where=res.s > rank_tol * s1)
     return (res.vt.T * inv) @ res.u.T
 

@@ -168,8 +168,23 @@ def test_singular_vectors_are_built_only_for_pinv(monkeypatch):
     bounds.init_spectra(cfg, params, ds.x)
     out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
     assert "residual_to_pinv" in out["measured"] and "error" not in out["schedule"]
-    assert {name for name, uv in calls if uv} == {"nclab.densemat.pinv"}
+    # the one vector reader: residual_to_pinv's single SVD of W_L feeds its pinv
+    assert [name for name, uv in calls if uv] == ["nclab.bounds.residual_to_pinv"]
     assert sum(not uv for _, uv in calls) > len(calls) // 2
+
+
+@pytest.mark.parametrize("shape", [(3, 6), (10, 64)])
+def test_residual_to_pinv_decomposes_w_l_once(monkeypatch, shape):
+    rng = np.random.default_rng(1)
+    w = rng.standard_normal(shape)
+    y = rng.standard_normal((shape[0], 10))
+    z = rng.standard_normal((shape[1], 10))
+    # the value of a values-only rank check followed by densemat.pinv
+    expected = densemat.fro_norm(z - densemat.pinv(w) @ y)
+    seen = _record_svd_inputs(monkeypatch)
+    got = bounds.residual_to_pinv(z, w, y)
+    assert seen == [_digest(w)]
+    assert got == expected
 
 
 def test_residual_to_pinv():

@@ -1,7 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,30 @@ def test_unknown_key_rejected_with_exit_2(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "momentum" in err
+
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def _fresh_python(code, *args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_bounds_and_verify_start_without_jsonschema(tmp_path):
+    proc = _fresh_python("import sys, nclab.cli, nclab.verify; "
+                         "print('jsonschema' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    # a config is still validated: a bad one exits 2 with one stderr line
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"]["momentum"] = 0.9
+    proc = _fresh_python("import sys, nclab.cli; sys.exit(nclab.cli.main(sys.argv[1:]))",
+                         "train", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(tmp_path / "run"))
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert len(proc.stderr.splitlines()) == 1 and "momentum" in proc.stderr
 
 
 def test_malformed_json_rejected(tmp_path, capsys):

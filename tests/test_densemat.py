@@ -54,9 +54,9 @@ def test_svd_matches_lapack_singular_values():
 
 
 ROUND_ROBIN_SHAPES = [
-    (7, 7), (12, 7),                 # largest cyclic column count
-    (8, 8), (20, 8), (8, 30),        # crossover, tall and wide
-    (9, 9), (30, 9), (10, 25),       # odd and even column counts
+    (40, 7), (7, 40),                # 7 columns past the size bound
+    (33, 8), (40, 8), (8, 40),       # just past the bound, tall and wide
+    (29, 9), (30, 9), (10, 27),      # odd and even column counts
     (64, 33), (100, 64), (33, 90),
     (60, 200), (210, 200),           # up to 200 columns
 ]
@@ -69,6 +69,55 @@ def test_svd_round_robin_sizes_match_lapack(shape):
     ref = np.linalg.svd(a, compute_uv=False)
     got = densemat.svd(a).s
     assert np.allclose(got, ref, rtol=1e-11, atol=1e-12)
+
+
+def _python_sweep_cases():
+    """Matrices at or just below the size bound, swept on Python floats, and
+    just above it, swept round-robin: square, tall, wide, rank-deficient, a
+    zero column, one row and one column."""
+    rng = np.random.default_rng(23)
+    below = {f"{m}x{n}": rng.standard_normal((m, n))
+             for m, n in [(7, 7), (12, 7), (8, 8), (20, 8), (8, 30), (9, 9), (10, 25),
+                          (16, 16), (32, 8), (8, 32), (64, 4), (4, 64), (15, 17),
+                          (1, 256), (256, 1), (1, 9), (9, 1)]}
+    above = {f"{m}x{n}": rng.standard_normal((m, n))
+             for m, n in [(17, 16), (16, 17), (33, 8), (8, 33), (65, 4), (4, 65),
+                          (1, 257), (257, 1)]}
+    for cases, (m, n) in ((below, (16, 16)), (above, (17, 16))):
+        cases[f"rank 3 of {m}x{n}"] = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+    for cases, (m, n) in ((below, (32, 8)), (above, (33, 8))):
+        a = rng.standard_normal((m, n))
+        a[:, 5] = 0.0
+        cases[f"{m}x{n} zero column"] = a
+    below["rank 1 of 3x3"] = np.outer([1.0, 2.0, -1.0], [0.5, -1.0, 3.0])
+    return below, above
+
+
+PYTHON_SWEEP_BELOW, PYTHON_SWEEP_ABOVE = _python_sweep_cases()
+
+
+def test_path_cases_straddle_the_python_sweep_bound():
+    assert all(m * n > densemat.SMALL_MAX_ENTRIES for m, n in ROUND_ROBIN_SHAPES)
+    assert all(a.size <= densemat.SMALL_MAX_ENTRIES for a in PYTHON_SWEEP_BELOW.values())
+    assert all(a.size > densemat.SMALL_MAX_ENTRIES for a in PYTHON_SWEEP_ABOVE.values())
+
+
+@pytest.mark.parametrize("name", sorted(PYTHON_SWEEP_BELOW) + sorted(PYTHON_SWEEP_ABOVE))
+def test_svd_near_the_python_sweep_bound_matches_lapack(name):
+    a = PYTHON_SWEEP_BELOW.get(name, PYTHON_SWEEP_ABOVE.get(name))
+    ref = np.linalg.svd(a, compute_uv=False)
+    got = densemat.svd(a).s
+    assert np.allclose(got, ref, rtol=1e-11, atol=1e-12 * ref[0])
+
+
+@pytest.mark.parametrize("name", sorted(PYTHON_SWEEP_BELOW))
+def test_svd_python_sweep_stays_orthonormal(name):
+    a = PYTHON_SWEEP_BELOW[name]
+    res = densemat.svd(a)
+    k = min(a.shape)
+    assert np.linalg.norm(res.u.T @ res.u - np.eye(k)) < 1e-10
+    assert np.linalg.norm(res.vt @ res.vt.T - np.eye(k)) < 1e-10
+    assert np.linalg.norm(a - res.reconstruct()) < 1e-10 * np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("cols", [2, 3, 8, 9, 64])
@@ -104,7 +153,7 @@ def _hard_cases():
 @pytest.mark.parametrize("name", sorted(_hard_cases()))
 def test_svd_round_robin_hard_cases_stay_orthonormal(name):
     a = _hard_cases()[name]
-    assert min(a.shape) >= densemat.ROUND_ROBIN_MIN_COLS
+    assert a.size > densemat.SMALL_MAX_ENTRIES
     res = densemat.svd(a)
     k = min(a.shape)
     assert np.linalg.norm(res.u.T @ res.u - np.eye(k)) < 1e-10
@@ -126,7 +175,8 @@ def test_svd_round_robin_is_bit_identical_across_calls():
 @pytest.mark.parametrize("factor", [1e-90, 1e-170, 1e+160])
 def test_svd_far_from_unit_scale_matches_lapack(shape, factor):
     # the pair products app * aqq would under- or overflow without the
-    # power-of-two pre-scaling; 6 columns are swept cyclically, 12 round-robin
+    # power-of-two pre-scaling; 10x6 and 6x10 are swept on Python floats,
+    # 24x12 and 12x30 round-robin
     a = np.random.default_rng(9).standard_normal(shape) * factor
     np.testing.assert_allclose(densemat.svd(a).s,
                                np.linalg.svd(a, compute_uv=False), rtol=1e-12)
@@ -144,7 +194,7 @@ def test_svd_commutes_exactly_with_power_of_two_scaling(shape):
 
 def test_svd_round_robin_raises_when_sweeps_run_out(monkeypatch):
     monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
-    a = np.random.default_rng(4).standard_normal((20, 12))
+    a = np.random.default_rng(4).standard_normal((24, 12))
     with pytest.raises(densemat.SvdConvergenceError) as err:
         densemat.svd(a)
     assert err.value.sweeps == 1 and err.value.residual > densemat.JACOBI_TOL
@@ -154,12 +204,14 @@ def _values_only_cases():
     rng = np.random.default_rng(11)
     cases = {f"{m}x{n}": rng.standard_normal((m, n))
              for m, n in [(20, 7), (7, 20), (20, 8), (8, 20), (7, 7), (8, 8),
-                          (64, 32), (128, 256), (256, 200)]}
+                          (64, 32), (128, 256), (256, 200), (40, 8), (8, 40)]}
     cases["rank 3 of 12x9"] = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 9))
+    cases["rank 3 of 30x9"] = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 9))
     cases["rank 2 of 6x5"] = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
     cases["zero 9x9"] = np.zeros((9, 9))
+    cases["zero 17x17"] = np.zeros((17, 17))
     cases["zero 4x3"] = np.zeros((4, 3))
-    for name in ("20x7", "20x8"):
+    for name in ("20x7", "20x8", "40x8"):
         a = cases[name].copy()
         a[:, 2] = 0.0
         cases[f"{name} zero column"] = a
@@ -170,14 +222,15 @@ def _values_only_cases():
 
 @pytest.mark.parametrize("name", sorted(_values_only_cases()))
 def test_svd_values_only_is_bit_identical(name):
-    # 7 columns are swept cyclically, 8 and more round-robin
+    # up to SMALL_MAX_ENTRIES entries are swept on Python floats, 40x8, 8x40,
+    # 30x9, 17x17 and larger round-robin
     a = _values_only_cases()[name]
     res = densemat.svd(a, compute_uv=False)
     assert res.u is None and res.vt is None
     assert np.array_equal(res.s, densemat.svd(a).s)
 
 
-@pytest.mark.parametrize("shape", [(20, 6), (20, 12)])
+@pytest.mark.parametrize("shape", [(20, 6), (24, 12)])
 def test_svd_values_only_raises_when_sweeps_run_out(monkeypatch, shape):
     monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
     a = np.random.default_rng(4).standard_normal(shape)
@@ -209,6 +262,7 @@ def test_svd_wide_matrix_transpose_path():
 def test_svd_deterministic():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((8, 6))
+    assert a.size <= densemat.SMALL_MAX_ENTRIES  # swept on Python floats
     r1, r2 = densemat.svd(a), densemat.svd(a)
     assert np.array_equal(r1.u, r2.u)
     assert np.array_equal(r1.s, r2.s)
@@ -276,6 +330,13 @@ def test_pinv_zero_matrix_and_rank_tol():
     assert np.linalg.matrix_rank(p, tol=1e-8) == 1
     with pytest.raises(ValueError):
         densemat.pinv(a, rank_tol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (10, 40)])
+def test_pinv_of_an_svd_result_is_pinv_of_the_matrix(shape):
+    a = np.random.default_rng(22).standard_normal(shape)
+    for m in (a, np.zeros(shape)):
+        assert np.array_equal(densemat.pinv(densemat.svd(m), 1e-6), densemat.pinv(m, 1e-6))
 
 
 def test_cond_basics():
