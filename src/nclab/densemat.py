@@ -1,11 +1,11 @@
 """Dense linear algebra substrate: SVD, pseudoinverse, condition numbers.
 
 All matrices are 2-D float64 numpy arrays. The SVD is a one-sided Jacobi
-(Hestenes), and pinv, cond and op_norm are derived from it. Only pinv
-reads singular vectors (bounds.residual_to_pinv hands it the svd it took
-for its rank check); cond, op_norm and every other caller that needs
-singular values alone call svd(a, compute_uv=False), which rotates B
-without accumulating V and skips building U. Its values are
+(Hestenes), and pinv and cond are derived from it. Only pinv reads
+singular vectors (bounds.residual_to_pinv hands it the svd it took for its
+rank check); cond and every other caller that needs singular values alone
+call svd(a, compute_uv=False), which rotates B without accumulating V and
+skips building U. Its values are
 bit-identical to those of the full SVD: each rotation angle is computed
 from the columns of B, and both modes take the same sweep. Two pair
 orderings share the tolerance, rotation and sweep cap; rows * cols of B
@@ -40,6 +40,30 @@ keeps values-only singular values bit-identical to the full SVD's, and most
 calls are values-only. Results are deterministic for a fixed input:
 singular vectors follow a fixed sign convention and ties are resolved by a
 stable sort.
+
+op_norm needs sigma_1 alone and calls svd(a, compute_uv=False,
+top_only=True), which runs no Jacobi sweep. It squares the smaller Gram
+matrix G = B^T B repeatedly, renormalized to trace 1 each time: with
+t_k = tr G_{k-1}^2, ln sigma_1 lies in a bracket of width
+-ln t_{k+1} / 2^(k+1), and the upper end is returned once the width is at
+most SIGMA1_BRACKET = 1e-13. Each squaring adds O(n eps) relative error to
+lambda_1 and the 2^k-th root divides it by 2^k, so the result stays within
+O(n eps) of the bracket; no random start is involved, unlike power or
+Lanczos iteration. A random matrix closes it in 5 to 11 squarings; an exactly
+tied top (orthonormal columns) is the worst case, at about 45. op_norm per
+call, Jacobi values-only vs Gram squaring, best of 5 CPU times on one Xeon
+core with one BLAS thread:
+
+    shape          Jacobi     squaring
+    3x3             93 us       34 us
+    8x8            970 us       40 us
+    64x32         10.3 ms     0.071 ms
+    200x64          42 ms      0.20 ms
+    256x128        180 ms      1.21 ms
+    256x200        455 ms      3.56 ms
+    3x3 tied        27 us      137 us
+    8x8 tied        71 us      143 us
+    256x200 tied  16.2 ms     18.2 ms
 """
 
 from __future__ import annotations
@@ -55,16 +79,20 @@ JACOBI_TOL = 1e-14
 MAX_SWEEPS = 60
 DEFAULT_RANK_TOL = 1e-10
 SMALL_MAX_ENTRIES = 256  # rows * cols; measured crossover, see the module docstring
+SIGMA1_BRACKET = 1e-13  # width of the certified bracket on ln sigma_1
+MAX_SQUARINGS = 60  # a rank below 1e6 closes the bracket within 47
 
 
 class SvdConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the cap before all rotations fell below tolerance."""
+    """Jacobi sweeps hit the cap before all rotations fell below tolerance,
+    or Gram squarings (squarings=True) before the sigma_1 bracket closed."""
 
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(
-            f"one-sided Jacobi SVD did not converge after {sweeps} sweeps "
-            f"(largest relative off-diagonal {residual:.3e})"
-        )
+    def __init__(self, residual: float, sweeps: int, squarings: bool = False):
+        if squarings:
+            what, steps, gap = "Gram squaring for sigma_1", "squarings", "bracket width"
+        else:
+            what, steps, gap = "one-sided Jacobi SVD", "sweeps", "largest relative off-diagonal"
+        super().__init__(f"{what} did not converge after {sweeps} {steps} ({gap} {residual:.3e})")
         self.residual = residual
         self.sweeps = sweeps
 
@@ -82,7 +110,8 @@ def as_matrix(a) -> np.ndarray:
 @dataclass(frozen=True)
 class SvdResult:
     """u has orthonormal columns, s is non-increasing, vt has orthonormal rows;
-    u and vt are None when the SVD was asked for values only."""
+    u and vt are None when the SVD was asked for values only, and s is
+    [sigma_1] alone when it was asked for the top one only."""
 
     u: np.ndarray | None
     s: np.ndarray
@@ -102,7 +131,7 @@ def _complete_orthonormal(u: np.ndarray, known: int) -> None:
         v = np.zeros(m)
         v[cand] = 1.0
         v -= u[:, :col] @ (u[:, :col].T @ v)
-        nrm = np.linalg.norm(v)
+        nrm = math.sqrt(v @ v)
         if nrm > 0.5:  # canonical vector mostly outside current span
             u[:, col] = v / nrm
             col += 1
@@ -111,7 +140,7 @@ def _complete_orthonormal(u: np.ndarray, known: int) -> None:
         while col < k:
             v = rng.standard_normal(m)
             v -= u[:, :col] @ (u[:, :col].T @ v)
-            nrm = np.linalg.norm(v)
+            nrm = math.sqrt(v @ v)
             if nrm > 1e-8:
                 u[:, col] = v / nrm
                 col += 1
@@ -219,12 +248,44 @@ def _round_robin_sweep(w: np.ndarray, rows: int) -> float:
     return worst
 
 
-def svd(a, compute_uv: bool = True) -> SvdResult:
+def _top_singular_value(b: np.ndarray) -> float:
+    """sigma_1 of b by repeated squaring of the smaller Gram matrix.
+
+    G_0 = B^T B / tr, and G_{k+1} = G_k^2 / t_{k+1} with t_{k+1} = tr G_k^2
+    = ||G_k||_F^2, so every G_k has trace 1 and lambda_1(G_k) lies in
+    [t_{k+1}, 1]. Unrolling lambda_1(G_{k+1}) = lambda_1(G_k)^2 / t_{k+1}
+    puts ln sigma_1 in a bracket of width -ln t_{k+1} / 2^(k+1) whose upper
+    end is (ln tr G + sum_{j<=k} ln t_j / 2^j) / 2; the upper end is returned
+    once the width is at most SIGMA1_BRACKET. Each squaring adds O(n eps)
+    relative error to lambda_1, and the 2^k-th root divides it by 2^k, so
+    the total stays O(n eps).
+    """
+    g = b.T @ b
+    trace = float(np.trace(g))
+    if trace == 0.0:
+        return 0.0
+    g /= trace
+    log_top = math.log(trace)  # upper end of ln lambda_1(G)
+    for k in range(1, MAX_SQUARINGS + 2):  # the k-th check follows k - 1 squarings
+        t = float(np.vdot(g, g))
+        width = -math.log(t) / 2.0 ** k
+        if width <= SIGMA1_BRACKET:
+            return math.exp(log_top / 2.0)
+        g = (g @ g) / t
+        log_top += math.log(t) / 2.0 ** k
+    raise SvdConvergenceError(width, MAX_SQUARINGS, squarings=True)
+
+
+def svd(a, compute_uv: bool = True, top_only: bool = False) -> SvdResult:
     """One-sided Jacobi SVD. Deterministic; raises SvdConvergenceError on stall.
 
     With compute_uv=False only B is rotated and u and vt are None; s is
     bit-identical to svd(a).s, since every rotation angle is read from B.
+    With top_only=True (values only) s is [sigma_1] alone, taken by repeated
+    Gram squaring instead of Jacobi sweeps (_top_singular_value).
     """
+    if top_only and compute_uv:
+        raise ValueError("top_only=True needs compute_uv=False")
     a = as_matrix(a)
     m, n = a.shape
     transposed = m < n
@@ -234,6 +295,8 @@ def svd(a, compute_uv: bool = True) -> SvdResult:
     # the pair products app * aqq then neither under- nor overflow
     _, exp = math.frexp(float(np.max(np.abs(b))))
     np.ldexp(b, -exp, out=b)
+    if top_only:
+        return SvdResult(u=None, s=np.ldexp([_top_singular_value(b)], exp), vt=None)
     small = rows * cols <= SMALL_MAX_ENTRIES
     if small:
         b_cols = b.T.tolist()
@@ -317,9 +380,10 @@ def cond(a, rank_tol: float = DEFAULT_RANK_TOL) -> float:
 
 
 def op_norm(a) -> float:
-    """Largest singular value."""
-    return float(svd(a, compute_uv=False).s[0])
+    """Largest singular value, certified by Gram squaring (no Jacobi sweep)."""
+    return float(svd(a, compute_uv=False, top_only=True).s[0])
 
 
 def fro_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
+    flat = np.asarray(a, dtype=np.float64).ravel(order="K")
+    return math.sqrt(flat @ flat)

@@ -121,9 +121,9 @@ def _record_svd_inputs(monkeypatch) -> list:
     seen = []
     real = densemat.svd
 
-    def hashing(a, compute_uv=True):
+    def hashing(a, compute_uv=True, top_only=False):
         seen.append(_digest(a))
-        return real(a, compute_uv=compute_uv)
+        return real(a, compute_uv=compute_uv, top_only=top_only)
 
     monkeypatch.setattr(densemat, "svd", hashing)
     return seen
@@ -156,10 +156,10 @@ def test_singular_vectors_are_built_only_for_pinv(monkeypatch):
     calls = []
     real = densemat.svd
 
-    def recording(a, compute_uv=True):
+    def recording(a, compute_uv=True, top_only=False):
         caller = sys._getframe(1)
         calls.append((f"{caller.f_globals['__name__']}.{caller.f_code.co_name}", compute_uv))
-        return real(a, compute_uv=compute_uv)
+        return real(a, compute_uv=compute_uv, top_only=top_only)
 
     monkeypatch.setattr(densemat, "svd", recording)
     params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
@@ -171,6 +171,30 @@ def test_singular_vectors_are_built_only_for_pinv(monkeypatch):
     # the one vector reader: residual_to_pinv's single SVD of W_L feeds its pinv
     assert [name for name, uv in calls if uv] == ["nclab.bounds.residual_to_pinv"]
     assert sum(not uv for _, uv in calls) > len(calls) // 2
+
+
+def test_only_op_norm_asks_for_the_top_singular_value(monkeypatch):
+    widths = (8, 6, 5, 4, 3)
+    cfg = NetworkConfig(input_dim=6, widths=widths, l1=2, l2=3, activation=SMOOTH)
+    ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
+    calls = []
+    real = densemat.svd
+
+    def recording(a, compute_uv=True, top_only=False):
+        caller = sys._getframe(1)
+        name = f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"
+        calls.append((name, compute_uv, top_only))
+        return real(a, compute_uv=compute_uv, top_only=top_only)
+
+    monkeypatch.setattr(densemat, "svd", recording)
+    params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
+    rep = metrics.measure(cfg, params, forward(cfg, params, ds.x), ds.y, ds.idx)
+    bounds.thm1_verdicts(cfg, params, rep, 2.0, 1.0, ds.x.shape[1])
+    bounds.init_spectra(cfg, params, ds.x)
+    cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
+    from_op_norm = [(uv, top) for name, uv, top in calls if name == "nclab.densemat.op_norm"]
+    assert from_op_norm and all(top and not uv for uv, top in from_op_norm)
+    assert not [name for name, _, top in calls if top and name != "nclab.densemat.op_norm"]
 
 
 @pytest.mark.parametrize("shape", [(3, 6), (10, 64)])

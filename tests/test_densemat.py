@@ -355,6 +355,81 @@ def test_op_and_fro_norms():
     assert densemat.fro_norm(a) == pytest.approx(math.sqrt(10.0), rel=1e-14)
 
 
+def _top_only_cases():
+    rng = np.random.default_rng(21)
+    cases = {f"{m}x{n}": rng.standard_normal((m, n))
+             for m, n in [(3, 3), (8, 8), (20, 7), (7, 20), (64, 32), (32, 64),
+                          (200, 64), (128, 256), (256, 200), (1, 7), (7, 1), (1, 1)]}
+    cases["rank 3 of 30x9"] = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 9))
+    cases["rank 5 of 40x60"] = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 60))
+    cases["rank 1 of 6x5"] = np.outer(rng.standard_normal(6), rng.standard_normal(5))
+    cases["orthogonal 30x30"] = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+    cases["orthonormal columns 256x200"] = np.linalg.qr(rng.standard_normal((256, 200)))[0]
+    cases["identity 17"] = np.eye(17)
+    cases["near-tied s1 s2"] = _with_singular_values(
+        rng, 20, 6, np.array([1.0, 1.0 - 1e-10, 0.5, 0.3, 0.2, 0.1]))
+    for factor in (1e-170, 1e-90, 1e+160):
+        for shape in [(10, 6), (12, 30)]:
+            cases[f"{shape[0]}x{shape[1]} x {factor:g}"] = rng.standard_normal(shape) * factor
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_top_only_cases()))
+def test_top_only_sigma1_matches_lapack(name):
+    # tall, wide, square, rank-deficient, 1xn and nx1, exactly tied tops, a
+    # 1e-10 near-tie and scales far from 1
+    a = _top_only_cases()[name]
+    res = densemat.svd(a, compute_uv=False, top_only=True)
+    assert res.u is None and res.vt is None and res.s.shape == (1,)
+    ref = np.linalg.norm(a, 2)
+    assert abs(res.s[0] - ref) <= 1e-12 * ref
+    assert densemat.op_norm(a) == res.s[0]
+
+
+def test_top_only_exact_tie_gives_the_top():
+    assert abs(densemat.op_norm(np.diag([3.0, 3.0, 1.0])) - 3.0) <= 1e-13 * 3.0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 3), (3, 4), (17, 17), (40, 9)])
+def test_top_only_zero_matrix_is_zero(shape):
+    assert densemat.svd(np.zeros(shape), compute_uv=False, top_only=True).s[0] == 0.0
+    assert densemat.op_norm(np.zeros(shape)) == 0.0
+
+
+@pytest.mark.parametrize("name", ["256x200", "orthonormal columns 256x200", "3x3"])
+def test_top_only_reruns_are_bit_identical(name):
+    a = _top_only_cases()[name]
+    assert densemat.op_norm(a) == densemat.op_norm(a.copy())
+
+
+def test_op_norm_runs_no_jacobi_sweep(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("op_norm ran a Jacobi sweep")
+
+    monkeypatch.setattr(densemat, "_cyclic_sweep", forbidden)
+    monkeypatch.setattr(densemat, "_round_robin_sweep", forbidden)
+    for a in (_top_only_cases()[name] for name in ["3x3", "7x20", "256x200"]):
+        ref = np.linalg.norm(a, 2)
+        assert abs(densemat.op_norm(a) - ref) <= 1e-12 * ref
+    with pytest.raises(AssertionError):
+        densemat.svd(np.eye(3), compute_uv=False)  # the patch does bite
+
+
+def test_top_only_raises_when_squarings_run_out(monkeypatch):
+    monkeypatch.setattr(densemat, "MAX_SQUARINGS", 3)
+    with pytest.raises(densemat.SvdConvergenceError) as err:
+        densemat.op_norm(np.eye(5))
+    assert err.value.sweeps == 3 and err.value.residual > densemat.SIGMA1_BRACKET
+    assert "squarings" in str(err.value)
+
+
+def test_top_only_needs_values_only():
+    with pytest.raises(ValueError):
+        densemat.svd(np.eye(3), top_only=True)
+    with pytest.raises(ValueError):
+        densemat.svd(np.eye(3), compute_uv=True, top_only=True)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 2 ** 31))
 def test_property_svd_reconstructs_and_pinv_solves(m, n, seed):

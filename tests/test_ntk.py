@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nclab import densemat, network, ntk
+from nclab import densemat, network, ntk, verify
 from nclab.network import (ActivationSpec, NetworkConfig, ParamSet, backprop,
                            forward)
 
@@ -140,3 +140,17 @@ def test_power_iteration_reads_the_forward_trace(monkeypatch):
     rep = ntk.ntk_opnorm(cfg, params, x)
     assert rep.iterations > 1
     assert sorted(calls) == ["act_apply"] * cfg.l1 + ["act_grad"] * cfg.l1
+
+
+def test_dense_ntk_agreement_reads_sigma1_from_op_norm(monkeypatch):
+    calls = []
+    real = densemat.op_norm
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(densemat, "op_norm", counting)
+    ok, detail = verify.check_dense_ntk_agreement()
+    assert ok, detail
+    assert calls == [(10, 10)]  # the dense NTK of 2 outputs at 5 points
