@@ -63,34 +63,43 @@ class Thm1Inputs:
         return bool(self.eps1 <= min(self.sK_y, math.sqrt((self.k - 1) * self.n / (4 * self.k))))
 
 
+def _sk_margin(eps1: float, sK_y: float) -> float:
+    """s_K(Y) - eps1; every bound below needs it positive."""
+    if eps1 >= sK_y:
+        raise VacuousBound("eps1 >= s_K(Y)")
+    return sK_y - eps1
+
+
+def _psi(eps1: float, eps2: float, r: float, n_lminus1: int, sK_y: float) -> float:
+    return r * (eps1 / _sk_margin(eps1, sK_y) + math.sqrt(n_lminus1 * eps2))
+
+
+def _nc1_den(eps1: float, k: int, n: int) -> float:
+    den = math.sqrt((k - 1) / k) - 2.0 * eps1 / math.sqrt(n)
+    if den <= 0:
+        raise VacuousBound("interpolation error too large for the NC1 bound")
+    return den
+
+
 def psi(inp: Thm1Inputs) -> float:
     """r * (eps1/(sK(Y)-eps1) + sqrt(n_{L-1} * eps2))."""
-    if inp.eps1 >= inp.sK_y:
-        raise VacuousBound("eps1 >= s_K(Y)")
-    return inp.r * (inp.eps1 / (inp.sK_y - inp.eps1)
-                    + math.sqrt(inp.n_lminus1 * inp.eps2))
+    return _psi(inp.eps1, inp.eps2, inp.r, inp.n_lminus1, inp.sK_y)
 
 
 def thm1_nc1_rhs(inp: Thm1Inputs) -> float:
     """Upper bound on the within-class variability of Z_{L-1}."""
-    den = math.sqrt((inp.k - 1) / inp.k) - 2.0 * inp.eps1 / math.sqrt(inp.n)
-    if den <= 0:
-        raise VacuousBound("interpolation error too large for the NC1 bound")
+    den = _nc1_den(inp.eps1, inp.k, inp.n)
     p = psi(inp)
     return (inp.r ** 2 / inp.n) * p * p / (den * den)
 
 
 def thm2_nc1_rhs(eps1: float, eps2: float, r: float, n_lminus1: int, k: int,
                  n: int, sK_y: float) -> float:
-    """NC1 cap after the GD schedule; uses Psi(eps1*sqrt(2), ...) unsquared."""
-    den = math.sqrt((k - 1) / k) - 2.0 * math.sqrt(2.0) * eps1 / math.sqrt(n)
-    if den <= 0:
-        raise VacuousBound("interpolation error too large for the NC1 bound")
+    """NC1 cap after the GD schedule: Theorem 1's Psi and NC1 denominator at
+    eps1*sqrt(2), with Psi unsquared."""
     e1 = eps1 * math.sqrt(2.0)
-    if e1 >= sK_y:
-        raise VacuousBound("eps1*sqrt(2) >= s_K(Y)")
-    p = r * (e1 / (sK_y - e1) + math.sqrt(n_lminus1 * eps2))
-    return (r ** 2 / n) * p / (den * den)
+    den = _nc1_den(e1, k, n)
+    return (r ** 2 / n) * _psi(e1, eps2, r, n_lminus1, sK_y) / (den * den)
 
 
 def thm1_kappa_rhs(inp: Thm1Inputs, proof_exponent: bool = False) -> float:
@@ -101,10 +110,9 @@ def thm1_kappa_rhs(inp: Thm1Inputs, proof_exponent: bool = False) -> float:
     """
     if inp.c3 is None:
         raise ValueError("c3 (bound on the linear-part conditioning) is required")
-    if inp.eps1 >= inp.sK_y:
-        raise VacuousBound("eps1 >= s_K(Y)")
+    margin = _sk_margin(inp.eps1, inp.sK_y)
     perturb = 0.5 * inp.l2 ** 2 * inp.r ** (2 * (inp.l2 - 1)) * inp.eps2
-    base = (inp.sK_y - inp.eps1) ** 2 / (inp.x_opnorm ** 2 * inp.r ** (2 * inp.l1))
+    base = margin ** 2 / (inp.x_opnorm ** 2 * inp.r ** (2 * inp.l1))
     den = base - perturb
     if den <= 0:
         raise VacuousBound("balancedness perturbation dominates the spectral floor")
@@ -251,13 +259,13 @@ def thm2_schedule(sched: Thm2Schedule, cfg: NetworkConfig, eps1: float, eps2: fl
 
     sched.m_lambda = ((1.0 + math.sqrt(4.0 * lam_used / sched.alpha)) ** 2
                       * (theta0_norm + sched.r0) ** 2) if sched.alpha > 0 else math.inf
-    prod_bar = math.prod(max(1.0, sched.bar_lambda_l[l]) for l in range(1, L + 1))
-    sched.beta1 = 5.0 * n * beta * b ** 3 * prod_bar ** 3 * L ** 2.5
+    sched.beta1 = lipschitz_const(
+        [max(1.0, sched.bar_lambda_l[l]) for l in range(1, L + 1)], b, n, beta)
 
     growth = 2.0 * eps1 ** 2 / lam_used if lam_used > 0 else math.inf
     eta_caps = (
         1.0 / (2.0 * sched.beta1),
-        1.0 / (5.0 * n * beta * b ** 3 * max(1.0, growth) ** (1.5 * L) * L ** 2.5),
+        1.0 / lipschitz_const([math.sqrt(max(1.0, growth))] * L, b, n, beta),
         1.0 / (2.0 * lam_used) if lam_used > 0 else math.inf,
         (1.0 / growth) ** (l1 + L) * eps2 / (4.0 * x_opnorm ** 2)
         if growth > 0 and x_opnorm > 0 else math.inf,
@@ -432,7 +440,7 @@ def thm1_verdicts(cfg: NetworkConfig, params: ParamSet, rep, sK_y: float,
         nc3_rep.premises["nontrivial"] = bool(nc3_rep.value >= -1.0)
         nc3_rep.resolve(lower_bound=True)
     out.reports["thm1_nc3"] = nc3_rep
-    gap = balanced_power_gap(cfg, params, rep.r, rep.eps2, rep.head_op_norms)
+    gap = balanced_power_gap(cfg, params, rep.r, rep.eps2, rep.op_norms)
     if kappa_wl is not None:
         gap.detail["kappa_w_l"] = kappa_wl
     if kappa_prod is not None:
@@ -442,32 +450,11 @@ def thm1_verdicts(cfg: NetworkConfig, params: ParamSet, rep, sK_y: float,
 
 
 # ---------------------------------------------------------------------------
-# Conditioning at near-optimality / under large learning rates
+# Conditioning under large learning rates, NTK floor
 # ---------------------------------------------------------------------------
 
-def prop2_kappa_bound(eps1: float, c: float, l1: int, k: int, sK_y: float,
-                      x_opnorm: float) -> float:
-    """Conditioning cap on the linear part from interpolation + bounded norm."""
-    if eps1 >= sK_y:
-        raise VacuousBound("eps1 >= s_K(Y)")
-    return math.exp(0.5 * (c + l1 * k * math.log(k)
-                           - 2.0 * k * math.log((sK_y - eps1) / x_opnorm)))
-
-
-def global_min_kappa_bound(eps1: float, c: float, l1: int, k: int, sK_y: float,
-                           x_opnorm: float) -> tuple:
-    """(bound on cond(W_{L:L1+1}), bound on cond(W_L)) at a global minimizer."""
-    if eps1 >= sK_y:
-        raise VacuousBound("eps1 >= s_K(Y)")
-    kappa_prod = ((x_opnorm / (sK_y - eps1)) ** k
-                  * math.exp(0.5 * (c - l1 * k + l1 * k * math.log(k))))
-    return kappa_prod, kappa_prod ** (1.0 / l1)
-
-
 def ntk_lower_bound(sK_y: float, eps1: float, k: int, r: float, l2: int) -> float:
-    if eps1 >= sK_y:
-        raise VacuousBound("eps1 >= s_K(Y)")
-    return (sK_y - eps1) ** 2 * l2 / (k ** 2 * r ** 2)
+    return _sk_margin(eps1, sK_y) ** 2 * l2 / (k ** 2 * r ** 2)
 
 
 def large_lr_kappa_bound(c_ntk: float, l2: int, m: int, k: int, r: float,
@@ -475,9 +462,7 @@ def large_lr_kappa_bound(c_ntk: float, l2: int, m: int, k: int, r: float,
     """Cap that some partial product in the first M linear layers must meet."""
     if m > l2:
         raise ValueError("M must not exceed the number of linear layers")
-    if eps1 >= sK_y:
-        raise VacuousBound("eps1 >= s_K(Y)")
-    return math.sqrt(c_ntk * l2) * k * r / (math.sqrt(m) * (sK_y - eps1))
+    return math.sqrt(c_ntk * l2) * k * r / (math.sqrt(m) * _sk_margin(eps1, sK_y))
 
 
 def scan_partial_product_kappa(cfg: NetworkConfig, params: ParamSet, m: int,

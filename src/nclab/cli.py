@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import data as data_mod
 from . import densemat, metrics, ntk
-from .network import ActivationSpec, NetworkConfig, forward
+from .network import ActivationSpec, NetworkConfig, forward, loss
 from .trainer import InitSpec, TrainConfig, train
 
 SCHEMA_VERSION = 1
@@ -249,14 +249,14 @@ def write_trajectory_csv(out: Path, traj) -> None:
     first = traj.records[0]
     header = ["step", "c_lambda", "c_0", "param_norm", "dist_from_init", "eps1"]
     header += [f"gap_{l}" for l in first.metrics.balancedness_gaps]
-    header += [f"opnorm_{l}" for l in range(1, len(first.layer_op_norms) + 1)]
+    header += [f"opnorm_{l}" for l in first.metrics.op_norms]
     rows = []
     for r in traj.records:
         # eps1 = ||Z_L - Y||_F, here from the loss c_0 = eps1^2 / 2
         row = [r.step, r.c_lambda, r.c_0, r.param_norm, r.dist_from_init,
                math.sqrt(2.0 * r.c_0)]
         row += list(r.metrics.balancedness_gaps.values())
-        row += r.layer_op_norms
+        row += list(r.metrics.op_norms.values())
         rows.append(row)
     write_csv(out / "trajectory.csv", header, rows)
 
@@ -268,15 +268,15 @@ def write_metrics_csv(out: Path, traj) -> None:
     write_csv(out / "metrics.csv", header, rows)
 
 
-def write_means_grams(out: Path, net, params, ds) -> None:
-    trace = forward(net, params, ds.x)
-    first = max(net.depth - 2, 1)
-    for layer in range(first, net.depth + 1):
-        zbar, _ = metrics.class_means(trace.z[layer], ds.idx)
-        gram = zbar.T @ zbar
-        header = [f"c{j}" for j in range(gram.shape[1])]
-        write_csv(out / f"means_gram_{layer}.csv", header,
-                  [list(row) for row in gram])
+def write_means_grams(out: Path, net, rec) -> None:
+    """Class-mean Grams of layers max(L-2, 1)..L, read from the record `rec`,
+    which must measure them."""
+    for lm in rec.metrics.layers:
+        if lm.layer >= max(net.depth - 2, 1):
+            gram = lm.means.T @ lm.means
+            header = [f"c{j}" for j in range(gram.shape[1])]
+            write_csv(out / f"means_gram_{lm.layer}.csv", header,
+                      [list(row) for row in gram])
 
 
 def save_params(path: Path, params) -> None:
@@ -303,12 +303,14 @@ def cmd_train(config_path, out_dir) -> int:
         raise ConfigError(
             f"last width {net.n_classes} != number of classes {ds.y.shape[0]}")
     tcfg = build_train_config(cfg)
-    params, traj = train(net, tcfg, ds.x, ds.y, ds.idx)
+    # from the head input, or lower when a layer whose Gram is written lies below it
+    first_layer = min(max(net.l1, 1), max(net.depth - 2, 1))
+    params, traj = train(net, tcfg, ds.x, ds.y, ds.idx, first_layer=first_layer)
 
     write_json(out / "config.resolved.json", {"config": cfg})
     write_trajectory_csv(out, traj)
     write_metrics_csv(out, traj)
-    write_means_grams(out, net, params, ds)
+    write_means_grams(out, net, traj.last())
     first = traj.records[0]
     init_p = first.params
     if init_p is not None:
@@ -374,20 +376,19 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
         lambda: bounds_mod.ntk_lower_bound(sK_y, rep.eps1, k, rep.r, net.l2),
         nrep.rho, lower=True))
 
-    if net.depth >= 3 and net.activation.gamma is not None and params_init is not None:
-        try:
-            sched = bounds_mod.init_spectra(net, params_init, ds.x)
-            from .network import loss as loss_fn
-            c_lam0, c00 = loss_fn(net, params_init, ds.x, ds.y,
-                                  cfg["train"]["lam"])
-            sched = bounds_mod.thm2_schedule(
-                sched, net, bcfg.get("eps1_target", max(rep.eps1, 1e-6)),
-                bcfg.get("eps2_target", max(rep.eps2, 1e-8)), ds.b, x_op,
-                params_init.norm(), c00, c_lam0, k, n,
-                lam=bcfg.get("lam_override"), eta=bcfg.get("eta_override"))
-            out["schedule"] = _sanitize(asdict(sched))
-        except (ValueError, bounds_mod.VacuousBound) as exc:
-            out["schedule"] = {"error": str(exc)}
+    try:
+        if params_init is None:
+            raise ValueError("no params_init.npz: the run did not store its parameters")
+        sched = bounds_mod.init_spectra(net, params_init, ds.x)
+        c_lam0, c00 = loss(net, params_init, ds.x, ds.y, cfg["train"]["lam"])
+        sched = bounds_mod.thm2_schedule(
+            sched, net, bcfg.get("eps1_target", max(rep.eps1, 1e-6)),
+            bcfg.get("eps2_target", max(rep.eps2, 1e-8)), ds.b, x_op,
+            params_init.norm(), c00, c_lam0, k, n,
+            lam=bcfg.get("lam_override"), eta=bcfg.get("eta_override"))
+        out["schedule"] = _sanitize(asdict(sched))
+    except (ValueError, bounds_mod.VacuousBound) as exc:
+        out["schedule"] = {"error": str(exc)}
     return out
 
 

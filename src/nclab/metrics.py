@@ -67,10 +67,9 @@ def nc1(z: np.ndarray, idx: ClassIndex) -> float:
     return tr_w / tr_b
 
 
-def nc2(z: np.ndarray, idx: ClassIndex, rank_tol: float = densemat.DEFAULT_RANK_TOL) -> float:
-    """Condition number of the class-mean matrix."""
-    zbar, _ = class_means(z, idx)
-    return densemat.cond(zbar, rank_tol)
+def nc2(means: np.ndarray, rank_tol: float = densemat.DEFAULT_RANK_TOL) -> float:
+    """Condition number of the class-mean matrix (from `class_means`)."""
+    return densemat.cond(means, rank_tol)
 
 
 def nc3(z: np.ndarray, w: np.ndarray, idx: ClassIndex) -> float:
@@ -118,7 +117,7 @@ def negativity(preact: np.ndarray, activated: np.ndarray) -> float:
 
 
 def extract_thm1_inputs(cfg: NetworkConfig, trace: ForwardTrace, y: np.ndarray,
-                        gaps: dict, head_op_norms: dict) -> tuple:
+                        gaps: dict, head_op_norms: list) -> tuple:
     """(eps1, max balancedness gap over linear interfaces, radius r), from the
     interface gaps and the linear layers' operator norms of this state."""
     if cfg.depth < 2:
@@ -127,13 +126,14 @@ def extract_thm1_inputs(cfg: NetworkConfig, trace: ForwardTrace, y: np.ndarray,
     eps1 = densemat.fro_norm(trace.z[-1] - y)
     eps2 = max([0.0, *gaps.values()])
     norms = [densemat.op_norm(trace.z[cfg.depth - 2]),
-             densemat.op_norm(trace.z[cfg.depth - 1]), *head_op_norms.values()]
+             densemat.op_norm(trace.z[cfg.depth - 1]), *head_op_norms]
     return eps1, eps2, max(norms)
 
 
 @dataclass
 class LayerMetrics:
     layer: int
+    means: np.ndarray          # class-mean matrix of Z_layer, one column per class
     nc1: float | None = None
     nc2: float | None = None
     nc3: float | None = None
@@ -145,7 +145,7 @@ class MetricsReport:
     layers: list
     balancedness_gaps: dict    # interface l -> gap
     balancedness_ratios: dict  # interface l -> ratio
-    head_op_norms: dict        # linear layer l -> ||W_l||_op
+    op_norms: dict             # layer l -> ||W_l||_op, every layer
     eps1: float | None = None  # None on a one-layer network
     eps2: float | None = None
     r: float | None = None
@@ -162,9 +162,9 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
             y: np.ndarray, idx: ClassIndex, first_layer: int | None = None,
             rank_tol: float = densemat.DEFAULT_RANK_TOL) -> MetricsReport:
     """Per-layer metric sweep from `first_layer` (default: head input) to Z_L,
-    plus the balancedness and the Theorem-1 inputs; each linear layer's
-    ||W_l||_op and each interface gap is computed once and feeds the ratios
-    and eps2/r.
+    plus every layer's ||W_l||_op, the balancedness and the Theorem-1 inputs;
+    each norm, class-mean matrix and interface gap is computed once and feeds
+    the ratios, NC2 and eps2/r.
 
     NC2 uses `rank_tol`. NC3 is only defined against a K-row weight matrix, so
     it is reported for Z_{L-1} (against W_L) and left unset elsewhere.
@@ -175,22 +175,22 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
         first_layer = max(cfg.l1, 1)
     layers = []
     for layer in range(first_layer, cfg.depth + 1):
-        lm = LayerMetrics(layer=layer)
         z = trace.z[layer]
+        lm = LayerMetrics(layer=layer, means=class_means(z, idx)[0])
         lm.nc1 = _try(nc1, z, idx)
-        lm.nc2 = _try(nc2, z, idx, rank_tol)
+        lm.nc2 = _try(nc2, lm.means, rank_tol)
         if layer == cfg.depth - 1:
             lm.nc3 = _try(nc3, z, params.weights[cfg.depth - 1], idx)
         if 1 <= layer <= cfg.l1:
             lm.negativity = _try(negativity, trace.preact[layer - 1], z)
         layers.append(lm)
-    norms = {l: densemat.op_norm(params.weights[l - 1])
-             for l in range(cfg.l1 + 1, cfg.depth + 1)}
+    norms = {l: densemat.op_norm(w) for l, w in enumerate(params.weights, start=1)}
     gaps, ratios = {}, {}
     for l in range(cfg.l1 + 1, cfg.depth):
         gaps[l] = balancedness_gap(params.weights[l], params.weights[l - 1])
         ratios[l] = _try(balancedness_ratio, gaps[l], norms[l + 1], norms[l])
-    eps1, eps2, r = _try(extract_thm1_inputs, cfg, trace, y, gaps, norms) or (None,) * 3
+    head = [norms[l] for l in range(cfg.l1 + 1, cfg.depth + 1)]
+    eps1, eps2, r = _try(extract_thm1_inputs, cfg, trace, y, gaps, head) or (None,) * 3
     return MetricsReport(layers=layers, balancedness_gaps=gaps,
-                         balancedness_ratios=ratios, head_op_norms=norms,
+                         balancedness_ratios=ratios, op_norms=norms,
                          eps1=eps1, eps2=eps2, r=r)

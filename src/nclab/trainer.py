@@ -1,8 +1,8 @@
 """Full-batch gradient descent with weight decay, trajectory recording and the
 late learning-rate drop. One run is strictly sequential and deterministic for a
 fixed seed. Each recorded step is observed once: one forward trace gives its
-losses, divergence check and `metrics.measure` report, stored in the record
-with the weights' operator norms (SVDs, hence only at the recording cadence).
+losses, divergence check and `metrics.measure` report (class means and
+operator norms included, hence only at the recording cadence).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import densemat, metrics
+from . import metrics
 from .network import NetworkConfig, ParamSet, forward, gradient, loss
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -20,15 +20,11 @@ DIVERGENCE_THRESHOLD = 1e12
 
 @dataclass(frozen=True)
 class InitSpec:
-    scheme: str = "gaussian"          # gaussian | custom
-    scales: tuple = ()                # per-layer stddevs (gaussian)
-    matrices: tuple = ()              # explicit weights (custom)
+    scales: tuple = ()                # per-layer Gaussian stddevs
 
     def __post_init__(self):
-        if self.scheme not in ("gaussian", "custom"):
-            raise ValueError(f"unknown init scheme {self.scheme!r}")
         object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
-        if self.scheme == "gaussian" and any(s < 0 for s in self.scales):
+        if any(s < 0 for s in self.scales):
             raise ValueError("init scales must be non-negative")
 
 
@@ -63,7 +59,6 @@ class TrajectoryRecord:
     param_norm: float
     dist_from_init: float
     metrics: metrics.MetricsReport
-    layer_op_norms: list           # ||W_l||_op per layer
     params: ParamSet | None = None
 
 
@@ -78,11 +73,6 @@ class Trajectory:
 
 def init_params(cfg: NetworkConfig, spec: InitSpec, seed: int) -> ParamSet:
     """I.i.d. Gaussian entries with per-layer scales; deterministic per seed."""
-    if spec.scheme == "custom":
-        weights = [np.array(m, dtype=np.float64) for m in spec.matrices]
-        ps = ParamSet(weights)
-        ps.check_shapes(cfg)
-        return ps
     if spec.scales and len(spec.scales) != cfg.depth:
         raise ValueError(f"need {cfg.depth} init scales, got {len(spec.scales)}")
     rng = np.random.default_rng(seed)
@@ -124,9 +114,7 @@ def _observe(cfg, train_cfg, params, theta0, x, y, idx, step,
         param_norm=params.norm(),
         dist_from_init=params.dist(theta0),
         metrics=rep,
-        layer_op_norms=[densemat.op_norm(w) for w in params.weights[:cfg.l1]]
-        + list(rep.head_op_norms.values()),
-        params=params.copy() if train_cfg.store_params else None,
+        params=params if train_cfg.store_params else None,
     )
 
 
@@ -139,23 +127,20 @@ def effective_eta(train_cfg: TrainConfig, step: int) -> float:
 
 
 def train(cfg: NetworkConfig, train_cfg: TrainConfig, x, y,
-          idx: metrics.ClassIndex, params0: ParamSet | None = None,
-          first_layer: int | None = None) -> tuple:
-    """Run GD; returns (final ParamSet, Trajectory).
+          idx: metrics.ClassIndex, first_layer: int | None = None) -> tuple:
+    """Run GD; returns (last recorded ParamSet, Trajectory).
 
     Every record carries the `metrics.measure` report of its state over the
     layers from `first_layer` (default: the head input) to the output.
     On divergence (non-finite loss or c_0 above the threshold) the partial
     trajectory is returned with `diverged` set; the last recorded state is the
-    final healthy one.
+    final healthy one. `gd_step` never mutates its input, so states are
+    shared, not copied.
     """
-    params = params0.copy() if params0 is not None else init_params(
-        cfg, train_cfg.init, train_cfg.seed)
-    theta0 = params.copy()
+    params = theta0 = last_healthy = init_params(cfg, train_cfg.init, train_cfg.seed)
     traj = Trajectory()
     traj.records.append(_observe(cfg, train_cfg, params, theta0, x, y, idx, 0,
                                  first_layer))
-    last_healthy = params.copy()
     for k in range(train_cfg.steps):
         eta = effective_eta(train_cfg, k)
         try:
@@ -171,5 +156,5 @@ def train(cfg: NetworkConfig, train_cfg: TrainConfig, x, y,
                 traj.diverged = True
                 break
             traj.records.append(rec)
-            last_healthy = params.copy()
-    return (last_healthy if traj.diverged else params), traj
+            last_healthy = params
+    return last_healthy, traj

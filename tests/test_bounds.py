@@ -52,6 +52,16 @@ def test_thm2_nc1_rhs_uses_unsquared_psi_and_scaled_eps1():
     expected = (r * r / n) * p / den ** 2
     assert bounds.thm2_nc1_rhs(eps1, eps2, r, nlm1, k, n, sK) == pytest.approx(
         expected, rel=1e-12)
+    # Theorem 1's Psi and NC1 denominator, evaluated at eps1*sqrt(2)
+    inp = make_inputs(eps1=e1, eps2=eps2, r=r, n_lminus1=nlm1, k=k, n=n, sK_y=sK)
+    assert bounds.thm2_nc1_rhs(eps1, eps2, r, nlm1, k, n, sK) == pytest.approx(
+        bounds.thm1_nc1_rhs(inp) / bounds.psi(inp), rel=1e-14)
+    # eps1 < s_K(Y) <= eps1*sqrt(2): the Psi guard sees the scaled eps1
+    with pytest.raises(bounds.VacuousBound, match="s_K"):
+        bounds.thm2_nc1_rhs(2.1, eps2, r, nlm1, k, 1000, sK)
+    # the denominator is positive at eps1 = 0.7 but not at 0.7*sqrt(2)
+    with pytest.raises(bounds.VacuousBound, match="NC1"):
+        bounds.thm2_nc1_rhs(0.7, eps2, r, nlm1, k, 4, sK)
 
 
 def test_thm1_kappa_rhs_formula_and_exponent_variant():
@@ -332,6 +342,8 @@ def test_thm2_schedule_caps_and_floor():
     prod = math.prod(max(1.0, sched.bar_lambda_l[l]) for l in range(1, 5))
     assert sched.beta1 == pytest.approx(
         5 * 6 * beta * b ** 3 * prod ** 3 * 4 ** 2.5, rel=1e-12)
+    assert sched.beta1 == bounds.lipschitz_const(
+        [max(1.0, sched.bar_lambda_l[l]) for l in range(1, 5)], b, 6, beta)
     growth = 2 * eps1 ** 2 / lam
     eta_caps = (1 / (2 * sched.beta1),
                 1 / (5 * 6 * beta * b ** 3 * max(1.0, growth) ** 6 * 4 ** 2.5),
@@ -344,6 +356,17 @@ def test_thm2_schedule_caps_and_floor():
         eps1 * math.sqrt(2 / lam),
         (eps1 * math.sqrt(2 / lam)) ** 2 * x_op,
         (eps1 * math.sqrt(2 / lam)) ** 3 * x_op), rel=1e-12)
+    # growth > 1: the second eta cap is 1/lipschitz_const at radii sqrt(growth)
+    sched = bounds.thm2_schedule(sched, cfg, eps1, eps2, b, x_op,
+                                 params.norm(), c00, clam0, 2, 6, lam=0.01)
+    growth = 2 * eps1 ** 2 / 0.01
+    assert growth > 1
+    assert sched.eta_caps[1] == pytest.approx(
+        1 / (5 * 6 * beta * b ** 3 * growth ** 6 * 4 ** 2.5), rel=1e-12)
+    # the Lipschitz lemma needs data columns of norm up to b >= 1
+    with pytest.raises(ValueError, match="data bound"):
+        bounds.thm2_schedule(sched, cfg, eps1, eps2, 0.9, x_op,
+                             params.norm(), c00, clam0, 2, 6)
 
 
 def test_k_floor_first_phase_already_done():
@@ -404,21 +427,6 @@ def test_balanced_power_gap_exact_and_perturbed():
     r = max(max(norms.values()), 1.0)
     rep = bounds.balanced_power_gap(cfg, params, r, eps2=eps2, op_norms=norms)
     assert rep.holds == bounds.HOLDS
-
-
-def test_conditioning_bound_formulas():
-    args = dict(eps1=0.2, c=3.0, l1=2, k=4, sK_y=2.5, x_opnorm=1.5)
-    expected = math.exp(0.5 * (3.0 + 2 * 4 * math.log(4)
-                               - 2 * 4 * math.log(2.3 / 1.5)))
-    assert bounds.prop2_kappa_bound(**args) == pytest.approx(expected, rel=1e-12)
-    kp, kw = bounds.global_min_kappa_bound(**args)
-    assert kp == pytest.approx((1.5 / 2.3) ** 4
-                               * math.exp(0.5 * (3.0 - 8 + 8 * math.log(4))),
-                               rel=1e-12)
-    assert kw == pytest.approx(kp ** 0.5, rel=1e-12)
-    with pytest.raises(bounds.VacuousBound):
-        bounds.prop2_kappa_bound(eps1=3.0, c=3.0, l1=2, k=4, sK_y=2.5,
-                                 x_opnorm=1.5)
 
 
 def test_ntk_and_large_lr_bounds():

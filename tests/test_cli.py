@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nclab import cli, data, densemat, metrics, network, ntk
+from nclab import cli, data, densemat, metrics, network, ntk, trainer
 
 
 BASE_CONFIG = {
@@ -149,6 +149,66 @@ def test_bounds_traces_the_final_state_once(tmp_path, monkeypatch):
     assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
     final = cli.load_params(out / "params_final.npz")
     assert traced.count(_params_digest(final)) == 1
+
+
+def test_train_traces_the_final_state_once(tmp_path, monkeypatch):
+    traced = []
+    real = network.forward
+
+    def recording(cfg, params, x):
+        traced.append(_params_digest(params))
+        return real(cfg, params, x)
+
+    for module in (cli, network, trainer):  # every module that calls forward in `train`
+        monkeypatch.setattr(module, "forward", recording)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    final = cli.load_params(out / "params_final.npz")
+    assert traced.count(_params_digest(final)) == 1
+
+
+@pytest.mark.parametrize("l1", [1, 2])  # l2 = 2 and l2 = 1
+def test_means_grams_are_the_final_class_mean_grams(tmp_path, l1):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["network"]["l1"] = l1
+    out = tmp_path / "run"
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    resolved = cli.load_config(path)
+    ds = cli.build_dataset(resolved)
+    net = cli.build_network(resolved, ds.x.shape[0])
+    trace = network.forward(net, cli.load_params(out / "params_final.npz"), ds.x)
+    for layer in (1, 2, 3):
+        zbar, _ = metrics.class_means(trace.z[layer], ds.idx)
+        _, rows = _read_csv(out / f"means_gram_{layer}.csv")
+        assert rows == [[cli._fmt(v) for v in row] for row in zbar.T @ zbar]
+    _, rows = _read_csv(out / "metrics.csv")
+    assert {int(row[1]) for row in rows} == {1, 2, 3}
+
+
+def _read_csv(path):
+    lines = path.read_text().splitlines()[1:]  # below the schema line
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"train": {"store_params": False}}, "params_init"),
+    ({"network": {"widths": [4, 3]}}, "depth"),
+    ({"network": {"activation": {"kind": "relu"}}}, "gamma"),
+    ({"data": {"class_sep": 0.3, "noise": 0.01, "min_col_norm_one": False}}, "data bound"),
+])
+def test_bounds_reports_why_there_is_no_schedule(tmp_path, change, reason):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    for section, fields in change.items():
+        cfg[section].update(fields)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    bounds_out = json.loads((out / "report.json").read_text())["bounds"]
+    assert set(bounds_out["schedule"]) == {"error"}
+    assert reason in bounds_out["schedule"]["error"]
 
 
 def test_bounds_missing_artifacts_is_exit_2(tmp_path, capsys):

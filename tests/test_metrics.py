@@ -62,7 +62,8 @@ def test_nc2_is_condition_of_class_means():
     # features equal to their class means: columns (2,0) and (0,1)
     z = np.array([[2.0, 2.0, 0.0, 0.0],
                   [0.0, 0.0, 1.0, 1.0]])
-    assert metrics.nc2(z, ClassIndex((2, 2))) == pytest.approx(2.0, rel=1e-12)
+    idx = ClassIndex((2, 2))
+    assert metrics.nc2(metrics.class_means(z, idx)[0]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_nc3_alignment_extremes():
@@ -204,8 +205,8 @@ def test_property_nc1_nc2_scale_invariant(seed, k, n_per, scale):
     idx = ClassIndex(tuple([n_per] * k))
     assert metrics.nc1(scale * z, idx) == pytest.approx(
         metrics.nc1(z, idx), rel=1e-9)
-    assert metrics.nc2(scale * z, idx) == pytest.approx(
-        metrics.nc2(z, idx), rel=1e-9)
+    assert metrics.nc2(metrics.class_means(scale * z, idx)[0]) == pytest.approx(
+        metrics.nc2(metrics.class_means(z, idx)[0]), rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

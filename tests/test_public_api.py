@@ -16,11 +16,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "nclab"
 # `nclab train` or deleted (ROADMAP open item 5). Remove a name from this
 # list when it gets a caller in the package.
 UNWIRED = {
-    "bounds.prop2_kappa_bound",
-    "bounds.global_min_kappa_bound",
     "bounds.large_lr_kappa_bound",
     "bounds.scan_partial_product_kappa",
-    "bounds.lipschitz_const",
     "bounds.pl_check",
     "bounds.thm2_nc1_rhs",
     "network.NetworkConfig.is_pyramidal",
