@@ -181,8 +181,7 @@ class Thm2Schedule:
 
 
 def _s_min(a: np.ndarray) -> float:
-    s = densemat.svd(a, compute_uv=False).s
-    return float(s[min(a.shape) - 1])
+    return float(densemat.svd(a, compute_uv=False, extremes=True).s[1])
 
 
 def init_spectra(cfg: NetworkConfig, params0: ParamSet, x: np.ndarray) -> Thm2Schedule:
@@ -196,8 +195,8 @@ def init_spectra(cfg: NetworkConfig, params0: ParamSet, x: np.ndarray) -> Thm2Sc
     sched = Thm2Schedule()
     op_norms = {}
     for layer in range(1, cfg.depth + 1):
-        s = densemat.svd(params0.weights[layer - 1], compute_uv=False).s
-        sched.lambda_l[layer] = float(s[-1])
+        s = densemat.svd(params0.weights[layer - 1], compute_uv=False, extremes=True).s
+        sched.lambda_l[layer] = float(s[1])
         op_norms[layer] = float(s[0])
     lam_min_tail = min(sched.lambda_l[l] for l in range(3, cfg.depth + 1))
     for layer in range(1, cfg.depth + 1):

@@ -207,7 +207,7 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # a numpy scalar's repr is np.float64(...)
     return str(v)
 
 
@@ -348,7 +348,7 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     rank_tol = bcfg.get("rank_tol", densemat.DEFAULT_RANK_TOL)
     trace = forward(net, params, ds.x)
     rep = metrics.measure(net, params, trace, ds.y, ds.idx, rank_tol=rank_tol)
-    sK_y = densemat.svd(ds.y, compute_uv=False).s[net.n_classes - 1]
+    sK_y = densemat.svd(ds.y, compute_uv=False, extremes=True).s[1]  # K <= N: s_K = s_min
     x_op = densemat.op_norm(ds.x)
     k, n = net.n_classes, ds.x.shape[1]
     thm1 = bounds_mod.thm1_verdicts(net, params, rep, sK_y, x_op, n, rank_tol,
@@ -389,6 +389,8 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
         out["schedule"] = _sanitize(asdict(sched))
     except (ValueError, bounds_mod.VacuousBound) as exc:
         out["schedule"] = {"error": str(exc)}
+    except OverflowError as exc:  # e.g. the Lipschitz constant's float power
+        out["schedule"] = {"error": f"the GD schedule overflows a float: {exc}"}
     return out
 
 

@@ -3,10 +3,12 @@
 All matrices are 2-D float64 numpy arrays. The SVD is a one-sided Jacobi
 (Hestenes), and pinv and cond are derived from it. Only pinv reads
 singular vectors (bounds.residual_to_pinv hands it the svd it took for its
-rank check); cond and every other caller that needs singular values alone
-call svd(a, compute_uv=False), which rotates B without accumulating V and
-skips building U. Its values are
-bit-identical to those of the full SVD: each rotation angle is computed
+rank check). svd(a, compute_uv=False) rotates B without accumulating V and
+skips building U; cond reads its whole spectrum only for a numerically
+rank-deficient input, and every other caller of singular values asks for
+sigma_1 alone (op_norm) or for sigma_1 and sigma_min (extremes=True, see
+below). The values-only s is
+bit-identical to that of the full SVD: each rotation angle is computed
 from the columns of B, and both modes take the same sweep. Two pair
 orderings share the tolerance, rotation and sweep cap; rows * cols of B
 (rows >= cols, a wide matrix is transposed first) picks one:
@@ -64,6 +66,66 @@ core with one BLAS thread:
     3x3 tied        27 us      137 us
     8x8 tied        71 us      143 us
     256x200 tied  16.2 ms     18.2 ms
+
+cond, the initial spectra of the GD schedule (bounds.init_spectra and its
+lambda_F = sigma_min(sigma(W_1 X))) and s_K(Y) need sigma_1 and sigma_min
+alone and call svd(a, compute_uv=False, extremes=True), which returns
+[sigma_1, sigma_min], sigma_min the min(m, n)-th value. Above
+EXTREMES_MIN_ENTRIES entries of B it runs no Jacobi sweep (the R route):
+
+- sigma_1 is op_norm's Gram squaring of B, bit for bit;
+- sigma_min = 1 / sigma_1(R^-1). R is the Householder triangular factor of
+  B, one numpy rank-1 update per column; X = R^-1 is formed row by row by
+  back substitution; sigma_1(X) is the same Gram squaring, on X scaled by a
+  power of two.
+
+Accuracy: Householder QR is backward stable, so R is the exact factor of
+B + dB with ||dB|| = O(n eps) ||B||, which moves sigma_min by O(kappa eps)
+relative (kappa = sigma_1 / sigma_min). Each row of X is a back
+substitution, so |R X - I| <= c_n eps |R| |X| (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 8 and 14), which moves sigma_1(X) by
+O(kappa eps) relative again; the Gram squaring adds at most its bracket
+width SIGMA1_BRACKET (s_K(Y) of balanced one-hot labels, exact under
+Jacobi, comes out 6.5e-14 relative low at 10x200, where the top of X is
+tied). That is the order of one-sided Jacobi's error on sigma_min of an
+unstructured B; QR-preconditioned one-sided methods keep Jacobi's
+relative accuracy (Drmac & Veselic 2008). Against a 40-digit
+reference the worst R-route error over six matrices stayed within 3x the
+values-only Jacobi's for kappa from 1e5 to 5e7. sigma_min is therefore
+accurate, but it is an estimate and not a certified bracket, as sigma_1 is.
+
+Fallback: the call returns the two ends of the values-only Jacobi sweep,
+bit for bit, when some |r_kk| (an upper bound on sigma_min) or the result
+is at most SIGMA_MIN_FLOOR = 1e-8 times sigma_1, or when R^-1 overflows.
+Beyond kappa = 1e8 the O(kappa eps) bound no longer keeps sigma_min to
+1e-8 relative, and every input that DEFAULT_RANK_TOL = 1e-10 could call
+rank-deficient is decided by Jacobi, as before; cond's numerical rank does
+not change. Values-only calls, microseconds per call, median of 7
+interleaved repeats on one Xeon core with one BLAS thread (a busier
+machine than the tables above):
+
+    shape      entries     Jacobi    R route
+    3x3            9          123        228
+    5x5           25          409        256
+    8x8           64         1357        335
+    16x16        256         8643        595
+    32x8         256         2347        356
+    64x4         256          768        321
+    17x17        289         9089        669
+    24x12        288         5143        509
+    200x3        600          785        261
+    64x32       2048        20396       1200
+    128x256    32768       261377      12321
+    256x200    51200       626353      24817
+
+At 1024x1000 (sigma(W_1 X) at widths [1024, 256, 64, 10, 10], N = 1000)
+the R route takes about 2.5 s, 1.75 s of it in the rank-1 updates;
+bounds.init_spectra there took 205 s under Jacobi and 2.3-2.8 s with it,
+on the same machine. The R route wins from about 25 entries on. EXTREMES_MIN_ENTRIES is held at
+SMALL_MAX_ENTRIES all the same, so that every matrix the Python-float
+sweep handles keeps its bit-identical values; lowering the bound to 24
+left `nclab verify --level full` unchanged (0.94 vs 0.95 s), since its
+cond calls are few and tiny.
 """
 
 from __future__ import annotations
@@ -81,6 +143,8 @@ DEFAULT_RANK_TOL = 1e-10
 SMALL_MAX_ENTRIES = 256  # rows * cols; measured crossover, see the module docstring
 SIGMA1_BRACKET = 1e-13  # width of the certified bracket on ln sigma_1
 MAX_SQUARINGS = 60  # a rank below 1e6 closes the bracket within 47
+EXTREMES_MIN_ENTRIES = SMALL_MAX_ENTRIES  # rows * cols above which extremes=True takes the R route
+SIGMA_MIN_FLOOR = 1e-8  # the R route hands sigma_min <= this * sigma_1 to Jacobi
 
 
 class SvdConvergenceError(RuntimeError):
@@ -111,7 +175,8 @@ def as_matrix(a) -> np.ndarray:
 class SvdResult:
     """u has orthonormal columns, s is non-increasing, vt has orthonormal rows;
     u and vt are None when the SVD was asked for values only, and s is
-    [sigma_1] alone when it was asked for the top one only."""
+    [sigma_1] alone when it was asked for the top one only, [sigma_1,
+    sigma_min] when it was asked for the extremes."""
 
     u: np.ndarray | None
     s: np.ndarray
@@ -276,16 +341,79 @@ def _top_singular_value(b: np.ndarray) -> float:
     raise SvdConvergenceError(width, MAX_SQUARINGS, squarings=True)
 
 
-def svd(a, compute_uv: bool = True, top_only: bool = False) -> SvdResult:
+def _householder_r(b: np.ndarray) -> np.ndarray:
+    """Upper-triangular R of b = QR (rows >= cols) by Householder
+    reflections, one numpy rank-1 update per column; b is overwritten.
+
+    A column whose trailing part is zero (or underflows) is left as it is,
+    so R has a zero or tiny diagonal entry there.
+    """
+    w = b.T  # row k of w is column k of b, contiguous
+    cols = w.shape[0]
+    for k in range(cols):
+        x = w[k, k:]
+        x0 = float(x[0])
+        norm = math.sqrt(float(x @ x))
+        if norm == 0.0:
+            continue
+        alpha = -math.copysign(norm, x0)
+        v = x.copy()
+        v[0] -= alpha  # reflector I - 2 v v^T / |v|^2 maps x to alpha e_1
+        tail = w[k + 1:, k:]
+        proj = tail @ v
+        proj /= norm * (norm + abs(x0))  # |v|^2 / 2
+        tail -= np.multiply.outer(proj, v)
+        w[k, k] = alpha
+    return np.triu(b[:cols])
+
+
+def _smallest_singular_value(b: np.ndarray, top: float) -> float | None:
+    """sigma_min of b (rows >= cols, pre-scaled, sigma_1 = top) as
+    1 / sigma_1(R^-1), R from _householder_r, or None when it is not above
+    SIGMA_MIN_FLOOR * top or R^-1 overflows: the caller then sweeps.
+
+    Every row of X = R^-1 is one back substitution; sigma_1(X) is taken by
+    the same Gram squaring as top, on X scaled by a power of two.
+    """
+    r = _householder_r(b.copy(order="F"))
+    n = r.shape[0]
+    floor = SIGMA_MIN_FLOOR * top
+    if float(np.min(np.abs(np.diagonal(r)))) <= floor:  # sigma_min <= min |r_kk|
+        return None
+    x = np.zeros_like(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1):
+            x[i, i] = 1.0 / r[i, i]
+            np.divide(r[i, i + 1:] @ x[i + 1:, i + 1:], -r[i, i], out=x[i, i + 1:])
+    if not np.all(np.isfinite(x)):
+        return None
+    _, exp = math.frexp(float(np.max(np.abs(x))))
+    np.ldexp(x, -exp, out=x)
+    # rounding may lift a sigma_min tied with sigma_1 a few ulps above it
+    low = min(math.ldexp(1.0 / _top_singular_value(x), -exp), top)
+    return low if low > floor else None
+
+
+def svd(a, compute_uv: bool = True, top_only: bool = False,
+        extremes: bool = False) -> SvdResult:
     """One-sided Jacobi SVD. Deterministic; raises SvdConvergenceError on stall.
 
     With compute_uv=False only B is rotated and u and vt are None; s is
     bit-identical to svd(a).s, since every rotation angle is read from B.
     With top_only=True (values only) s is [sigma_1] alone, taken by repeated
     Gram squaring instead of Jacobi sweeps (_top_singular_value).
+    With extremes=True (values only) s is [sigma_1, sigma_min], sigma_min
+    the min(m, n)-th value. Above EXTREMES_MIN_ENTRIES entries sigma_1 is
+    op_norm's and sigma_min comes from a Householder R and its inverse
+    (_smallest_singular_value): accurate to O(kappa eps) relative, but not a
+    certified bracket as sigma_1 is. Otherwise, and whenever sigma_min is
+    not above SIGMA_MIN_FLOOR * sigma_1, s is the two ends of the values-only
+    Jacobi sweep, bit for bit.
     """
-    if top_only and compute_uv:
-        raise ValueError("top_only=True needs compute_uv=False")
+    if (top_only or extremes) and compute_uv:
+        raise ValueError("top_only=True and extremes=True need compute_uv=False")
+    if top_only and extremes:
+        raise ValueError("top_only=True and extremes=True exclude each other")
     a = as_matrix(a)
     m, n = a.shape
     transposed = m < n
@@ -297,6 +425,11 @@ def svd(a, compute_uv: bool = True, top_only: bool = False) -> SvdResult:
     np.ldexp(b, -exp, out=b)
     if top_only:
         return SvdResult(u=None, s=np.ldexp([_top_singular_value(b)], exp), vt=None)
+    if extremes and rows * cols > EXTREMES_MIN_ENTRIES:
+        top = _top_singular_value(b)
+        low = _smallest_singular_value(b, top)
+        if low is not None:
+            return SvdResult(u=None, s=np.ldexp([top, low], exp), vt=None)
     small = rows * cols <= SMALL_MAX_ENTRIES
     if small:
         b_cols = b.T.tolist()
@@ -330,7 +463,8 @@ def svd(a, compute_uv: bool = True, top_only: bool = False) -> SvdResult:
     sigma = sigma[order]
     sigma[sigma < 1e-300] = 0.0  # no unit left vector from so small a column
     if not compute_uv:
-        return SvdResult(u=None, s=np.ldexp(sigma, exp), vt=None)
+        return SvdResult(u=None, s=np.ldexp(sigma[[0, -1]] if extremes else sigma, exp),
+                         vt=None)
     b = b[:, order]
     v = v[:, order]
 
@@ -367,14 +501,20 @@ def pinv(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 
 def cond(a, rank_tol: float = DEFAULT_RANK_TOL) -> float:
-    """s1 / s_k over non-zero singular values (numerical rank under rank_tol)."""
+    """s1 / s_k over non-zero singular values (numerical rank under rank_tol).
+
+    The extremes decide full rank; only a numerically rank-deficient input
+    takes the whole values-only spectrum to find s_k."""
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"rank_tol must be in (0, 1), got {rank_tol}")
-    s = svd(a, compute_uv=False).s
+    s = svd(a, compute_uv=False, extremes=True).s
     if not np.all(np.isfinite(s)):
         raise ValueError("undefined condition number: non-finite matrix")
     if s[0] == 0.0:
         raise ValueError("undefined condition number: zero matrix")
+    if s[1] > rank_tol * s[0]:
+        return float(s[0] / s[1])
+    s = svd(a, compute_uv=False).s
     kept = s[s > rank_tol * s[0]]
     return float(s[0] / kept[-1])
 

@@ -131,9 +131,9 @@ def _record_svd_inputs(monkeypatch) -> list:
     seen = []
     real = densemat.svd
 
-    def hashing(a, compute_uv=True, top_only=False):
+    def hashing(a, compute_uv=True, top_only=False, extremes=False):
         seen.append(_digest(a))
-        return real(a, compute_uv=compute_uv, top_only=top_only)
+        return real(a, compute_uv=compute_uv, top_only=top_only, extremes=extremes)
 
     monkeypatch.setattr(densemat, "svd", hashing)
     return seen
@@ -166,10 +166,10 @@ def test_singular_vectors_are_built_only_for_pinv(monkeypatch):
     calls = []
     real = densemat.svd
 
-    def recording(a, compute_uv=True, top_only=False):
+    def recording(a, compute_uv=True, top_only=False, extremes=False):
         caller = sys._getframe(1)
         calls.append((f"{caller.f_globals['__name__']}.{caller.f_code.co_name}", compute_uv))
-        return real(a, compute_uv=compute_uv, top_only=top_only)
+        return real(a, compute_uv=compute_uv, top_only=top_only, extremes=extremes)
 
     monkeypatch.setattr(densemat, "svd", recording)
     params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
@@ -190,11 +190,11 @@ def test_only_op_norm_asks_for_the_top_singular_value(monkeypatch):
     calls = []
     real = densemat.svd
 
-    def recording(a, compute_uv=True, top_only=False):
+    def recording(a, compute_uv=True, top_only=False, extremes=False):
         caller = sys._getframe(1)
         name = f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"
         calls.append((name, compute_uv, top_only))
-        return real(a, compute_uv=compute_uv, top_only=top_only)
+        return real(a, compute_uv=compute_uv, top_only=top_only, extremes=extremes)
 
     monkeypatch.setattr(densemat, "svd", recording)
     params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
@@ -205,6 +205,48 @@ def test_only_op_norm_asks_for_the_top_singular_value(monkeypatch):
     from_op_norm = [(uv, top) for name, uv, top in calls if name == "nclab.densemat.op_norm"]
     assert from_op_norm and all(top and not uv for uv, top in from_op_norm)
     assert not [name for name, _, top in calls if top and name != "nclab.densemat.op_norm"]
+
+
+def test_bounds_above_the_crossover_sweep_no_values_only_spectrum(monkeypatch):
+    # every weight, Z_1, Y and the matrices cond sees exceed EXTREMES_MIN_ENTRIES
+    cfg = NetworkConfig(input_dim=20, widths=(40, 32, 24, 12), l1=2, l2=2,
+                        activation=SMOOTH)
+    ds = data.synth_gaussian(d=20, k=12, n_per_class=3, class_sep=3.0, noise=0.3, seed=5)
+    params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
+    calls, active = [], []
+    real_svd = densemat.svd
+
+    def recording(a, compute_uv=True, top_only=False, extremes=False):
+        caller = sys._getframe(1)
+        call = {"name": f"{caller.f_globals['__name__']}.{caller.f_code.co_name}",
+                "whole_values_only": not (compute_uv or top_only or extremes),
+                "r_route": extremes and np.size(a) > densemat.EXTREMES_MIN_ENTRIES,
+                "sweeps": 0}
+        calls.append(call)
+        active.append(call)
+        try:
+            return real_svd(a, compute_uv=compute_uv, top_only=top_only, extremes=extremes)
+        finally:
+            active.pop()
+
+    def counted(sweep):
+        def run(*args):
+            active[-1]["sweeps"] += 1
+            return sweep(*args)
+        return run
+
+    monkeypatch.setattr(densemat, "svd", recording)
+    for name in ("_cyclic_sweep", "_round_robin_sweep"):
+        monkeypatch.setattr(densemat, name, counted(getattr(densemat, name)))
+    out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
+    assert "error" not in out["schedule"]
+    assert not [c["name"] for c in calls if c["whole_values_only"]]
+    r_route = [c for c in calls if c["r_route"]]
+    assert {c["name"] for c in r_route} == {
+        "nclab.bounds.init_spectra", "nclab.bounds._s_min", "nclab.densemat.cond",
+        "nclab.cli.evaluate_bounds"}
+    assert all(c["sweeps"] == 0 for c in r_route)
+    assert any(c["sweeps"] for c in calls)  # the spy does see residual_to_pinv's SVD
 
 
 @pytest.mark.parametrize("shape", [(3, 6), (10, 64)])
@@ -282,9 +324,9 @@ def test_init_spectra_takes_one_svd_per_weight(monkeypatch):
     calls = []
     real = densemat.svd
 
-    def counting(a, compute_uv=True):
+    def counting(a, compute_uv=True, extremes=False):
         calls.append(np.shape(a))
-        return real(a, compute_uv=compute_uv)
+        return real(a, compute_uv=compute_uv, extremes=extremes)
 
     monkeypatch.setattr(densemat, "svd", counting)
     sched = bounds.init_spectra(cfg, params, x)

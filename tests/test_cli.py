@@ -187,6 +187,35 @@ def test_means_grams_are_the_final_class_mean_grams(tmp_path, l1):
     assert {int(row[1]) for row in rows} == {1, 2, 3}
 
 
+def test_means_gram_cells_are_plain_floats(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    files = sorted(out.glob("means_gram_*.csv"))
+    assert files
+    for path in files:
+        _, rows = _read_csv(path)
+        for row in rows:
+            for cell in row:
+                float(cell)
+    assert cli._fmt(np.float64(0.1)) == cli._fmt(0.1) == "0.1"
+
+
+def test_bounds_reports_a_schedule_overflow_and_keeps_the_verdicts(tmp_path):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"].update({"steps": 0, "init_scales": [1e30, 1e30, 1e30]})
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    bounds_out = json.loads((out / "report.json").read_text())["bounds"]
+    assert set(bounds_out["schedule"]) == {"error"}
+    assert "overflow" in bounds_out["schedule"]["error"]
+    assert set(bounds_out["reports"]) == {"thm1_nc1", "thm1_kappa", "thm1_nc2", "thm1_nc3",
+                                          "balanced_power_gap", "ntk_lower"}
+    assert {"measured", "ntk"} <= set(bounds_out)
+
+
 def _read_csv(path):
     lines = path.read_text().splitlines()[1:]  # below the schema line
     return lines[0].split(","), [line.split(",") for line in lines[1:]]

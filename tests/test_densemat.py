@@ -1,4 +1,7 @@
+import ast
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,3 +453,139 @@ def test_property_cond_scale_invariant(n, seed, scale):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + n * np.eye(n)
     assert densemat.cond(scale * a) == pytest.approx(densemat.cond(a), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# extremes=True: sigma_1 by Gram squaring, sigma_min by Householder R
+# ---------------------------------------------------------------------------
+
+def _extremes(a):
+    res = densemat.svd(a, compute_uv=False, extremes=True)
+    assert res.u is None and res.vt is None and res.s.shape == (2,)
+    return res.s
+
+
+def _no_sweeps(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the R route ran a Jacobi sweep")
+
+    monkeypatch.setattr(densemat, "_cyclic_sweep", forbidden)
+    monkeypatch.setattr(densemat, "_round_robin_sweep", forbidden)
+
+
+def _r_route_cases():
+    rng = np.random.default_rng(31)
+    cases = {f"{m}x{n}": rng.standard_normal((m, n))
+             for m, n in [(256, 200), (128, 256), (64, 128), (128, 64), (200, 3), (3, 200)]}
+    for m, n in [(120, 80), (80, 120)]:
+        for kappa in (1e2, 1e4):
+            s = np.logspace(0, -math.log10(kappa), min(m, n))
+            cases[f"{m}x{n} kappa {kappa:g}"] = _with_singular_values(rng, m, n, s)
+    for factor in (1e-170, 1e+160):
+        cases[f"40x30 x {factor:g}"] = rng.standard_normal((40, 30)) * factor
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_r_route_cases()))
+def test_extremes_match_lapack_without_a_sweep(monkeypatch, name):
+    # kappa <= 1e4, tall and wide, few columns and scales far from 1
+    a = _r_route_cases()[name]
+    assert a.size > densemat.EXTREMES_MIN_ENTRIES
+    ref = np.linalg.svd(a, compute_uv=False)
+    _no_sweeps(monkeypatch)
+    s = _extremes(a)
+    np.testing.assert_allclose(s, ref[[0, -1]], rtol=1e-12)
+    assert s[0] == densemat.op_norm(a)
+
+
+def _exact_s_min(mpmath, a) -> float:
+    """sigma_min of the stored matrix from its Gram matrix in 40-digit arithmetic."""
+    b = a if a.shape[0] >= a.shape[1] else a.T
+    with mpmath.workdps(40):
+        m = mpmath.matrix(b.tolist())
+        return float(mpmath.sqrt(min(mpmath.eigsy(m.T * m, eigvals_only=True))))
+
+
+@pytest.mark.parametrize("kappa", [1e5, 1e6, 1e7, 5e7])
+def test_extremes_error_stays_within_ten_times_jacobi(monkeypatch, kappa):
+    # Both errors are O(kappa eps), and so is LAPACK's, which is therefore no
+    # oracle at this kappa: the reference is exact to far below either error.
+    # The worst of six tall and wide matrices is compared, since a single
+    # Jacobi result can land close to the truth by chance.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(int(math.log10(kappa)))
+    s = np.logspace(0, -math.log10(kappa), 20)
+    mats = [_with_singular_values(rng, m, n, s) for m, n in [(30, 20), (20, 30)] * 3]
+    truth = [_exact_s_min(mpmath, a) for a in mats]
+    jacobi_err = max(abs(densemat.svd(a, compute_uv=False).s[-1] - t) / t
+                     for a, t in zip(mats, truth))
+    _no_sweeps(monkeypatch)
+    err = max(abs(_extremes(a)[1] - t) / t for a, t in zip(mats, truth))
+    assert err <= 10.0 * jacobi_err
+
+
+def _fallback_cases():
+    rng = np.random.default_rng(37)
+    near_deficient = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 30))
+    near_deficient += 1e-14 * rng.standard_normal((40, 30))
+    at_rank_tol = _with_singular_values(rng, 40, 30, np.r_[np.linspace(1.0, 0.1, 29), 1e-10])
+    zero_column = rng.standard_normal((40, 30))
+    zero_column[:, 4] = 0.0
+    return {"near rank 3 of 40x30": near_deficient, "s_min at 1e-10 s1": at_rank_tol,
+            "40x30 zero column": zero_column, "zero 20x20": np.zeros((20, 20))}
+
+
+@pytest.mark.parametrize("name", sorted(_fallback_cases()))
+def test_extremes_fall_back_to_the_jacobi_ends(name):
+    a = _fallback_cases()[name]
+    assert a.size > densemat.EXTREMES_MIN_ENTRIES
+    assert np.array_equal(_extremes(a), densemat.svd(a, compute_uv=False).s[[0, -1]])
+
+
+@pytest.mark.parametrize("name", sorted(PYTHON_SWEEP_BELOW))
+def test_extremes_below_the_crossover_are_the_jacobi_ends(name):
+    a = PYTHON_SWEEP_BELOW[name]
+    assert a.size <= densemat.EXTREMES_MIN_ENTRIES
+    assert np.array_equal(_extremes(a), densemat.svd(a, compute_uv=False).s[[0, -1]])
+
+
+@pytest.mark.parametrize("name", ["256x200", "128x256", "120x80 kappa 10000"])
+def test_extremes_reruns_are_bit_identical(name):
+    a = _r_route_cases()[name]
+    assert np.array_equal(_extremes(a), _extremes(a.copy()))
+
+
+def test_extremes_needs_values_only_and_not_top_only():
+    with pytest.raises(ValueError):
+        densemat.svd(np.eye(3), extremes=True)
+    with pytest.raises(ValueError):
+        densemat.svd(np.eye(3), compute_uv=False, top_only=True, extremes=True)
+
+
+def test_cond_keeps_numerical_rank_above_the_crossover(monkeypatch):
+    rng = np.random.default_rng(41)
+    full = rng.standard_normal((60, 40))
+    ref = np.linalg.svd(full, compute_uv=False)
+    assert densemat.cond(full) == pytest.approx(ref[0] / ref[-1], rel=1e-12)
+    # rank 5: the extremes say rank-deficient, and the whole spectrum finds s_5
+    deficient = rng.standard_normal((60, 5)) @ rng.standard_normal((5, 40))
+    s = densemat.svd(deficient, compute_uv=False).s
+    assert densemat.cond(deficient) == s[0] / s[4]
+    _no_sweeps(monkeypatch)
+    assert densemat.cond(full) == pytest.approx(ref[0] / ref[-1], rel=1e-12)
+
+
+def test_densemat_imports_only_numpy_and_the_stdlib():
+    # the np.linalg oracle stays in the tests
+    tree = ast.parse(Path(densemat.__file__).read_text())
+    linalg = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "linalg"]
+    assert not linalg, f"densemat.py reads .linalg on lines {linalg}"
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "densemat.py imports from the package"
+            modules.add(node.module.split(".")[0])
+    assert modules - {"numpy"} <= sys.stdlib_module_names, modules
