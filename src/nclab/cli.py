@@ -328,9 +328,12 @@ def cmd_train(config_path, out_dir) -> int:
         "balancedness_ratios": rep.balancedness_ratios,
         "data_sha256": ds.fingerprint(),
     }
+    if traj.diverged:  # a healthy run's report keeps its keys
+        summary["divergence"] = {"step": traj.diverged_at, "cause": traj.divergence}
     write_json(out / "report.json", {"train": _sanitize(summary)})
     if traj.diverged:
-        print(f"diverged after step {last.step}", file=sys.stderr)
+        print(f"diverged at step {traj.diverged_at}: {traj.divergence} "
+              f"(last healthy record: step {last.step})", file=sys.stderr)
         return EXIT_DIVERGED
     print(f"ok: {last.step} steps, c_0={last.c_0!r}")
     return EXIT_OK

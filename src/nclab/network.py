@@ -48,16 +48,25 @@ def _phi(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
-def act_apply(spec: ActivationSpec, x):
-    """Elementwise activation; accepts scalars or arrays."""
+def act_apply(spec: ActivationSpec, x, dact=None):
+    """Elementwise activation; accepts scalars or arrays.
+
+    The smoothed activation is written through its derivative,
+    sigma(x) = x * sigma'(x) + (1 - gamma) * s * phi(x / s) - shift, with s the
+    kernel's standard deviation and phi the standard normal pdf. A caller that
+    holds dact = act_grad(spec, x) passes it, so the normal CDF is evaluated
+    once per array; without it, act_grad is called here. relu and leaky_relu
+    ignore dact.
+    """
     x = np.asarray(x, dtype=np.float64)
     if spec.kind == "relu":
         return np.maximum(x, 0.0)
     if spec.kind == "leaky_relu":
         return np.maximum(spec.gamma * x, x)
+    if dact is None:
+        dact = act_grad(spec, x)
     s = spec.kernel_sd
-    u = x / s
-    return spec.gamma * x + (1.0 - spec.gamma) * (x * ndtr(u) + s * _phi(u)) - spec.shift
+    return x * dact + (1.0 - spec.gamma) * s * _phi(x / s) - spec.shift
 
 
 def act_grad(spec: ActivationSpec, x):
@@ -178,9 +187,10 @@ def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray) -> ForwardTrace
         except ValueError as exc:
             raise ValueError(f"shape mismatch at layer {layer}: {exc}") from exc
         if layer <= cfg.l1:
+            d = act_grad(cfg.activation, pre)
             preact.append(pre)
-            dact.append(act_grad(cfg.activation, pre))
-            cur = act_apply(cfg.activation, pre)
+            dact.append(d)
+            cur = act_apply(cfg.activation, pre, d)
         else:
             cur = pre
         z.append(cur)

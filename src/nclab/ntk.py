@@ -1,20 +1,32 @@
 """Matrix-free neural tangent kernel: the NTK acts on K x N output probes as
-pushforward(pullback(.)), its operator norm comes from power iteration, and a
-dense Jacobian assembly is available for problems small enough to cross-check.
+pushforward(pullback(.)), its operator norm comes from Lanczos, and a dense
+Jacobian assembly is available for problems small enough to cross-check.
 Both directions read one `network.forward` trace of the state; neither runs
 the network again.
+
+`ntk_opnorm` runs Lanczos with full reorthogonalization from a seeded random
+probe. Its top Ritz value is a lower end of the largest eigenvalue by Cauchy
+interlacing, and only its gap to it depends on the start (Kuczynski and
+Wozniakowski 1992). The tridiagonal T_j is never handed to `densemat`: its
+top eigenvalue is bisected on the signs of the LDL^T pivots of sigma*I - T_j,
+which are all positive iff sigma lies above it, and two inverse iterations at
+that upper end give the eigenvector, all on Python floats in O(j) per pass.
+Lanczos stops when the Ritz residual beta_j*|s_j| is at most RITZ_TOL times
+the Ritz value, or at LANCZOS_MAX_BASIS vectors, unconverged; the report
+carries the true residual of the Ritz vector either way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import ForwardTrace, NetworkConfig, ParamSet, backprop, forward
 
-POWER_TOL = 1e-8
-POWER_MAX_ITER = 10000
+RITZ_TOL = 1e-10
+LANCZOS_MAX_BASIS = 256  # Lanczos vectors of length K*N kept at most
 DENSE_ASSEMBLY_LIMIT = 200_000  # on n_params * K * N
 
 
@@ -57,35 +69,95 @@ def ntk_quadratic_form(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace
     return sum(float(np.sum(w * w)) for w in g.weights)
 
 
+def _ldl_pivots(sigma: float, diag: list, off_sq: list) -> list | None:
+    """Pivots of the LDL^T factorization of sigma*I - T, T symmetric
+    tridiagonal with diagonal `diag` and squared off-diagonal `off_sq`; None
+    as soon as one is not positive, i.e. iff sigma <= lambda_max(T)."""
+    d = sigma - diag[0]
+    if not d > 0.0:
+        return None
+    pivots = [d]
+    for a, b2 in zip(diag[1:], off_sq):
+        d = sigma - a - b2 / d
+        if not d > 0.0:
+            return None
+        pivots.append(d)
+    return pivots
+
+
+def _top_ritz(alpha: list, beta: list, lower: float) -> tuple:
+    """(lambda_max(T), its unit eigenvector) of the tridiagonal T with diagonal
+    `alpha` and off-diagonal `beta`, given a lower end `lower` of lambda_max.
+
+    T is scaled by a power of two to a Gershgorin bound in [1/2, 1), lambda_max
+    is bisected to adjacent floats, and the eigenvector comes from two inverse
+    iterations at the upper end, where every pivot is positive.
+    """
+    if len(alpha) == 1:
+        return alpha[0], [1.0]
+    off = [0.0] + [abs(b) for b in beta] + [0.0]
+    gersh = max(a + off[i] + off[i + 1] for i, a in enumerate(alpha))
+    exp = math.frexp(gersh)[1]
+    diag = [math.ldexp(a, -exp) for a in alpha]
+    off_sq = [math.ldexp(b, -exp) ** 2 for b in beta]
+    lo, hi = math.ldexp(lower, -exp), 2.0  # the scaled Gershgorin bound is < 1
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if _ldl_pivots(mid, diag, off_sq) is None:
+            lo = mid
+        else:
+            hi = mid
+    pivots = _ldl_pivots(hi, diag, off_sq)
+    # hi*I - T = L D L^T with L unit lower bidiagonal, multipliers -beta_i / d_i
+    mult = [-math.ldexp(b, -exp) / d for b, d in zip(beta, pivots)]
+    v = [1.0] * len(alpha)
+    for _ in range(2):
+        for i in range(1, len(v)):
+            v[i] -= mult[i - 1] * v[i - 1]
+        v = [vi / d for vi, d in zip(v, pivots)]
+        for i in range(len(v) - 2, -1, -1):
+            v[i] -= mult[i] * v[i + 1]
+        top = max(abs(vi) for vi in v)  # keeps the next solve from overflowing
+        v = [vi / top for vi in v]
+    norm = math.sqrt(sum(vi * vi for vi in v))
+    return math.ldexp(hi, exp), [vi / norm for vi in v]
+
+
 def ntk_opnorm(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
-               tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER,
                seed: int = 0, trace: ForwardTrace | None = None) -> NTKReport:
-    """Largest NTK eigenvalue by power iteration on K x N probes; `trace`, if
-    given, is forward(cfg, params, x) and is read instead of running it again."""
+    """Largest NTK eigenvalue by Lanczos on K x N probes (module docstring);
+    `trace`, if given, is forward(cfg, params, x) and is read instead of
+    running it again. `iterations` counts the NTK applications of the basis."""
     if trace is None:
         trace = forward(cfg, params, x)
     k, n = trace.z[-1].shape
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((k, n))
-    a /= np.linalg.norm(a)
-    rho_prev = 0.0
-    rho = 0.0
-    it = 0
+    q = rng.standard_normal(k * n)
+    q /= np.linalg.norm(q)
+    basis = np.empty((min(k * n, LANCZOS_MAX_BASIS), k * n))
+    alpha, beta = [], []
+    theta, s = 0.0, [1.0]
     converged = False
-    for it in range(1, max_iter + 1):
-        ta = ntk_apply(cfg, params, trace, a)
-        rho = float(np.sum(a * ta))
-        nrm = np.linalg.norm(ta)
-        if nrm == 0.0:
-            rho, converged = 0.0, True
-            break
-        a = ta / nrm
-        if abs(rho - rho_prev) <= tol * max(abs(rho), 1e-300):
+    for j in range(len(basis)):
+        basis[j] = q
+        w = ntk_apply(cfg, params, trace, q.reshape(k, n)).ravel()
+        alpha.append(float(q @ w))
+        for _ in range(2):  # classical Gram-Schmidt against the whole basis, twice
+            w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
+        b = float(np.linalg.norm(w))
+        theta, s = _top_ritz(alpha, beta, theta)
+        if b * abs(s[-1]) <= RITZ_TOL * theta:
             converged = True
             break
-        rho_prev = rho
-    residual = float(np.linalg.norm(ntk_apply(cfg, params, trace, a) - rho * a))
-    return NTKReport(rho=rho, iterations=it, residual=residual, converged=converged)
+        beta.append(b)
+        q = w / b
+    y = (np.asarray(s) @ basis[:len(alpha)]).reshape(k, n)
+    y /= np.linalg.norm(y)
+    residual = float(np.linalg.norm(ntk_apply(cfg, params, trace, y) - theta * y))
+    return NTKReport(rho=theta, iterations=len(alpha), residual=residual,
+                     converged=converged)
 
 
 def dense_jacobian(cfg: NetworkConfig, params: ParamSet, x: np.ndarray) -> np.ndarray:

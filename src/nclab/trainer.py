@@ -64,8 +64,16 @@ class TrajectoryRecord:
 
 @dataclass
 class Trajectory:
+    """The records of a run. On divergence, `diverged_at` is the GD step that
+    did not give a healthy state (its update had a non-finite gradient, or its
+    c_0 failed the divergence test) and `divergence` says which of the two."""
     records: list = field(default_factory=list)
-    diverged: bool = False
+    diverged_at: int | None = None
+    divergence: str | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
     def last(self) -> TrajectoryRecord:
         return self.records[-1]
@@ -86,26 +94,37 @@ def init_params(cfg: NetworkConfig, spec: InitSpec, seed: int) -> ParamSet:
 
 
 def gd_step(cfg: NetworkConfig, params: ParamSet, x, y, eta: float, lam: float) -> ParamSet:
-    """One update theta - eta * grad C_lambda(theta); the input is not mutated."""
+    """One update theta - eta * grad C_lambda(theta); the input is not mutated.
+
+    The gradient is tested for finiteness once, through the sum of its
+    per-layer sums; only when that is not finite (a NaN or inf entry, or a
+    finite gradient whose sum overflows) are the layers scanned, so the error
+    names the first non-finite one.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         g = gradient(cfg, params, x, y, lam)
-    for layer, gw in enumerate(g.weights, start=1):
-        if not np.all(np.isfinite(gw)):
-            raise FloatingPointError(f"non-finite gradient at layer {layer}")
+        total = sum([gw.sum() for gw in g.weights])
+    if not math.isfinite(total):
+        for layer, gw in enumerate(g.weights, start=1):
+            if not np.all(np.isfinite(gw)):
+                raise FloatingPointError(f"non-finite gradient at layer {layer}")
     return ParamSet([w - eta * gw for w, gw in zip(params.weights, g.weights)])
 
 
 def _observe(cfg, train_cfg, params, theta0, x, y, idx, step,
-             first_layer) -> TrajectoryRecord | None:
-    """Record `params` from one forward trace; None if the loss diverged.
-
-    The initial state (step 0) is recorded whatever its loss.
+             first_layer) -> TrajectoryRecord:
+    """Record `params` from one forward trace; FloatingPointError, with the
+    cause, if its loss diverged. The initial state (step 0) is recorded
+    whatever its loss.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         trace = forward(cfg, params, x)
         clam, c0 = loss(cfg, params, x, y, train_cfg.lam, trace=trace)
-    if step > 0 and (not math.isfinite(c0) or c0 > DIVERGENCE_THRESHOLD):
-        return None
+    if step > 0 and not math.isfinite(c0):
+        raise FloatingPointError(f"c_0 = {c0!r} is not finite")
+    if step > 0 and c0 > DIVERGENCE_THRESHOLD:
+        raise FloatingPointError(
+            f"c_0 = {c0!r} exceeds the divergence threshold {DIVERGENCE_THRESHOLD:g}")
     rep = metrics.measure(cfg, params, trace, y, idx, first_layer)
     return TrajectoryRecord(
         step=step,
@@ -132,9 +151,10 @@ def train(cfg: NetworkConfig, train_cfg: TrainConfig, x, y,
 
     Every record carries the `metrics.measure` report of its state over the
     layers from `first_layer` (default: the head input) to the output.
-    On divergence (non-finite loss or c_0 above the threshold) the partial
-    trajectory is returned with `diverged` set; the last recorded state is the
-    final healthy one. `gd_step` never mutates its input, so states are
+    On divergence (a non-finite gradient, or a recorded c_0 that is not finite
+    or above the threshold) the partial trajectory is returned with `diverged`,
+    its step and its cause set; the last recorded state is the final healthy
+    one. `gd_step` never mutates its input, so states are
     shared, not copied.
     """
     params = theta0 = last_healthy = init_params(cfg, train_cfg.init, train_cfg.seed)
@@ -142,19 +162,15 @@ def train(cfg: NetworkConfig, train_cfg: TrainConfig, x, y,
     traj.records.append(_observe(cfg, train_cfg, params, theta0, x, y, idx, 0,
                                  first_layer))
     for k in range(train_cfg.steps):
-        eta = effective_eta(train_cfg, k)
-        try:
-            params = gd_step(cfg, params, x, y, eta, train_cfg.lam)
-        except FloatingPointError:
-            traj.diverged = True
-            break
         step = k + 1
-        if step % train_cfg.record_every == 0 or step == train_cfg.steps:
-            rec = _observe(cfg, train_cfg, params, theta0, x, y, idx, step,
-                           first_layer)
-            if rec is None:
-                traj.diverged = True
-                break
-            traj.records.append(rec)
-            last_healthy = params
+        try:
+            params = gd_step(cfg, params, x, y, effective_eta(train_cfg, k),
+                             train_cfg.lam)
+            if step % train_cfg.record_every == 0 or step == train_cfg.steps:
+                traj.records.append(_observe(cfg, train_cfg, params, theta0, x, y,
+                                             idx, step, first_layer))
+                last_healthy = params
+        except FloatingPointError as exc:
+            traj.diverged_at, traj.divergence = step, str(exc)
+            break
     return last_healthy, traj

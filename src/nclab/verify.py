@@ -296,7 +296,7 @@ def check_dense_ntk_agreement(seed: int = 6) -> tuple:
     rep = ntk.ntk_opnorm(cfg, params, x, seed=seed)
     rel = abs(rep.rho - top) / max(top, 1e-300)
     if rel > 1e-6:
-        return False, {"seed": seed, "power": rep.rho, "dense": top, "rel": rel}
+        return False, {"seed": seed, "lanczos": rep.rho, "dense": top, "rel": rel}
     return True, {"rel": rel}
 
 

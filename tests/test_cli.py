@@ -99,6 +99,25 @@ def test_divergent_run_exits_3_and_still_writes_artifacts(tmp_path):
     assert (out / "params_final.npz").exists()
 
 
+def test_divergence_reports_its_step_and_cause(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"].update(eta=100.0, record_every=1000)
+    out = tmp_path / "run"
+    code = cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)])
+    assert code == cli.EXIT_DIVERGED
+    div = json.loads((out / "report.json").read_text())["train"]["divergence"]
+    assert 0 < div["step"] < cfg["train"]["steps"]
+    assert div["cause"].startswith("non-finite gradient at layer ")
+    err = capsys.readouterr().err
+    assert f"diverged at step {div['step']}: {div['cause']}" in err
+    # a healthy run's report has no divergence entry
+    healthy = tmp_path / "ok"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(healthy)]) == cli.EXIT_OK
+    assert "divergence" not in json.loads((healthy / "report.json").read_text())["train"]
+
+
 def test_train_rerun_is_bit_identical(tmp_path):
     cfg_path = write_config(tmp_path, BASE_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"

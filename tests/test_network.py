@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nclab import network
 from nclab.network import (ActivationSpec, NetworkConfig, ParamSet, act_apply,
                            act_grad, backprop,
                            check_activation_bounds, forward, gradient, loss,
@@ -129,6 +130,34 @@ def test_forward_matches_manual_recomputation():
         else:
             cur = pre
         assert np.allclose(trace.z[layer], cur, atol=1e-12)
+
+
+def test_forward_evaluates_one_normal_cdf_per_nonlinear_layer(monkeypatch):
+    cfg, params, x, _ = tiny_net(l1=2)
+    calls = []
+    real = network.ndtr
+
+    def counting(u):
+        calls.append(np.shape(u))
+        return real(u)
+
+    monkeypatch.setattr(network, "ndtr", counting)
+    trace = forward(cfg, params, x)
+    assert calls == [(5, 6), (4, 6)]
+    # the activation written through its derivative is the activation
+    for pre, z in zip(trace.preact, trace.z[1:]):
+        np.testing.assert_allclose(z, act_apply(SMOOTH, pre), rtol=0, atol=0)
+
+
+def test_fused_activation_matches_the_mollified_form():
+    # sigma(x) = gamma x + (1 - gamma)(x Phi(x/s) + s phi(x/s)) - shift
+    s = SMOOTH.kernel_sd
+    x = np.linspace(-6.0, 6.0, 1201)
+    u = x / s
+    pdf = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    direct = (SMOOTH.gamma * x + (1.0 - SMOOTH.gamma) * (x * network.ndtr(u) + s * pdf)
+              - SMOOTH.shift)
+    np.testing.assert_allclose(act_apply(SMOOTH, x), direct, rtol=1e-14, atol=1e-15)
 
 
 def test_forward_shape_errors():

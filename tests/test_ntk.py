@@ -35,6 +35,60 @@ def test_opnorm_single_linear_layer_is_x_opnorm_squared():
     assert rep.rho == pytest.approx(densemat.op_norm(x) ** 2, rel=1e-6)
 
 
+def _single_linear_layer(singular_values, k=2, n=8, seed=0):
+    """One linear layer whose input has the given singular values, so the NTK
+    is I_K (x) X^T X with top eigenvalue s_1^2."""
+    rng = np.random.default_rng(seed)
+    d = len(singular_values)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    x = u @ np.diag(singular_values) @ v.T
+    cfg = NetworkConfig(input_dim=d, widths=(k,), l1=0, l2=1, activation=SMOOTH)
+    return cfg, ParamSet([rng.standard_normal((k, d))]), x
+
+
+def test_opnorm_near_tied_top_eigenvalues():
+    # lambda_2 / lambda_1 = 0.98: the stopping rule must bound the error
+    cfg, params, x = _single_linear_layer([1.0, 0.99, 0.7, 0.5, 0.3, 0.1])
+    rep = ntk.ntk_opnorm(cfg, params, x)
+    assert rep.converged
+    assert abs(rep.rho - 1.0) <= 1e-12
+    assert rep.residual <= 1e-9
+
+
+def test_opnorm_of_a_zero_ntk_is_zero():
+    cfg, params, _ = _single_linear_layer([1.0, 0.5])
+    rep = ntk.ntk_opnorm(cfg, params, np.zeros((2, 8)))
+    assert (rep.rho, rep.iterations, rep.residual, rep.converged) == (0.0, 1, 0.0, True)
+
+
+def test_opnorm_of_a_single_probe_entry():
+    cfg = NetworkConfig(input_dim=3, widths=(1,), l1=0, l2=1, activation=SMOOTH)
+    x = np.array([[1.0], [2.0], [2.0]])
+    rep = ntk.ntk_opnorm(cfg, ParamSet([np.ones((1, 3))]), x)
+    assert rep.iterations == 1 and rep.converged
+    assert rep.rho == pytest.approx(9.0, rel=1e-15)
+
+
+def test_opnorm_stops_on_an_invariant_subspace():
+    # X^T X has two distinct eigenvalues, so every Krylov space has dimension
+    # at most 2 and beta_2 vanishes well before the K*N = 10 probe dimensions
+    cfg, params, x = _single_linear_layer([2.0, 2.0, 1.0, 1.0, 1.0], n=5)
+    rep = ntk.ntk_opnorm(cfg, params, x)
+    assert rep.iterations == 2 and rep.converged
+    assert rep.rho == pytest.approx(4.0, rel=1e-14)
+    assert rep.residual <= 1e-13
+
+
+def test_opnorm_at_the_basis_cap_reports_not_converged(monkeypatch):
+    cfg, params, x = _single_linear_layer([1.0, 0.99, 0.7, 0.5, 0.3, 0.1])
+    monkeypatch.setattr(ntk, "LANCZOS_MAX_BASIS", 2)
+    rep = ntk.ntk_opnorm(cfg, params, x)
+    assert rep.iterations == 2 and not rep.converged
+    assert np.isfinite(rep.residual) and rep.residual > 1e-6
+    assert 0.0 < rep.rho <= 1.0 + 1e-15  # a Ritz value is a lower end
+
+
 def test_opnorm_identity_linear_head_counts_layers():
     # L2 identity layers on orthonormal inputs: each layer contributes
     # ||A Z_{l-1}^T||^2 = ||A||^2, so Theta = L2 * I and rho = L2

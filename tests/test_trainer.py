@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nclab import trainer
 from nclab.metrics import ClassIndex
 from nclab.network import ActivationSpec, NetworkConfig, ParamSet
 from nclab.trainer import (InitSpec, TrainConfig, effective_eta, gd_step,
@@ -88,6 +89,57 @@ def test_divergence_sets_flag_and_keeps_last_healthy_state():
     last = traj.last()
     assert np.isfinite(last.c_lambda)
     assert params.dist(last.params) == 0.0
+
+
+def test_divergence_keeps_its_step_and_cause_between_records():
+    cfg, x, y, idx = small_problem()
+    tcfg = TrainConfig(eta=100.0, lam=0.0, steps=200, record_every=1000, seed=0)
+    _, traj = train(cfg, tcfg, x, y, idx)
+    assert traj.diverged
+    assert [r.step for r in traj.records] == [0]
+    assert 0 < traj.diverged_at < 200
+    assert traj.divergence.startswith("non-finite gradient at layer ")
+
+
+def test_divergence_names_a_c0_above_the_threshold():
+    cfg, x, y, idx = small_problem()
+    tcfg = TrainConfig(eta=100.0, lam=0.0, steps=200, record_every=1, seed=0)
+    _, traj = train(cfg, tcfg, x, y, idx)
+    assert traj.diverged_at == traj.last().step + 1
+    assert "c_0" in traj.divergence
+
+
+def test_healthy_run_has_no_divergence():
+    cfg, x, y, idx = small_problem()
+    _, traj = train(cfg, TrainConfig(eta=0.01, lam=0.0, steps=5, seed=0), x, y, idx)
+    assert (traj.diverged, traj.diverged_at, traj.divergence) == (False, None, None)
+
+
+def _planted_gradient(monkeypatch, fill):
+    def planted(cfg, params, x, y, lam):
+        return ParamSet([fill(w.shape, layer) for layer, w in
+                         enumerate(params.weights, start=1)])
+
+    monkeypatch.setattr(trainer, "gradient", planted)
+
+
+def test_gd_step_names_the_first_non_finite_layer(monkeypatch):
+    cfg, x, y, idx = small_problem()
+    params = init_params(cfg, InitSpec(), seed=0)
+    _planted_gradient(monkeypatch, lambda shape, layer: np.full(
+        shape, np.nan if layer == 2 else 1.0))
+    with pytest.raises(FloatingPointError, match="layer 2"):
+        gd_step(cfg, params, x, y, 0.01, 0.0)
+
+
+def test_gd_step_takes_a_finite_gradient_whose_sum_overflows(monkeypatch):
+    # warnings are errors in this suite, so this also asserts there is none
+    cfg, x, y, idx = small_problem()
+    params = init_params(cfg, InitSpec(), seed=0)
+    _planted_gradient(monkeypatch, lambda shape, layer: np.full(shape, 1e308))
+    new = gd_step(cfg, params, x, y, 0.5, 0.0)
+    for w, w0 in zip(new.weights, params.weights):
+        np.testing.assert_array_equal(w, w0 - 0.5e308)
 
 
 def test_trajectory_records_expected_fields():
