@@ -60,7 +60,12 @@ class Thm1Inputs:
     c3: float | None = None
 
     def eps1_premise(self) -> bool:
-        return bool(self.eps1 <= min(self.sK_y, math.sqrt((self.k - 1) * self.n / (4 * self.k))))
+        return bool(self.eps1 <= min(self.sK_y, _eps1_cap(self.k, self.n)))
+
+
+def _eps1_cap(k: int, n: int) -> float:
+    """sqrt((K-1) N / (4K)), the cap on eps1 in Theorem 1 and in the GD schedule."""
+    return math.sqrt((k - 1) * n / (4 * k))
 
 
 def _sk_margin(eps1: float, sK_y: float) -> float:
@@ -102,12 +107,9 @@ def thm2_nc1_rhs(eps1: float, eps2: float, r: float, n_lminus1: int, k: int,
     return (r ** 2 / n) * _psi(e1, eps2, r, n_lminus1, sK_y) / (den * den)
 
 
-def thm1_kappa_rhs(inp: Thm1Inputs, proof_exponent: bool = False) -> float:
-    """Upper bound on cond(W_L) given cond(W_{L:L1+1}) <= c3.
-
-    `proof_exponent` uses the slightly tighter (1+eps)^{1/(2 L2)} factor from
-    the derivation instead of the stated (1+eps)^{1/L2}.
-    """
+def thm1_kappa_rhs(inp: Thm1Inputs) -> float:
+    """Upper bound on cond(W_L) given cond(W_{L:L1+1}) <= c3, with the stated
+    exponent 1/L2 on (1+eps)."""
     if inp.c3 is None:
         raise ValueError("c3 (bound on the linear-part conditioning) is required")
     margin = _sk_margin(inp.eps1, inp.sK_y)
@@ -117,7 +119,7 @@ def thm1_kappa_rhs(inp: Thm1Inputs, proof_exponent: bool = False) -> float:
     if den <= 0:
         raise VacuousBound("balancedness perturbation dominates the spectral floor")
     eps = perturb / den
-    expo = 1.0 / (2 * inp.l2) if proof_exponent else 1.0 / inp.l2
+    expo = 1.0 / inp.l2
     return inp.c3 ** (1.0 / inp.l2) * (1.0 + eps) ** expo + inp.c3 ** (1.0 / inp.l2 - 1.0) * eps
 
 
@@ -139,14 +141,12 @@ def thm1_nc3_rhs(inp: Thm1Inputs, kappa_wl: float) -> float:
     return num / (2.0 * inp.n * kappa_wl * (1.0 + inp.eps1))
 
 
-def residual_to_pinv(z_lminus1: np.ndarray, w_l: np.ndarray, y: np.ndarray,
+def residual_to_pinv(z_lminus1: np.ndarray, w_l: densemat.SvdResult, y: np.ndarray,
                      rank_tol: float = densemat.DEFAULT_RANK_TOL) -> float:
-    """||Z_{L-1} - pinv(W_L) Y||_F; needs W_L of full row rank."""
-    w_l = densemat.as_matrix(w_l)
-    res = densemat.svd(w_l)  # one decomposition: rank check and pseudoinverse
-    if res.s[-1] <= rank_tol * res.s[0] or w_l.shape[0] > w_l.shape[1]:
+    """||Z_{L-1} - pinv(W_L) Y||_F, `w_l` = svd(W_L); needs W_L of full row rank."""
+    if w_l.s[-1] <= rank_tol * w_l.s[0] or w_l.u.shape[0] > w_l.vt.shape[1]:
         raise VacuousBound("W_L is rank-deficient")
-    return densemat.fro_norm(np.asarray(z_lminus1) - densemat.pinv(res, rank_tol) @ np.asarray(y))
+    return densemat.fro_norm(np.asarray(z_lminus1) - densemat.pinv(w_l, rank_tol) @ np.asarray(y))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def thm2_schedule(sched: Thm2Schedule, cfg: NetworkConfig, eps1: float, eps2: fl
     sched.c0_init = c0_init
     sched.c_lambda_init = c_lambda_init
     sched.theta0_norm = theta0_norm
-    sched.eps1_premise = eps1 <= 0.5 * math.sqrt((k - 1) * n / k)
+    sched.eps1_premise = eps1 <= _eps1_cap(k, n)
     sched.assumption3 = check_assumption3(sched, c0_init, gamma, L)
 
     lambda_caps = (
@@ -380,6 +380,7 @@ def bound_report(name: str, premises: dict, rhs, measured: float | None,
 class Thm1Verdicts:
     inputs: Thm1Inputs
     reports: dict                # bound name -> BoundReport
+    w_l: densemat.SvdResult      # densemat.svd(W_L), for residual_to_pinv
     kappa_w_l: float | None      # cond(W_L)
     kappa_prod: float | None     # cond(W_{L:L1+1})
 
@@ -395,14 +396,15 @@ def _cond_or_none(a: np.ndarray, rank_tol: float) -> float | None:
 
 
 def thm1_verdicts(cfg: NetworkConfig, params: ParamSet, rep, sK_y: float,
-                  x_opnorm: float, n: int, rank_tol: float = densemat.DEFAULT_RANK_TOL,
-                  proof_exponent: bool = False) -> Thm1Verdicts:
+                  x_opnorm: float, n: int,
+                  rank_tol: float = densemat.DEFAULT_RANK_TOL) -> Thm1Verdicts:
     """Theorem-1 and balanced-power-gap reports of a state, reading NC1/NC2/NC3
     of Z_{L-1}, eps1/eps2/r and the linear layers' norms from its
-    `metrics.measure` report `rep` (taken at `rank_tol`). The bounds on the
-    linear head need a linear interface (L2 >= 2). A quantity that cannot be
-    computed makes its reports vacuous, with the reason."""
-    kappa_wl = _cond_or_none(params.weights[-1], rank_tol)
+    `metrics.measure` report `rep` (taken at `rank_tol`); one svd of W_L gives
+    cond(W_L). The bounds on the linear head need L2 >= 2. A quantity that
+    cannot be computed makes its reports vacuous, with the reason."""
+    w_l = densemat.svd(params.weights[-1])
+    kappa_wl = _cond_or_none(w_l, rank_tol)
     kappa_prod = kappa_wl if cfg.l2 == 1 else None  # W_{L:L} = W_L
     if cfg.l2 >= 2:
         kappa_prod = _cond_or_none(partial_product(cfg, params, cfg.depth, cfg.l1 + 1),
@@ -411,7 +413,7 @@ def thm1_verdicts(cfg: NetworkConfig, params: ParamSet, rep, sK_y: float,
                      n_lminus1=cfg.widths[cfg.depth - 2], k=cfg.n_classes, n=n,
                      sK_y=sK_y, x_opnorm=x_opnorm, l1=cfg.l1, l2=cfg.l2,
                      c3=kappa_prod)
-    out = Thm1Verdicts(inputs=inp, reports={}, kappa_w_l=kappa_wl, kappa_prod=kappa_prod)
+    out = Thm1Verdicts(inp, reports={}, w_l=w_l, kappa_w_l=kappa_wl, kappa_prod=kappa_prod)
     head = next((lm for lm in rep.layers if lm.layer == cfg.depth - 1), None)
     nc1, nc2, nc3 = (head.nc1, head.nc2, head.nc3) if head else (None,) * 3
     premises = {"eps1_small": inp.eps1_premise()}
@@ -429,8 +431,7 @@ def thm1_verdicts(cfg: NetworkConfig, params: ParamSet, rep, sK_y: float,
                 name=name, premises={"has_linear_interface": False})
         return out
     out.reports["thm1_kappa"] = bound_report(
-        "thm1_kappa", premises,
-        lambda: thm1_kappa_rhs(inp, proof_exponent=proof_exponent), kappa_wl)
+        "thm1_kappa", premises, lambda: thm1_kappa_rhs(inp), kappa_wl)
     out.reports["thm1_nc2"] = bound_report(
         "thm1_nc2", premises, lambda: thm1_nc2_rhs(inp, kappa()), nc2)
     nc3_rep = bound_report(

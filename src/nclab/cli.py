@@ -108,12 +108,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "rank_tol": {"type": "number", "exclusiveMinimum": 0},
-                "proof_exponent": {"type": "boolean"},
-                "eps1_target": {"type": "number", "exclusiveMinimum": 0},
-                "eps2_target": {"type": "number", "exclusiveMinimum": 0},
-                "lam_override": {"type": "number", "minimum": 0},
-                "eta_override": {"type": "number", "exclusiveMinimum": 0},
-                "ntk_seed": {"type": "integer", "minimum": 0},
             },
         },
     },
@@ -294,20 +288,8 @@ def load_params(path: Path):
 # ---------------------------------------------------------------------------
 
 def cmd_train(config_path, out_dir) -> int:
-    cfg = load_config(config_path)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds = build_dataset(cfg)
-    net = build_network(cfg, ds.x.shape[0])
-    if net.n_classes != ds.y.shape[0]:
-        raise ConfigError(
-            f"last width {net.n_classes} != number of classes {ds.y.shape[0]}")
-    tcfg = build_train_config(cfg)
-    # from the head input, or lower when a layer whose Gram is written lies below it
-    first_layer = min(max(net.l1, 1), max(net.depth - 2, 1))
-    params, traj = train(net, tcfg, ds.x, ds.y, ds.idx, first_layer=first_layer)
-
-    write_json(out / "config.resolved.json", {"config": cfg})
+    net, params, traj = _train_into(load_config(config_path), out)
     write_trajectory_csv(out, traj)
     write_metrics_csv(out, traj)
     write_means_grams(out, net, traj.last())
@@ -317,6 +299,30 @@ def cmd_train(config_path, out_dir) -> int:
         save_params(out / "params_init.npz", init_p)
     save_params(out / "params_final.npz", params)
 
+    last = traj.last()
+    if traj.diverged:
+        print(f"diverged at step {traj.diverged_at}: {traj.divergence} "
+              f"(last healthy record: step {last.step})", file=sys.stderr)
+        return EXIT_DIVERGED
+    print(f"ok: {last.step} steps, c_0={last.c_0!r}")
+    return EXIT_OK
+
+
+def _train_into(cfg: dict, out: Path, first_layer: int | None = None) -> tuple:
+    """Train a resolved config, measuring from `first_layer`, into `out`:
+    config.resolved.json and report.json. Returns (net, params, trajectory)."""
+    ds = build_dataset(cfg)
+    net = build_network(cfg, ds.x.shape[0])
+    if net.n_classes != ds.y.shape[0]:
+        raise ConfigError(
+            f"last width {net.n_classes} != number of classes {ds.y.shape[0]}")
+    if first_layer is None:
+        # from the head input, or lower when a layer whose Gram is written lies below it
+        first_layer = min(max(net.l1, 1), max(net.depth - 2, 1))
+    params, traj = train(net, build_train_config(cfg), ds.x, ds.y, ds.idx,
+                         first_layer=first_layer)
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "config.resolved.json", {"config": cfg})
     last = traj.last()
     rep = last.metrics
     summary = {
@@ -331,16 +337,7 @@ def cmd_train(config_path, out_dir) -> int:
     if traj.diverged:  # a healthy run's report keeps its keys
         summary["divergence"] = {"step": traj.diverged_at, "cause": traj.divergence}
     write_json(out / "report.json", {"train": _sanitize(summary)})
-    if traj.diverged:
-        print(f"diverged at step {traj.diverged_at}: {traj.divergence} "
-              f"(last healthy record: step {last.step})", file=sys.stderr)
-        return EXIT_DIVERGED
-    print(f"ok: {last.step} steps, c_0={last.c_0!r}")
-    return EXIT_OK
-
-
-def _report_from(rep: bounds_mod.BoundReport) -> dict:
-    return _sanitize(asdict(rep))
+    return net, params, traj
 
 
 def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
@@ -348,36 +345,37 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     if net.depth < 2:
         raise ConfigError("bounds need a network with at least two layers")
     bcfg = cfg.get("bounds", {})
+    unknown = sorted(set(bcfg) - set(CONFIG_SCHEMA["properties"]["bounds"]["properties"]))
+    if unknown:  # a run directory's resolved config is not validated again
+        raise ConfigError(f"config field bounds: unknown keys {unknown}")
     rank_tol = bcfg.get("rank_tol", densemat.DEFAULT_RANK_TOL)
     trace = forward(net, params, ds.x)
     rep = metrics.measure(net, params, trace, ds.y, ds.idx, rank_tol=rank_tol)
-    sK_y = densemat.svd(ds.y, compute_uv=False, extremes=True).s[1]  # K <= N: s_K = s_min
+    sK_y = ds.idx.sK_y
     x_op = densemat.op_norm(ds.x)
     k, n = net.n_classes, ds.x.shape[1]
-    thm1 = bounds_mod.thm1_verdicts(net, params, rep, sK_y, x_op, n, rank_tol,
-                                    bcfg.get("proof_exponent", False))
+    thm1 = bounds_mod.thm1_verdicts(net, params, rep, sK_y, x_op, n, rank_tol)
 
     out = {"measured": _sanitize({
         "eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r, "sK_y": sK_y,
         "x_opnorm": x_op,
         "nc1": thm1.reports["thm1_nc1"].measured,
         "kappa_w_l": thm1.kappa_w_l, "kappa_prod": thm1.kappa_prod,
-    }), "reports": {name: _report_from(r) for name, r in thm1.reports.items()}}
+    }), "reports": {name: _sanitize(asdict(r)) for name, r in thm1.reports.items()}}
 
     try:
         out["measured"]["residual_to_pinv"] = bounds_mod.residual_to_pinv(
-            trace.z[net.depth - 1], params.weights[-1], ds.y, rank_tol)
+            trace.z[net.depth - 1], thm1.w_l, ds.y, rank_tol)
     except (bounds_mod.VacuousBound, ValueError):
         pass
 
-    ntk_seed = bcfg.get("ntk_seed", 0)
-    nrep = ntk.ntk_opnorm(net, params, ds.x, seed=ntk_seed, trace=trace)
+    nrep = ntk.ntk_opnorm(net, params, ds.x, trace=trace)
     out["ntk"] = _sanitize({"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
                             "residual": nrep.residual, "converged": nrep.converged})
-    out["reports"]["ntk_lower"] = _report_from(bounds_mod.bound_report(
+    out["reports"]["ntk_lower"] = _sanitize(asdict(bounds_mod.bound_report(
         "ntk_lower", {"eps1_small": thm1.inputs.eps1_premise()},
         lambda: bounds_mod.ntk_lower_bound(sK_y, rep.eps1, k, rep.r, net.l2),
-        nrep.rho, lower=True))
+        nrep.rho, lower=True)))
 
     try:
         if params_init is None:
@@ -385,10 +383,8 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
         sched = bounds_mod.init_spectra(net, params_init, ds.x)
         c_lam0, c00 = loss(net, params_init, ds.x, ds.y, cfg["train"]["lam"])
         sched = bounds_mod.thm2_schedule(
-            sched, net, bcfg.get("eps1_target", max(rep.eps1, 1e-6)),
-            bcfg.get("eps2_target", max(rep.eps2, 1e-8)), ds.b, x_op,
-            params_init.norm(), c00, c_lam0, k, n,
-            lam=bcfg.get("lam_override"), eta=bcfg.get("eta_override"))
+            sched, net, max(rep.eps1, 1e-6), max(rep.eps2, 1e-8), ds.b, x_op,
+            params_init.norm(), c00, c_lam0, k, n)
         out["schedule"] = _sanitize(asdict(sched))
     except (ValueError, bounds_mod.VacuousBound) as exc:
         out["schedule"] = {"error": str(exc)}
@@ -444,14 +440,11 @@ def sweep_member_config(cfg: dict, axis: str, value: int, seed: int) -> dict:
 
 
 def _run_member(cfg: dict, out: Path) -> dict:
-    ds = build_dataset(cfg)
-    net = build_network(cfg, ds.x.shape[0])
     # measure every layer: the negativity summary covers the whole backbone
-    _, traj = train(net, build_train_config(cfg), ds.x, ds.y, ds.idx,
-                    first_layer=1)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "config.resolved.json", {"config": cfg})
+    net, _, traj = _train_into(cfg, out, first_layer=1)
     if traj.diverged:
+        print(f"{out.name}: diverged at step {traj.diverged_at}: {traj.divergence}",
+              file=sys.stderr)
         return {"status": "diverged"}
     rep = traj.last().metrics
     head = rep.layers[max(net.l1, 1) - 1:]

@@ -2,8 +2,8 @@
 
 All matrices are 2-D float64 numpy arrays. The SVD is a one-sided Jacobi
 (Hestenes), and pinv and cond are derived from it. Only pinv reads
-singular vectors (bounds.residual_to_pinv hands it the svd it took for its
-rank check). svd(a, compute_uv=False) rotates B without accumulating V and
+singular vectors (the one svd of W_L in bounds.thm1_verdicts also gives
+cond(W_L)). svd(a, compute_uv=False) rotates B without accumulating V and
 skips building U; cond reads its whole spectrum only for a numerically
 rank-deficient input, and every other caller of singular values asks for
 sigma_1 alone (op_norm) or for sigma_1 and sigma_min (extremes=True, see
@@ -67,9 +67,9 @@ core with one BLAS thread:
     8x8 tied        71 us      143 us
     256x200 tied  16.2 ms     18.2 ms
 
-cond, the initial spectra of the GD schedule (bounds.init_spectra and its
-lambda_F = sigma_min(sigma(W_1 X))) and s_K(Y) need sigma_1 and sigma_min
-alone and call svd(a, compute_uv=False, extremes=True), which returns
+cond and the initial spectra of the GD schedule (bounds.init_spectra and
+its lambda_F = sigma_min(sigma(W_1 X))) need sigma_1 and sigma_min alone
+and call svd(a, compute_uv=False, extremes=True), which returns
 [sigma_1, sigma_min], sigma_min the min(m, n)-th value. Above
 EXTREMES_MIN_ENTRIES entries of B it runs no Jacobi sweep (the R route):
 
@@ -85,9 +85,9 @@ relative (kappa = sigma_1 / sigma_min). Each row of X is a back
 substitution, so |R X - I| <= c_n eps |R| |X| (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 8 and 14), which moves sigma_1(X) by
 O(kappa eps) relative again; the Gram squaring adds at most its bracket
-width SIGMA1_BRACKET (s_K(Y) of balanced one-hot labels, exact under
-Jacobi, comes out 6.5e-14 relative low at 10x200, where the top of X is
-tied). That is the order of one-sided Jacobi's error on sigma_min of an
+width SIGMA1_BRACKET (sigma_min of 10x200 balanced one-hot labels, sqrt(20)
+and exact under Jacobi, comes out 6.5e-14 relative low, where the top of X
+is tied). That is the order of one-sided Jacobi's error on sigma_min of an
 unstructured B; QR-preconditioned one-sided methods keep Jacobi's
 relative accuracy (Drmac & Veselic 2008). Against a 40-digit
 reference the worst R-route error over six matrices stayed within 3x the
@@ -503,18 +503,18 @@ def pinv(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 def cond(a, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """s1 / s_k over non-zero singular values (numerical rank under rank_tol).
 
-    The extremes decide full rank; only a numerically rank-deficient input
-    takes the whole values-only spectrum to find s_k."""
+    An SvdResult gives them all; for a matrix the extremes decide full rank,
+    and only a rank-deficient one takes the whole values-only spectrum."""
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"rank_tol must be in (0, 1), got {rank_tol}")
-    s = svd(a, compute_uv=False, extremes=True).s
+    decomposed = isinstance(a, SvdResult)
+    s = a.s if decomposed else svd(a, compute_uv=False, extremes=True).s
     if not np.all(np.isfinite(s)):
         raise ValueError("undefined condition number: non-finite matrix")
     if s[0] == 0.0:
         raise ValueError("undefined condition number: zero matrix")
-    if s[1] > rank_tol * s[0]:
-        return float(s[0] / s[1])
-    s = svd(a, compute_uv=False).s
+    if s[-1] <= rank_tol * s[0] and not decomposed:
+        s = svd(a, compute_uv=False).s
     kept = s[s > rank_tol * s[0]]
     return float(s[0] / kept[-1])
 

@@ -7,6 +7,7 @@ Feature matrices carry samples as columns, grouped contiguously by class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,11 @@ class ClassIndex:
     def total(self) -> int:
         return sum(self.class_counts)
 
+    @property
+    def sK_y(self) -> float:
+        """s_K(Y) of one-hot labels: Y Y^T = diag(counts), so sqrt(min count)."""
+        return math.sqrt(min(self.class_counts))
+
     def slices(self):
         start = 0
         for c in self.class_counts:
@@ -49,12 +55,12 @@ def class_means(z: np.ndarray, idx: ClassIndex) -> tuple:
     return zbar, z.mean(axis=1)
 
 
-def nc1(z: np.ndarray, idx: ClassIndex) -> float:
-    """tr(Sigma_W) / tr(Sigma_B)."""
+def nc1(z: np.ndarray, idx: ClassIndex, means: tuple | None = None) -> float:
+    """tr(Sigma_W) / tr(Sigma_B); `means` is class_means(z, idx) if held."""
     z = np.asarray(z, dtype=np.float64)
     if idx.n_classes < 2:
         raise ValueError("nc1 needs at least two classes")
-    zbar, mu_g = class_means(z, idx)
+    zbar, mu_g = class_means(z, idx) if means is None else means
     tr_w = 0.0
     for c, s in enumerate(idx.slices()):
         d = z[:, s] - zbar[:, c:c + 1]
@@ -164,7 +170,7 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     """Per-layer metric sweep from `first_layer` (default: head input) to Z_L,
     plus every layer's ||W_l||_op, the balancedness and the Theorem-1 inputs;
     each norm, class-mean matrix and interface gap is computed once and feeds
-    the ratios, NC2 and eps2/r.
+    the ratios, NC1, NC2 and eps2/r.
 
     NC2 uses `rank_tol`. NC3 is only defined against a K-row weight matrix, so
     it is reported for Z_{L-1} (against W_L) and left unset elsewhere.
@@ -176,8 +182,9 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     layers = []
     for layer in range(first_layer, cfg.depth + 1):
         z = trace.z[layer]
-        lm = LayerMetrics(layer=layer, means=class_means(z, idx)[0])
-        lm.nc1 = _try(nc1, z, idx)
+        means = class_means(z, idx)
+        lm = LayerMetrics(layer=layer, means=means[0])
+        lm.nc1 = _try(nc1, z, idx, means)
         lm.nc2 = _try(nc2, lm.means, rank_tol)
         if layer == cfg.depth - 1:
             lm.nc3 = _try(nc3, z, params.weights[cfg.depth - 1], idx)

@@ -62,11 +62,15 @@ class TrajectoryRecord:
     params: ParamSet | None = None
 
 
+class LossDiverged(FloatingPointError):
+    """A state's c_0 is not finite or exceeds DIVERGENCE_THRESHOLD."""
+
+
 @dataclass
 class Trajectory:
     """The records of a run. On divergence, `diverged_at` is the GD step that
-    did not give a healthy state (its update had a non-finite gradient, or its
-    c_0 failed the divergence test) and `divergence` says which of the two."""
+    did not give a healthy state (0: the initial one), its update having a
+    non-finite gradient or its c_0 failing the test; `divergence` says which."""
     records: list = field(default_factory=list)
     diverged_at: int | None = None
     divergence: str | None = None
@@ -93,16 +97,31 @@ def init_params(cfg: NetworkConfig, spec: InitSpec, seed: int) -> ParamSet:
     return ParamSet(weights)
 
 
+def _test_loss(c0: float) -> None:
+    if not math.isfinite(c0):
+        raise LossDiverged(f"c_0 = {c0!r} is not finite")
+    if c0 > DIVERGENCE_THRESHOLD:
+        raise LossDiverged(
+            f"c_0 = {c0!r} exceeds the divergence threshold {DIVERGENCE_THRESHOLD:g}")
+
+
 def gd_step(cfg: NetworkConfig, params: ParamSet, x, y, eta: float, lam: float) -> ParamSet:
     """One update theta - eta * grad C_lambda(theta); the input is not mutated.
 
-    The gradient is tested for finiteness once, through the sum of its
-    per-layer sums; only when that is not finite (a NaN or inf entry, or a
-    finite gradient whose sum overflows) are the layers scanned, so the error
-    names the first non-finite one.
+    LossDiverged if c_0 of `params`, from the trace the gradient reads, fails
+    the divergence test, so every state is tested. The gradient is tested for
+    finiteness once, through the sum of its per-layer sums; only when that is
+    not finite (a NaN or inf entry, or a finite gradient whose sum overflows)
+    are the layers scanned, so the error names the first non-finite one.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        g = gradient(cfg, params, x, y, lam)
+        trace = forward(cfg, params, x)
+        resid = trace.z[-1] - y
+        # one dot product per step, within 1e-6 of 2 c_0: only a state near or
+        # past the threshold takes the exact test, on loss()'s c_0
+        if not np.vdot(resid, resid) <= 2.0 * DIVERGENCE_THRESHOLD * (1.0 - 1e-6):
+            _test_loss(loss(cfg, params, x, y, trace=trace)[1])
+        g = gradient(cfg, params, x, y, lam, trace)
         total = sum([gw.sum() for gw in g.weights])
     if not math.isfinite(total):
         for layer, gw in enumerate(g.weights, start=1):
@@ -113,18 +132,15 @@ def gd_step(cfg: NetworkConfig, params: ParamSet, x, y, eta: float, lam: float) 
 
 def _observe(cfg, train_cfg, params, theta0, x, y, idx, step,
              first_layer) -> TrajectoryRecord:
-    """Record `params` from one forward trace; FloatingPointError, with the
-    cause, if its loss diverged. The initial state (step 0) is recorded
-    whatever its loss.
+    """Record `params` from one forward trace; LossDiverged, with the cause,
+    if its loss diverged. The initial state (step 0) is recorded whatever its
+    loss.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         trace = forward(cfg, params, x)
         clam, c0 = loss(cfg, params, x, y, train_cfg.lam, trace=trace)
-    if step > 0 and not math.isfinite(c0):
-        raise FloatingPointError(f"c_0 = {c0!r} is not finite")
-    if step > 0 and c0 > DIVERGENCE_THRESHOLD:
-        raise FloatingPointError(
-            f"c_0 = {c0!r} exceeds the divergence threshold {DIVERGENCE_THRESHOLD:g}")
+    if step > 0:
+        _test_loss(c0)
     rep = metrics.measure(cfg, params, trace, y, idx, first_layer)
     return TrajectoryRecord(
         step=step,
@@ -151,26 +167,27 @@ def train(cfg: NetworkConfig, train_cfg: TrainConfig, x, y,
 
     Every record carries the `metrics.measure` report of its state over the
     layers from `first_layer` (default: the head input) to the output.
-    On divergence (a non-finite gradient, or a recorded c_0 that is not finite
-    or above the threshold) the partial trajectory is returned with `diverged`,
+    On divergence (a non-finite gradient, or a c_0 that is not finite or
+    above the threshold) the partial trajectory is returned with `diverged`,
     its step and its cause set; the last recorded state is the final healthy
     one. `gd_step` never mutates its input, so states are
     shared, not copied.
     """
     params = theta0 = last_healthy = init_params(cfg, train_cfg.init, train_cfg.seed)
     traj = Trajectory()
-    traj.records.append(_observe(cfg, train_cfg, params, theta0, x, y, idx, 0,
-                                 first_layer))
-    for k in range(train_cfg.steps):
-        step = k + 1
+    for k in range(train_cfg.steps + 1):  # state k, then the update to state k + 1
         try:
-            params = gd_step(cfg, params, x, y, effective_eta(train_cfg, k),
-                             train_cfg.lam)
-            if step % train_cfg.record_every == 0 or step == train_cfg.steps:
+            if k % train_cfg.record_every == 0 or k == train_cfg.steps:
                 traj.records.append(_observe(cfg, train_cfg, params, theta0, x, y,
-                                             idx, step, first_layer))
+                                             idx, k, first_layer))
                 last_healthy = params
-        except FloatingPointError as exc:
-            traj.diverged_at, traj.divergence = step, str(exc)
+            if k < train_cfg.steps:
+                params = gd_step(cfg, params, x, y, effective_eta(train_cfg, k),
+                                 train_cfg.lam)
+        except LossDiverged as exc:  # state k failed the c_0 test
+            traj.diverged_at, traj.divergence = k, str(exc)
+            break
+        except FloatingPointError as exc:  # the gradient of update k + 1
+            traj.diverged_at, traj.divergence = k + 1, str(exc)
             break
     return last_healthy, traj

@@ -101,8 +101,8 @@ def check_thm1_instance(inst: dict) -> tuple:
                               inst["y"], inst["idx"])
     rep = metrics.measure(cfg, params, forward(cfg, params, x), y, idx,
                           first_layer=cfg.depth - 1)
-    s_k = densemat.svd(y, compute_uv=False, extremes=True).s[1]  # K <= N: s_K = s_min
-    verdicts = bounds.thm1_verdicts(cfg, params, rep, s_k, densemat.op_norm(x), x.shape[1])
+    verdicts = bounds.thm1_verdicts(cfg, params, rep, idx.sK_y, densemat.op_norm(x),
+                                    x.shape[1])
     detail = {"seed": inst["seed"], "eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r}
     for name, r in verdicts.reports.items():
         detail[name] = (r.measured, r.value)
@@ -274,7 +274,7 @@ def check_one_hot_identities() -> tuple:
         y = data.one_hot(np.repeat(np.arange(k), n_per), k)
         idx = metrics.ClassIndex(tuple([n_per] * k))
         sK = densemat.svd(y, compute_uv=False, extremes=True).s[1]
-        if abs(sK - math.sqrt(n_per)) > 1e-12:
+        if abs(sK - idx.sK_y) > 1e-12:
             return False, {"k": k, "sK": sK}
         zbar, mu_g = metrics.class_means(y, idx)
         dev = np.mean(np.linalg.norm(zbar - mu_g[:, None], axis=0))

@@ -64,17 +64,13 @@ def test_thm2_nc1_rhs_uses_unsquared_psi_and_scaled_eps1():
         bounds.thm2_nc1_rhs(0.7, eps2, r, nlm1, k, 4, sK)
 
 
-def test_thm1_kappa_rhs_formula_and_exponent_variant():
+def test_thm1_kappa_rhs_formula():
     inp = make_inputs()
     t = 0.5 * inp.l2 ** 2 * inp.r ** (2 * (inp.l2 - 1)) * inp.eps2
     base = (inp.sK_y - inp.eps1) ** 2 / (inp.x_opnorm ** 2 * inp.r ** (2 * inp.l1))
     eps = t / (base - t)
     stated = inp.c3 ** 0.5 * (1 + eps) ** 0.5 + inp.c3 ** -0.5 * eps
-    proof = inp.c3 ** 0.5 * (1 + eps) ** 0.25 + inp.c3 ** -0.5 * eps
     assert bounds.thm1_kappa_rhs(inp) == pytest.approx(stated, rel=1e-12)
-    assert bounds.thm1_kappa_rhs(inp, proof_exponent=True) == pytest.approx(
-        proof, rel=1e-12)
-    assert bounds.thm1_kappa_rhs(inp, proof_exponent=True) <= bounds.thm1_kappa_rhs(inp)
     with pytest.raises(bounds.VacuousBound):
         bounds.thm1_kappa_rhs(make_inputs(eps2=100.0))
     with pytest.raises(ValueError):
@@ -149,7 +145,7 @@ def test_each_matrix_is_decomposed_once(monkeypatch, l1):
     # one trainer record (step 0): every matrix at most once
     params, traj = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
     assert len(seen) == len(set(seen)) > 0
-    # measure + the Theorem-1 evaluator: only W_L comes twice (norm and cond)
+    # measure + the Theorem-1 evaluator: only W_L comes twice (norm and svd)
     seen.clear()
     rep = metrics.measure(cfg, params, forward(cfg, params, ds.x), ds.y, ds.idx)
     verdicts = bounds.thm1_verdicts(cfg, params, rep, 2.0, 1.0, ds.x.shape[1])
@@ -157,6 +153,19 @@ def test_each_matrix_is_decomposed_once(monkeypatch, l1):
     assert {h for h in seen if seen.count(h) > 1} == {w_l} and seen.count(w_l) == 2
     assert verdicts.kappa_prod is not None
     assert set(verdicts.reports) == {"thm1_nc1", *bounds.THM1_LINEAR_BOUNDS}
+
+
+def test_bounds_decompose_w_l_twice_and_y_never(monkeypatch):
+    cfg = NetworkConfig(input_dim=6, widths=(8, 6, 5, 4, 3), l1=2, l2=3, activation=SMOOTH)
+    ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
+    params, traj = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=3), ds.x, ds.y, ds.idx)
+    seen = _record_svd_inputs(monkeypatch)
+    out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params,
+                              traj.records[0].params)
+    assert "residual_to_pinv" in out["measured"] and "error" not in out["schedule"]
+    assert _digest(ds.y) not in seen
+    # its norm in measure, and the one SVD for cond(W_L) and the pseudoinverse
+    assert seen.count(_digest(params.weights[-1])) == 2
 
 
 def test_singular_vectors_are_built_only_for_pinv(monkeypatch):
@@ -178,8 +187,9 @@ def test_singular_vectors_are_built_only_for_pinv(monkeypatch):
     bounds.init_spectra(cfg, params, ds.x)
     out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
     assert "residual_to_pinv" in out["measured"] and "error" not in out["schedule"]
-    # the one vector reader: residual_to_pinv's single SVD of W_L feeds its pinv
-    assert [name for name, uv in calls if uv] == ["nclab.bounds.residual_to_pinv"]
+    # the one vector reader: thm1_verdicts' single SVD of W_L, which feeds the
+    # pinv of residual_to_pinv (called here directly and through evaluate_bounds)
+    assert [name for name, uv in calls if uv] == ["nclab.bounds.thm1_verdicts"] * 2
     assert sum(not uv for _, uv in calls) > len(calls) // 2
 
 
@@ -243,10 +253,9 @@ def test_bounds_above_the_crossover_sweep_no_values_only_spectrum(monkeypatch):
     assert not [c["name"] for c in calls if c["whole_values_only"]]
     r_route = [c for c in calls if c["r_route"]]
     assert {c["name"] for c in r_route} == {
-        "nclab.bounds.init_spectra", "nclab.bounds._s_min", "nclab.densemat.cond",
-        "nclab.cli.evaluate_bounds"}
+        "nclab.bounds.init_spectra", "nclab.bounds._s_min", "nclab.densemat.cond"}
     assert all(c["sweeps"] == 0 for c in r_route)
-    assert any(c["sweeps"] for c in calls)  # the spy does see residual_to_pinv's SVD
+    assert any(c["sweeps"] for c in calls)  # the spy does see the SVD of W_L
 
 
 @pytest.mark.parametrize("shape", [(3, 6), (10, 64)])
@@ -258,8 +267,8 @@ def test_residual_to_pinv_decomposes_w_l_once(monkeypatch, shape):
     # the value of a values-only rank check followed by densemat.pinv
     expected = densemat.fro_norm(z - densemat.pinv(w) @ y)
     seen = _record_svd_inputs(monkeypatch)
-    got = bounds.residual_to_pinv(z, w, y)
-    assert seen == [_digest(w)]
+    got = bounds.residual_to_pinv(z, densemat.svd(w), y)
+    assert seen == [_digest(w)]  # the caller's SVD only
     assert got == expected
 
 
@@ -268,16 +277,15 @@ def test_residual_to_pinv():
     w = rng.standard_normal((3, 6))
     y = rng.standard_normal((3, 10))
     z = densemat.pinv(w) @ y
-    assert bounds.residual_to_pinv(z, w, y) <= 1e-12
+    res = densemat.svd(w)
+    assert bounds.residual_to_pinv(z, res, y) <= 1e-12
     e = rng.standard_normal(z.shape)
-    assert bounds.residual_to_pinv(z + e, w, y) == pytest.approx(
+    assert bounds.residual_to_pinv(z + e, res, y) == pytest.approx(
         np.linalg.norm(e), rel=1e-10)
     with pytest.raises(bounds.VacuousBound):
-        bounds.residual_to_pinv(z, np.zeros((3, 6)), y)
-    with pytest.raises(bounds.VacuousBound):
-        bounds.residual_to_pinv(np.zeros((6, 10)).T[:3], w.T, y.T[:6].T
-                                ) if False else bounds.residual_to_pinv(
-            np.zeros((6, 3)), w.T, np.zeros((6, 3)))
+        bounds.residual_to_pinv(z, densemat.svd(np.zeros((3, 6))), y)
+    with pytest.raises(bounds.VacuousBound):  # W_L taller than wide
+        bounds.residual_to_pinv(np.zeros((6, 3)), densemat.svd(w.T), np.zeros((6, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -100,17 +101,22 @@ def test_divergent_run_exits_3_and_still_writes_artifacts(tmp_path):
 
 
 def test_divergence_reports_its_step_and_cause(tmp_path, capsys):
-    cfg = json.loads(json.dumps(BASE_CONFIG))
-    cfg["train"].update(eta=100.0, record_every=1000)
-    out = tmp_path / "run"
-    code = cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
-                     "--out", str(out)])
-    assert code == cli.EXIT_DIVERGED
-    div = json.loads((out / "report.json").read_text())["train"]["divergence"]
-    assert 0 < div["step"] < cfg["train"]["steps"]
-    assert div["cause"].startswith("non-finite gradient at layer ")
-    err = capsys.readouterr().err
-    assert f"diverged at step {div['step']}: {div['cause']}" in err
+    divergences = []
+    for every in (1000, 1):  # the same step and cause whatever the cadence
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["train"].update(eta=100.0, record_every=every)
+        out = tmp_path / f"run_{every}"
+        code = cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)])
+        assert code == cli.EXIT_DIVERGED
+        div = json.loads((out / "report.json").read_text())["train"]["divergence"]
+        assert div["step"] == 1
+        assert div["cause"].startswith("c_0 = ")
+        assert "exceeds the divergence threshold" in div["cause"]
+        err = capsys.readouterr().err
+        assert f"diverged at step {div['step']}: {div['cause']}" in err
+        divergences.append(div)
+    assert divergences[0] == divergences[1]
     # a healthy run's report has no divergence entry
     healthy = tmp_path / "ok"
     assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
@@ -367,7 +373,7 @@ def test_sweep_member_svd_failure_is_a_member_error(tmp_path, monkeypatch):
                for s in statuses)
 
 
-def test_sweep_exits_nonzero_when_a_member_diverges(tmp_path):
+def test_sweep_exits_nonzero_when_a_member_diverges(tmp_path, capsys):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["train"]["eta"] = 100.0
     out = tmp_path / "sweep"
@@ -377,6 +383,11 @@ def test_sweep_exits_nonzero_when_a_member_diverges(tmp_path):
     assert code == cli.EXIT_FAILED
     lines = (out / "sweep.csv").read_text().splitlines()
     assert [line.split(",")[2] for line in lines[2:]] == ["diverged"]
+    div = json.loads((out / "value_2_seed_0" / "report.json").read_text())["train"]
+    assert div["diverged"] and div["divergence"]["cause"].startswith("c_0 = ")
+    err = capsys.readouterr().err
+    assert (f"value_2_seed_0: diverged at step {div['divergence']['step']}: "
+            f"{div['divergence']['cause']}") in err
 
 
 def _count_measure_calls(monkeypatch):
@@ -530,6 +541,41 @@ def test_vacuous_weak_alignment_bound_is_reported_vacuous(tmp_path, capsys):
     assert nc3["premises"] == {"eps1_small": True, "nontrivial": False}
     assert nc3["holds"] == "vacuous"
     assert "evaluated 6 bounds, 3 hold" in capsys.readouterr().out
+
+
+def test_bounds_reads_s_k_of_y_from_the_class_counts(tmp_path):
+    # perfbench's `wide` config at 0 steps: 10 classes of 20 samples
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["network"].update(widths=[256, 128, 64, 10, 10], l1=3)
+    cfg["train"].update(eta=0.01, lam=0.02, steps=0)
+    cfg["data"].update(d=64, k=10, n_per_class=20, class_sep=1.0, noise=0.1)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    measured = json.loads((out / "report.json").read_text())["bounds"]["measured"]
+    assert measured["sK_y"] == math.sqrt(20)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("proof_exponent", True), ("eps1_target", 0.1), ("eps2_target", 0.1),
+    ("lam_override", 0.1), ("eta_override", 0.1), ("ntk_seed", 3)])
+def test_bounds_section_holds_only_rank_tol(tmp_path, capsys, key, value):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["bounds"] = {"rank_tol": 1e-10, key: value}
+    code = cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "bad")])
+    assert code == cli.EXIT_CONFIG
+    assert "config field bounds" in capsys.readouterr().err
+    # a run directory whose resolved config holds the key is refused too
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    resolved = json.loads((out / "config.resolved.json").read_text())
+    resolved["config"]["bounds"][key] = value
+    (out / "config.resolved.json").write_text(json.dumps(resolved))
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_CONFIG
+    assert "config field bounds" in capsys.readouterr().err
 
 
 def test_synthetic_data_defaults_come_from_synth_gaussian():

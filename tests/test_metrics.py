@@ -22,6 +22,14 @@ def test_class_index_validation():
         ClassIndex((2, 0))
 
 
+@pytest.mark.parametrize("counts", [(3, 5, 7), (20,) * 10, (4, 1)])
+def test_s_k_of_one_hot_labels_is_the_root_of_the_smallest_count(counts):
+    idx = ClassIndex(counts)
+    assert idx.sK_y == math.sqrt(min(counts))
+    y = np.repeat(np.eye(len(counts)), counts, axis=1)  # one-hot, grouped by class
+    assert idx.sK_y == pytest.approx(np.linalg.svd(y, compute_uv=False)[-1], rel=1e-14)
+
+
 def test_class_means_hand_example():
     z = np.array([[1.0, 3.0, -1.0, -3.0],
                   [0.0, 0.0, 0.0, 0.0]])

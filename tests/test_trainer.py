@@ -97,8 +97,34 @@ def test_divergence_keeps_its_step_and_cause_between_records():
     _, traj = train(cfg, tcfg, x, y, idx)
     assert traj.diverged
     assert [r.step for r in traj.records] == [0]
-    assert 0 < traj.diverged_at < 200
-    assert traj.divergence.startswith("non-finite gradient at layer ")
+    # the next step tests c_0 of the state the first step gave
+    assert traj.diverged_at == 1
+    assert traj.divergence.startswith("c_0 = ")
+    _, every = train(cfg, TrainConfig(eta=100.0, lam=0.0, steps=200, record_every=1,
+                                      seed=0), x, y, idx)
+    assert (every.diverged_at, every.divergence) == (traj.diverged_at, traj.divergence)
+
+
+@pytest.mark.parametrize("rel, diverges", [(1e-9, True), (-1e-9, False)])
+def test_gd_step_tests_c0_exactly_at_the_threshold(rel, diverges):
+    cfg = NetworkConfig(input_dim=1, widths=(1,), l1=0, l2=1, activation=SMOOTH)
+    c0 = trainer.DIVERGENCE_THRESHOLD * (1.0 + rel)
+    params = ParamSet([np.array([[np.sqrt(2.0 * c0)]])])  # c_0 = w^2 / 2 at x = 1, y = 0
+    x, y = np.ones((1, 1)), np.zeros((1, 1))
+    if diverges:
+        with pytest.raises(trainer.LossDiverged, match="exceeds the divergence threshold"):
+            gd_step(cfg, params, x, y, 1e-30, 0.0)
+    else:
+        gd_step(cfg, params, x, y, 1e-30, 0.0)
+
+
+def test_divergence_at_the_initial_state_is_step_0():
+    cfg, x, y, idx = small_problem()
+    tcfg = TrainConfig(eta=0.01, lam=0.0, steps=5, seed=0, init=InitSpec((1e6, 1e6, 1e6)))
+    params, traj = train(cfg, tcfg, x, y, idx)
+    assert [r.step for r in traj.records] == [0]
+    assert traj.diverged_at == 0 and "exceeds the divergence threshold" in traj.divergence
+    assert params.dist(traj.records[0].params) == 0.0
 
 
 def test_divergence_names_a_c0_above_the_threshold():
@@ -116,7 +142,7 @@ def test_healthy_run_has_no_divergence():
 
 
 def _planted_gradient(monkeypatch, fill):
-    def planted(cfg, params, x, y, lam):
+    def planted(cfg, params, x, y, lam, trace=None):
         return ParamSet([fill(w.shape, layer) for layer, w in
                          enumerate(params.weights, start=1)])
 
