@@ -27,7 +27,7 @@ from . import bounds as bounds_mod
 from . import data as data_mod
 from . import densemat, metrics, ntk
 from .network import ActivationSpec, NetworkConfig, forward, loss
-from .trainer import InitSpec, TrainConfig, train
+from .trainer import InitSpec, TrainConfig, lockstep_groups, train
 
 SCHEMA_VERSION = 1
 
@@ -301,16 +301,20 @@ def cmd_train(config_path, out_dir) -> int:
 
     last = traj.last()
     if traj.diverged:
-        print(f"diverged at step {traj.diverged_at}: {traj.divergence} "
-              f"(last healthy record: step {last.step})", file=sys.stderr)
+        # at step 0 the one record is the state that failed
+        note = f" (last healthy record: step {last.step})" if traj.diverged_at else ""
+        print(f"diverged at step {traj.diverged_at}: {traj.divergence}{note}",
+              file=sys.stderr)
         return EXIT_DIVERGED
     print(f"ok: {last.step} steps, c_0={last.c_0!r}")
     return EXIT_OK
 
 
-def _train_into(cfg: dict, out: Path, first_layer: int | None = None) -> tuple:
-    """Train a resolved config, measuring from `first_layer`, into `out`:
-    config.resolved.json and report.json. Returns (net, params, trajectory)."""
+def _train_into(cfg: dict, out: Path, first_layer: int | None = None,
+                group=None) -> tuple:
+    """Train a resolved config, measuring from `first_layer`, with its lockstep
+    `group` if any, into `out`: config.resolved.json and report.json. Returns
+    (net, params, trajectory)."""
     ds = build_dataset(cfg)
     net = build_network(cfg, ds.x.shape[0])
     if net.n_classes != ds.y.shape[0]:
@@ -320,7 +324,7 @@ def _train_into(cfg: dict, out: Path, first_layer: int | None = None) -> tuple:
         # from the head input, or lower when a layer whose Gram is written lies below it
         first_layer = min(max(net.l1, 1), max(net.depth - 2, 1))
     params, traj = train(net, build_train_config(cfg), ds.x, ds.y, ds.idx,
-                         first_layer=first_layer)
+                         first_layer=first_layer, group=group)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.resolved.json", {"config": cfg})
     last = traj.last()
@@ -439,9 +443,21 @@ def sweep_member_config(cfg: dict, axis: str, value: int, seed: int) -> dict:
     return member
 
 
-def _run_member(cfg: dict, out: Path) -> dict:
+def _lockstep_groups(cfg: dict, members: dict) -> dict:
+    """The lockstep group of each sweep member: all train on `cfg`'s data.
+    If any member does not build, every member runs alone and reports its
+    own error."""
+    try:
+        dim = build_dataset(cfg).x.shape[0]
+        built = {key: (build_network(m, dim), build_train_config(m)) for key, m in members.items()}
+    except (ConfigError, ValueError):
+        return {}
+    return dict(zip(built, lockstep_groups(list(built.values()))))
+
+
+def _run_member(cfg: dict, out: Path, group=None) -> dict:
     # measure every layer: the negativity summary covers the whole backbone
-    net, _, traj = _train_into(cfg, out, first_layer=1)
+    net, _, traj = _train_into(cfg, out, first_layer=1, group=group)
     if traj.diverged:
         print(f"{out.name}: diverged at step {traj.diverged_at}: {traj.divergence}",
               file=sys.stderr)
@@ -476,11 +492,13 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir) -> int:
     cfg = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    members = {(v, s): sweep_member_config(cfg, axis, v, s) for v in values for s in seeds}
+    groups = _lockstep_groups(cfg, members)
 
     def job(v, s):
         try:
-            member = sweep_member_config(cfg, axis, v, s)
-            return (v, s, _run_member(member, out / f"value_{v}_seed_{s}"))
+            return (v, s, _run_member(members[v, s], out / f"value_{v}_seed_{s}",
+                                      groups.get((v, s))))
         except (ConfigError, ValueError, densemat.SvdConvergenceError) as exc:
             return (v, s, {"status": f"error: {exc}"})
 

@@ -176,11 +176,13 @@ class SvdResult:
     """u has orthonormal columns, s is non-increasing, vt has orthonormal rows;
     u and vt are None when the SVD was asked for values only, and s is
     [sigma_1] alone when it was asked for the top one only, [sigma_1,
-    sigma_min] when it was asked for the extremes."""
+    sigma_min] when it was asked for the extremes. Extremes that are the ends
+    of Jacobi sweeps keep the whole values-only spectrum in `spectrum`."""
 
     u: np.ndarray | None
     s: np.ndarray
     vt: np.ndarray | None
+    spectrum: np.ndarray | None = None
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.s) @ self.vt
@@ -463,8 +465,10 @@ def svd(a, compute_uv: bool = True, top_only: bool = False,
     sigma = sigma[order]
     sigma[sigma < 1e-300] = 0.0  # no unit left vector from so small a column
     if not compute_uv:
-        return SvdResult(u=None, s=np.ldexp(sigma[[0, -1]] if extremes else sigma, exp),
-                         vt=None)
+        sigma = np.ldexp(sigma, exp)
+        if extremes:
+            return SvdResult(u=None, s=sigma[[0, -1]], vt=None, spectrum=sigma)
+        return SvdResult(u=None, s=sigma, vt=None)
     b = b[:, order]
     v = v[:, order]
 
@@ -504,16 +508,17 @@ def cond(a, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """s1 / s_k over non-zero singular values (numerical rank under rank_tol).
 
     An SvdResult gives them all; for a matrix the extremes decide full rank,
-    and only a rank-deficient one takes the whole values-only spectrum."""
+    and only a rank-deficient one takes the whole values-only spectrum: the
+    one the extremes swept for, or else one more values-only SVD."""
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"rank_tol must be in (0, 1), got {rank_tol}")
-    decomposed = isinstance(a, SvdResult)
-    s = a.s if decomposed else svd(a, compute_uv=False, extremes=True).s
+    res = a if isinstance(a, SvdResult) else svd(a, compute_uv=False, extremes=True)
+    s = res.s if res.spectrum is None else res.spectrum
     if not np.all(np.isfinite(s)):
         raise ValueError("undefined condition number: non-finite matrix")
     if s[0] == 0.0:
         raise ValueError("undefined condition number: zero matrix")
-    if s[-1] <= rank_tol * s[0] and not decomposed:
+    if s[-1] <= rank_tol * s[0] and res is not a and res.spectrum is None:
         s = svd(a, compute_uv=False).s
     kept = s[s > rank_tol * s[0]]
     return float(s[0] / kept[-1])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr  # standard normal CDF, vectorized
@@ -33,22 +34,18 @@ class ActivationSpec:
             if self.beta is None or self.beta < 1.0:
                 raise ValueError("beta must be >= 1")
 
-    @property
+    @cached_property
     def kernel_sd(self) -> float:
         """Standard deviation of the mollifying Gaussian."""
         return (1.0 - self.gamma) / (_SQRT_2PI * self.beta)
 
-    @property
+    @cached_property
     def shift(self) -> float:
         """Additive constant of the smoothed activation."""
         return (1.0 - self.gamma) ** 2 / (2.0 * math.pi * self.beta)
 
 
-def _phi(x):
-    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
-
-
-def act_apply(spec: ActivationSpec, x, dact=None):
+def act_apply(spec: ActivationSpec, x, dact=None, scratch=None):
     """Elementwise activation; accepts scalars or arrays.
 
     The smoothed activation is written through its derivative,
@@ -56,27 +53,43 @@ def act_apply(spec: ActivationSpec, x, dact=None):
     kernel's standard deviation and phi the standard normal pdf. A caller that
     holds dact = act_grad(spec, x) passes it, so the normal CDF is evaluated
     once per array; without it, act_grad is called here. relu and leaky_relu
-    ignore dact.
+    ignore dact. Given `scratch`, an array of x's shape, sigma(x) is written
+    over the float64 array x, with no other array allocated.
     """
-    x = np.asarray(x, dtype=np.float64)
+    if scratch is None:
+        x = np.array(x, dtype=np.float64)
+        scratch = np.empty_like(x)
     if spec.kind == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x)
     if spec.kind == "leaky_relu":
-        return np.maximum(spec.gamma * x, x)
+        return np.maximum(np.multiply(x, spec.gamma, out=scratch), x, out=x)
     if dact is None:
         dact = act_grad(spec, x)
     s = spec.kernel_sd
-    return x * dact + (1.0 - spec.gamma) * s * _phi(x / s) - spec.shift
+    phi = np.divide(x, s, out=scratch)  # then phi(x / s) in place
+    np.square(phi, out=phi)
+    np.multiply(phi, -0.5, out=phi)
+    np.exp(phi, out=phi)
+    np.divide(phi, _SQRT_2PI, out=phi)
+    np.multiply(phi, (1.0 - spec.gamma) * s, out=phi)
+    np.multiply(x, dact, out=x)
+    np.add(x, phi, out=x)
+    return np.subtract(x, spec.shift, out=x)
 
 
-def act_grad(spec: ActivationSpec, x):
-    """Elementwise activation derivative (relu derivative at 0 is 0)."""
+def act_grad(spec: ActivationSpec, x, out=None):
+    """Elementwise activation derivative (relu derivative at 0 is 0), into
+    `out` if given."""
     x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x) if out is None else out
     if spec.kind == "relu":
-        return np.where(x > 0.0, 1.0, 0.0)
-    if spec.kind == "leaky_relu":
-        return np.where(x >= 0.0, 1.0, spec.gamma)
-    return spec.gamma + (1.0 - spec.gamma) * ndtr(x / spec.kernel_sd)
+        out[...] = x > 0.0
+    elif spec.kind == "leaky_relu":
+        out[...] = np.where(x >= 0.0, 1.0, spec.gamma)
+    else:
+        ndtr(np.divide(x, spec.kernel_sd, out=out), out=out)
+        np.add(np.multiply(out, 1.0 - spec.gamma, out=out), spec.gamma, out=out)
+    return out
 
 
 def check_activation_bounds(spec: ActivationSpec, lo: float = -50.0, hi: float = 50.0,
@@ -167,59 +180,77 @@ class ForwardTrace:
     z: list       # Z_0 .. Z_L
     preact: list  # W_l Z_{l-1} for the l1 nonlinear layers
     dact: list    # act_grad of each entry of preact
+    scratch: list | None = None  # per nonlinear layer: caller-given work space, or None
 
 
-def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray) -> ForwardTrace:
+def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
+            out: ForwardTrace | None = None) -> ForwardTrace:
     """Every forward quantity of a state: the layer outputs, and the
     preactivations of the nonlinear layers with the activation's derivative
-    there, which backprop and the NTK tangents read."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != cfg.input_dim:
-        raise ValueError(f"input has {x.shape[0]} rows, network expects {cfg.input_dim}")
-    params.check_shapes(cfg)
-    z = [x]
-    preact, dact = [], []
+    there, which backprop and the NTK tangents read.
+
+    Weights may carry a leading member axis, (B_l, n_l, n_{l-1}) for layer l,
+    which reads the first B_l members of the layer below. `out` is a trace of
+    caller-given buffers: z[l] is then written over the preactivation, which
+    is not kept, and nothing is checked or allocated.
+    """
+    if out is None:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[0] != cfg.input_dim:
+            raise ValueError(f"input has {x.shape[0]} rows, network expects {cfg.input_dim}")
+        params.check_shapes(cfg)
+        out = ForwardTrace([x] + [None] * cfg.depth, [], [None] * cfg.l1, [None] * cfg.l1)
     cur = x
-    for layer in range(1, cfg.depth + 1):
-        w = params.weights[layer - 1]
+    for layer, w in enumerate(params.weights, start=1):
         try:
-            pre = w @ cur
+            pre = np.matmul(w, cur[:len(w)] if cur.ndim == 3 else cur, out=out.z[layer])
         except ValueError as exc:
             raise ValueError(f"shape mismatch at layer {layer}: {exc}") from exc
         if layer <= cfg.l1:
-            d = act_grad(cfg.activation, pre)
-            preact.append(pre)
-            dact.append(d)
-            cur = act_apply(cfg.activation, pre, d)
-        else:
-            cur = pre
-        z.append(cur)
-    return ForwardTrace(z=z, preact=preact, dact=dact)
+            d = out.dact[layer - 1] = act_grad(cfg.activation, pre, out.dact[layer - 1])
+            if out.scratch[layer - 1] is None:
+                out.preact.append(pre)
+            pre = act_apply(cfg.activation, pre, d, out.scratch[layer - 1])
+        out.z[layer] = cur = pre
+    return out
 
 
 def loss(cfg: NetworkConfig, params: ParamSet, x, y, lam: float = 0.0,
-         trace: ForwardTrace | None = None) -> tuple:
-    """Returns (c_lambda, c_0) with c_0 = 0.5*||Z_L - Y||_F^2."""
-    y = np.asarray(y, dtype=np.float64)
-    if trace is None:
-        trace = forward(cfg, params, x)
-    resid = trace.z[-1] - y
+         trace: ForwardTrace | None = None, resid: np.ndarray | None = None) -> tuple:
+    """Returns (c_lambda, c_0) with c_0 = 0.5*||Z_L - Y||_F^2; a caller that
+    holds the residual Z_L - Y passes it."""
+    if resid is None:
+        y = np.asarray(y, dtype=np.float64)
+        if trace is None:
+            trace = forward(cfg, params, x)
+        resid = trace.z[-1] - y
     c0 = 0.5 * float(np.sum(resid * resid))
     clam = c0 + 0.5 * lam * params.norm() ** 2
     return clam, c0
 
 
 def backprop(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
-             cotangent: np.ndarray) -> ParamSet:
-    """Gradients of <cotangent, Z_L> with respect to every weight matrix."""
-    grads = [None] * cfg.depth
+             cotangent: np.ndarray, out: list | None = None) -> ParamSet:
+    """Gradients of <cotangent, Z_L> with respect to every weight matrix.
+
+    `out`, gradient buffers for a trace of buffers (see `forward`), makes
+    each layer's delta in place in trace.z[l]: rows past B_{l+1} hold the
+    cotangent of the members whose output is layer l, and `cotangent` is z[-1].
+    """
+    buffered = out is not None
+    grads = out if buffered else [None] * cfg.depth
     delta = cotangent
     for layer in range(cfg.depth, 0, -1):
+        w, below = params.weights[layer - 1], trace.z[layer - 1]
+        if below.ndim == 3:
+            below = below[:len(w)]
         if layer <= cfg.l1:
-            delta = delta * trace.dact[layer - 1]
-        grads[layer - 1] = delta @ trace.z[layer - 1].T
+            delta = np.multiply(delta, trace.dact[layer - 1], out=delta if buffered else None)
+        grads[layer - 1] = np.matmul(delta, below.swapaxes(-1, -2), out=grads[layer - 1])
         if layer > 1:
-            delta = params.weights[layer - 1].T @ delta
+            delta = np.matmul(w.swapaxes(-1, -2), delta, out=below if buffered else None)
+            if buffered:
+                delta = trace.z[layer - 1]
     return ParamSet(grads)
 
 

@@ -3,17 +3,22 @@ late learning-rate drop. One run is strictly sequential and deterministic for a
 fixed seed. Each recorded step is observed once: one forward trace gives its
 losses, divergence check and `metrics.measure` report (class means and
 operator norms included, hence only at the recording cadence).
+
+Runs whose layers nest train in lockstep (`lockstep_groups`): one batched GD
+step per step over a member axis, into buffers allocated once. Every
+operation is elementwise or one member's matrix product, so each member's
+floats are those of a run alone, bit for bit; a lone run is a group of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import metrics
-from .network import NetworkConfig, ParamSet, forward, gradient, loss
+from .network import ForwardTrace, NetworkConfig, ParamSet, backprop, forward, loss
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -105,29 +110,92 @@ def _test_loss(c0: float) -> None:
             f"c_0 = {c0!r} exceeds the divergence threshold {DIVERGENCE_THRESHOLD:g}")
 
 
-def gd_step(cfg: NetworkConfig, params: ParamSet, x, y, eta: float, lam: float) -> ParamSet:
+class Workspace:
+    """Buffers, allocated once, for GD steps of members whose layers nest, each
+    a prefix of the first member's `cfg`, at `states`. Deepest first, the B_l
+    members that have a layer l are the first B_l, so their weights l are one
+    (B_l, n_l, n_{l-1}) view of a flat theta, which `forward` and `backprop`
+    take at once. Two flat thetas alternate as the state and the next one;
+    the nonlinear layers share one scratch array."""
+
+    def __init__(self, cfgs: list, x, y, states: list):
+        cfg = self.cfg = cfgs[0]
+        self.depths, self.x, self.y, self.now = [c.depth for c in cfgs], x, y, 0
+        shapes = [(sum(d >= layer for d in self.depths),) + cfg.layer_shape(layer)
+                  for layer in range(1, cfg.depth + 1)]
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        self.flat = [np.empty(ends[-1]) for _ in range(3)]  # two thetas, then the gradient
+        self.states = [ParamSet([part.reshape(shape) for part, shape in
+                                 zip(np.split(flat, ends[:-1]), shapes)]) for flat in self.flat]
+        self.g, self.grads = self.flat.pop(), self.states.pop().weights
+        for b, params in enumerate(states):
+            for w, src in zip(self.state.weights, params.weights):
+                w[b] = src
+        z = [x] + [np.empty(shape[:2] + (x.shape[1],)) for shape in shapes]
+        scratch = np.empty(max([a.size for a in z[1:cfg.l1 + 1]], default=0))  # one, shared
+        self.trace = ForwardTrace(z, [], [np.empty_like(a) for a in z[1:cfg.l1 + 1]],
+                                  [scratch[:a.size].reshape(a.shape) for a in z[1:cfg.l1 + 1]])
+        self.resid = [z[d][b] for b, d in enumerate(self.depths)]  # each member's output
+
+    @property
+    def state(self) -> ParamSet:
+        return self.states[self.now]
+
+    def member(self, b: int, of: list | None = None) -> ParamSet:
+        """Member b's weights, or its part of the per-layer arrays `of`, as views."""
+        return ParamSet([w[b] for w in (of or self.state.weights)[:self.depths[b]]])
+
+
+def gd_step(cfg: NetworkConfig, params: ParamSet, x, y, eta: float, lam: float,
+            ws: Workspace | None = None) -> ParamSet:
     """One update theta - eta * grad C_lambda(theta); the input is not mutated.
 
     LossDiverged if c_0 of `params`, from the trace the gradient reads, fails
     the divergence test, so every state is tested. The gradient is tested for
-    finiteness once, through the sum of its per-layer sums; only when that is
-    not finite (a NaN or inf entry, or a finite gradient whose sum overflows)
-    are the layers scanned, so the error names the first non-finite one.
+    finiteness once, through its sum; only when that is not finite (a NaN or
+    inf entry, or a finite gradient whose sum overflows) are the layers
+    scanned, so the error names the first non-finite one.
+
+    Given the Workspace `ws` whose state `params` is, all its members step at
+    once into its other theta, which is returned, and each failing member's
+    error goes into `ws.failed` instead of being raised.
     """
+    lone = ws is None
+    if lone:
+        params.check_shapes(cfg)
+        x = np.asarray(x, dtype=np.float64)
+        ws = Workspace([cfg], x, np.asarray(y, dtype=np.float64), [params])
+        params = ws.state
+    failed = ws.failed = {}
+    new = ws.flat[1 - ws.now]
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = forward(cfg, params, x)
-        resid = trace.z[-1] - y
-        # one dot product per step, within 1e-6 of 2 c_0: only a state near or
-        # past the threshold takes the exact test, on loss()'s c_0
-        if not np.vdot(resid, resid) <= 2.0 * DIVERGENCE_THRESHOLD * (1.0 - 1e-6):
-            _test_loss(loss(cfg, params, x, y, trace=trace)[1])
-        g = gradient(cfg, params, x, y, lam, trace)
-        total = sum([gw.sum() for gw in g.weights])
+        forward(ws.cfg, params, ws.x, ws.trace)
+        for b, resid in enumerate(ws.resid):  # Z_L - Y, backprop's cotangent
+            np.subtract(resid, ws.y, out=resid)
+            # one dot product per member, within 1e-6 of 2 c_0: only a state near
+            # or past the threshold takes the exact test, on loss()'s c_0
+            if not np.vdot(resid, resid) <= 2.0 * DIVERGENCE_THRESHOLD * (1.0 - 1e-6):
+                try:
+                    _test_loss(loss(cfg, ws.member(b), x, y, resid=resid)[1])
+                except LossDiverged as exc:
+                    failed[b] = exc
+        backprop(ws.cfg, params, ws.trace, ws.trace.z[-1], ws.grads)
+        if lam != 0.0:
+            np.add(ws.g, np.multiply(ws.flat[ws.now], lam, out=new), out=ws.g)
+        total = ws.g.sum()
     if not math.isfinite(total):
-        for layer, gw in enumerate(g.weights, start=1):
-            if not np.all(np.isfinite(gw)):
-                raise FloatingPointError(f"non-finite gradient at layer {layer}")
-    return ParamSet([w - eta * gw for w, gw in zip(params.weights, g.weights)])
+        for b in range(len(ws.depths)):
+            for layer, gw in enumerate(ws.member(b, ws.grads).weights, start=1):
+                if b not in failed and not np.all(np.isfinite(gw)):
+                    failed[b] = FloatingPointError(f"non-finite gradient at layer {layer}")
+    for b in failed:  # a failed member's state is dropped: it updates by zero, silently
+        for gw in ws.member(b, ws.grads).weights:
+            gw[...] = 0.0
+    np.subtract(ws.flat[ws.now], np.multiply(ws.g, eta, out=ws.g), out=new)
+    ws.now = 1 - ws.now
+    if lone and failed:
+        raise failed[0]
+    return ws.member(0) if lone else ws.state
 
 
 def _observe(cfg, train_cfg, params, theta0, x, y, idx, step,
@@ -161,8 +229,109 @@ def effective_eta(train_cfg: TrainConfig, step: int) -> float:
     return train_cfg.eta
 
 
+@dataclass(eq=False)
+class Lockstep:
+    """(NetworkConfig, TrainConfig) members, deepest first, that train in
+    lockstep on one data set; the first `train` call of any of them runs all."""
+    members: list
+    results: list | None = None
+
+
+def _layers(cfg: NetworkConfig) -> list:
+    return [(cfg.layer_shape(layer), layer <= cfg.l1) for layer in range(1, cfg.depth + 1)]
+
+
+def lockstep_groups(members: list) -> list:
+    """The Lockstep group of each (NetworkConfig, TrainConfig) pair, for
+    members that train on the same data. Members share a group when their
+    activation and every train setting but the seed agree and each one's
+    layers (shape, and linear or not) are a prefix of its deepest member's."""
+    made, groups = [], [None] * len(members)
+    for i in sorted(range(len(members)), key=lambda i: -members[i][0].depth):
+        cfg, tcfg = members[i]
+        for g in made:
+            head, head_tcfg = g.members[0]
+            if (cfg.activation == head.activation and _layers(cfg) == _layers(head)[:cfg.depth]
+                    and replace(tcfg, seed=0) == replace(head_tcfg, seed=0)):
+                g.members.append(members[i])
+                break
+        else:
+            g = Lockstep([members[i]])
+            made.append(g)
+        groups[i] = g
+    return groups
+
+
+@dataclass
+class _Run:
+    """One member's progress through a lockstep run."""
+    cfg: NetworkConfig
+    train_cfg: TrainConfig
+    theta0: ParamSet | None = None
+    last_healthy: ParamSet | None = None
+    traj: Trajectory = field(default_factory=Trajectory)
+    result: object = None  # (params, traj), or the exception its train call raises
+
+    def stop(self, k: int, exc: Exception) -> None:
+        self.result = exc
+        if isinstance(exc, FloatingPointError):
+            # LossDiverged: state k failed the c_0 test; else update k + 1's gradient
+            self.traj.diverged_at = k if isinstance(exc, LossDiverged) else k + 1
+            self.traj.divergence = str(exc)
+            self.result = (self.last_healthy, self.traj)
+
+
+def _run_lockstep(members: list, x, y, idx, first_layer) -> list:
+    """Train a group, one batched GD step per step, each member exactly as it
+    would train alone: its own c_0 tests, records, divergence and errors. A
+    member that stops leaves the group and the others go on. Records copy
+    their states out and run without the step buffers, which are built again
+    for the members still running."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    runs = [_Run(cfg, tcfg) for cfg, tcfg in members]
+    for run in runs:
+        try:
+            run.theta0 = run.last_healthy = init_params(run.cfg, run.train_cfg.init,
+                                                        run.train_cfg.seed)
+        except ValueError as exc:
+            run.result = exc
+    active = [run for run in runs if run.result is None]
+    states, ws = [run.theta0 for run in active], None
+    train_cfg = members[0][1]
+    for k in range(train_cfg.steps + 1):  # state k, then the update to state k + 1
+        if k % train_cfg.record_every == 0 or k == train_cfg.steps:
+            if ws is not None:
+                states, ws = [ws.member(b).copy() for b in range(len(active))], None
+            for run, params in zip(active, states):
+                if run.result is not None:  # stopped at the last step
+                    continue
+                try:
+                    run.traj.records.append(_observe(run.cfg, run.train_cfg, params, run.theta0,
+                                                     x, y, idx, k, first_layer))
+                    run.last_healthy = params
+                except Exception as exc:  # the member's own, raised from its call
+                    run.stop(k, exc)
+        if k == train_cfg.steps:
+            break
+        if ws is None or ws.failed:
+            live = [b for b, run in enumerate(active) if run.result is None]
+            states = [states[b] if ws is None else ws.member(b) for b in live]
+            active = [active[b] for b in live]
+            if not active:
+                break
+            ws = Workspace([run.cfg for run in active], x, y, states)
+        gd_step(ws.cfg, ws.state, x, y, effective_eta(train_cfg, k), train_cfg.lam, ws)
+        for b, exc in ws.failed.items():
+            active[b].stop(k, exc)
+    for run in active:
+        if run.result is None:
+            run.result = (run.last_healthy, run.traj)
+    return [run.result for run in runs]
+
+
 def train(cfg: NetworkConfig, train_cfg: TrainConfig, x, y,
-          idx: metrics.ClassIndex, first_layer: int | None = None) -> tuple:
+          idx: metrics.ClassIndex, first_layer: int | None = None,
+          group: Lockstep | None = None) -> tuple:
     """Run GD; returns (last recorded ParamSet, Trajectory).
 
     Every record carries the `metrics.measure` report of its state over the
@@ -170,24 +339,15 @@ def train(cfg: NetworkConfig, train_cfg: TrainConfig, x, y,
     On divergence (a non-finite gradient, or a c_0 that is not finite or
     above the threshold) the partial trajectory is returned with `diverged`,
     its step and its cause set; the last recorded state is the final healthy
-    one. `gd_step` never mutates its input, so states are
-    shared, not copied.
+    one. A member of `group` trains with the whole group at the group's
+    first call, on this call's data, and gets or raises its own result,
+    identical to a run alone.
     """
-    params = theta0 = last_healthy = init_params(cfg, train_cfg.init, train_cfg.seed)
-    traj = Trajectory()
-    for k in range(train_cfg.steps + 1):  # state k, then the update to state k + 1
-        try:
-            if k % train_cfg.record_every == 0 or k == train_cfg.steps:
-                traj.records.append(_observe(cfg, train_cfg, params, theta0, x, y,
-                                             idx, k, first_layer))
-                last_healthy = params
-            if k < train_cfg.steps:
-                params = gd_step(cfg, params, x, y, effective_eta(train_cfg, k),
-                                 train_cfg.lam)
-        except LossDiverged as exc:  # state k failed the c_0 test
-            traj.diverged_at, traj.divergence = k, str(exc)
-            break
-        except FloatingPointError as exc:  # the gradient of update k + 1
-            traj.diverged_at, traj.divergence = k + 1, str(exc)
-            break
-    return last_healthy, traj
+    if group is None:
+        group = Lockstep([(cfg, train_cfg)])
+    if group.results is None:
+        group.results = _run_lockstep(group.members, x, y, idx, first_layer)
+    result = group.results[group.members.index((cfg, train_cfg))]
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -14,6 +14,8 @@ import pytest
 from nclab import cli, data, densemat, metrics, network, ntk, trainer
 
 
+SMOOTH_ACT = {"kind": "smoothed_leaky_relu", "gamma": 0.3, "beta": 2.0}
+
 BASE_CONFIG = {
     "schema_version": 1,
     "network": {"widths": [6, 4, 3], "l1": 1,
@@ -124,6 +126,17 @@ def test_divergence_reports_its_step_and_cause(tmp_path, capsys):
     assert "divergence" not in json.loads((healthy / "report.json").read_text())["train"]
 
 
+def test_divergence_at_step_0_names_no_healthy_record(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"].update(steps=5, init_scales=[1e6, 1e6, 1e6])
+    code = cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("diverged at step 0: c_0 = ")
+    assert err.endswith("exceeds the divergence threshold 1e+12")  # the state that failed
+
+
 def test_train_rerun_is_bit_identical(tmp_path):
     cfg_path = write_config(tmp_path, BASE_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -180,9 +193,9 @@ def test_train_traces_the_final_state_once(tmp_path, monkeypatch):
     traced = []
     real = network.forward
 
-    def recording(cfg, params, x):
+    def recording(cfg, params, x, out=None):
         traced.append(_params_digest(params))
-        return real(cfg, params, x)
+        return real(cfg, params, x, out)
 
     for module in (cli, network, trainer):  # every module that calls forward in `train`
         monkeypatch.setattr(module, "forward", recording)
@@ -463,7 +476,7 @@ def test_impossible_synthetic_data_is_config_error(tmp_path, capsys):
 
 
 def test_sweep_csv_quotes_a_status_with_a_comma(tmp_path, monkeypatch):
-    def failing_member(cfg, out):
+    def failing_member(cfg, out, group):
         raise ValueError("width 0, depth 2")
 
     monkeypatch.setattr(cli, "_run_member", failing_member)
@@ -587,3 +600,100 @@ def test_synthetic_data_defaults_come_from_synth_gaussian():
         == {"class_sep": 4.0, "noise": 0.3, "seed": 0, "min_col_norm_one": True}
     ds = cli.build_dataset(cli.resolve_config(cfg))
     assert ds.fingerprint() == data.synth_gaussian(d=5, k=3, n_per_class=4).fingerprint()
+
+
+def _member_dirs_match_members_alone(tmp_path, capsys, cfg, axis, values, seeds):
+    """`nclab sweep` against `_run_member` of each member alone: the same exit
+    code's stderr lines in the same order, and byte-identical member
+    directories. Returns the sweep's exit code."""
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                     "--axis", axis, "--values", ",".join(map(str, values)),
+                     "--seeds", ",".join(map(str, seeds)), "--out", str(out)])
+    swept = capsys.readouterr().err
+    resolved = cli.resolve_config(cfg)
+    for v in values:
+        for s in seeds:
+            name = f"value_{v}_seed_{s}"
+            cli._run_member(cli.sweep_member_config(resolved, axis, v, s),
+                            tmp_path / "alone" / name)
+            files = sorted(p.name for p in (out / name).iterdir())
+            assert files == sorted(p.name for p in (tmp_path / "alone" / name).iterdir())
+            for f in files:
+                assert (out / name / f).read_bytes() == \
+                    (tmp_path / "alone" / name / f).read_bytes(), (name, f)
+    assert swept == capsys.readouterr().err
+    return code
+
+
+def test_lockstep_sweep_members_match_members_alone(tmp_path, capsys):
+    # the criterion-8 net: all ten members nest and train in one lockstep group
+    cfg = {"schema_version": 1,
+           "network": {"widths": [16, 8, 3], "l1": 2, "activation": SMOOTH_ACT},
+           "train": {"eta": 0.05, "lam": 0.02, "steps": 300, "record_every": 100,
+                     "lr_drop_fraction": 1.0, "seed": 0},
+           "data": {"kind": "synthetic", "d": 8, "k": 3, "n_per_class": 4,
+                    "class_sep": 1.0, "noise": 0.1, "seed": 0}}
+    assert _member_dirs_match_members_alone(tmp_path, capsys, cfg, "linear_depth",
+                                            [1, 2, 3, 4, 5], [0, 1]) == cli.EXIT_OK
+    resolved = cli.resolve_config(cfg)
+    assert len(set(cli._lockstep_groups(resolved, {
+        (v, s): cli.sweep_member_config(resolved, "linear_depth", v, s)
+        for v in range(1, 6) for s in (0, 1)}).values())) == 1
+
+
+def test_lockstep_sweep_with_diverging_members_matches_members_alone(tmp_path, capsys):
+    # at eta 0.12 members leave the group at steps 3, 4 and 14, and one stays healthy
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"]["eta"] = 0.12
+    assert _member_dirs_match_members_alone(tmp_path, capsys, cfg, "linear_depth",
+                                            [1, 2, 3, 4], [0, 1]) == cli.EXIT_FAILED
+    steps = []
+    for v in (1, 2, 3, 4):
+        for s in (0, 1):
+            report = json.loads((tmp_path / "sweep" / f"value_{v}_seed_{s}" /
+                                 "report.json").read_text())["train"]
+            steps.append(report.get("divergence", {}).get("step"))
+    assert steps == [4, 4, 4, 3, 3, 4, 14, None]
+
+
+def test_nonlinear_depth_sweep_groups_each_value(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"]["steps"] = 60
+    resolved = cli.resolve_config(cfg)
+    groups = cli._lockstep_groups(resolved, {
+        (v, s): cli.sweep_member_config(resolved, "nonlinear_depth", v, s)
+        for v in (1, 2, 3) for s in (0, 1)})
+    assert [groups[v, 0] is groups[v, 1] for v in (1, 2, 3)] == [True] * 3
+    assert len(set(groups.values())) == 3
+    assert _member_dirs_match_members_alone(tmp_path, capsys, cfg, "nonlinear_depth",
+                                            [1, 2, 3], [0, 1]) == cli.EXIT_OK
+
+
+def test_a_member_whose_record_raises_leaves_the_group(tmp_path, capsys, monkeypatch):
+    real = metrics.measure
+    seen = []
+
+    def failing_at_the_second_record_of_depth_3(cfg, *args, **kwargs):
+        seen.append(cfg.depth)
+        if cfg.depth == 3 and seen.count(3) == 2:
+            raise densemat.SvdConvergenceError(1.0, 0)
+        return real(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "measure", failing_at_the_second_record_of_depth_3)
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"]["steps"] = 100
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                     "--axis", "linear_depth", "--values", "1,2,3",
+                     "--seeds", "0", "--out", str(out)]) == cli.EXIT_FAILED
+    rows = (out / "sweep.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[2].split(":")[0] for row in rows] == ["ok", "error", "ok"]
+    assert not (out / "value_2_seed_0").exists()
+    resolved = cli.resolve_config(cfg)
+    for v in (1, 3):  # the others went on as if alone
+        name = f"value_{v}_seed_0"
+        cli._run_member(cli.sweep_member_config(resolved, "linear_depth", v, 0),
+                        tmp_path / "alone" / name)
+        for f in (out / name).iterdir():
+            assert f.read_bytes() == (tmp_path / "alone" / name / f.name).read_bytes()

@@ -575,6 +575,23 @@ def test_cond_keeps_numerical_rank_above_the_crossover(monkeypatch):
     assert densemat.cond(full) == pytest.approx(ref[0] / ref[-1], rel=1e-12)
 
 
+def test_cond_sweeps_a_rank_deficient_matrix_once(monkeypatch):
+    rng = np.random.default_rng(41)
+    deficient = rng.standard_normal((60, 5)) @ rng.standard_normal((5, 40))
+    sweeps = []
+    real = densemat._round_robin_sweep
+
+    def counting(*args):
+        sweeps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(densemat, "_round_robin_sweep", counting)
+    s = densemat.svd(deficient, compute_uv=False).s
+    one_svd = len(sweeps)
+    assert densemat.cond(deficient) == s[0] / s[4]
+    assert len(sweeps) == 2 * one_svd  # the values-only svd above, and cond's one
+
+
 def test_densemat_imports_only_numpy_and_the_stdlib():
     # the np.linalg oracle stays in the tests
     tree = ast.parse(Path(densemat.__file__).read_text())

@@ -3,9 +3,9 @@ import pytest
 
 from nclab import trainer
 from nclab.metrics import ClassIndex
-from nclab.network import ActivationSpec, NetworkConfig, ParamSet
+from nclab.network import ActivationSpec, NetworkConfig, ParamSet, gradient
 from nclab.trainer import (InitSpec, TrainConfig, effective_eta, gd_step,
-                           init_params, train)
+                           init_params, lockstep_groups, train)
 
 SMOOTH = ActivationSpec("smoothed_leaky_relu", gamma=0.3, beta=2.0)
 
@@ -142,11 +142,12 @@ def test_healthy_run_has_no_divergence():
 
 
 def _planted_gradient(monkeypatch, fill):
-    def planted(cfg, params, x, y, lam, trace=None):
-        return ParamSet([fill(w.shape, layer) for layer, w in
-                         enumerate(params.weights, start=1)])
+    def planted(cfg, params, trace, cotangent, out):
+        for layer, gw in enumerate(out, start=1):
+            gw[...] = fill(gw.shape, layer)
+        return ParamSet(out)
 
-    monkeypatch.setattr(trainer, "gradient", planted)
+    monkeypatch.setattr(trainer, "backprop", planted)
 
 
 def test_gd_step_names_the_first_non_finite_layer(monkeypatch):
@@ -222,3 +223,78 @@ def test_train_config_validation():
         TrainConfig(eta=0.1, lam=0.0, steps=-1)
     with pytest.raises(ValueError):
         TrainConfig(eta=0.1, lam=0.0, steps=1, lr_drop_fraction=0.0)
+
+
+def _serial_reference(cfg, tcfg, x, y):
+    """The per-state GD loop on allocated arrays that a lockstep member must
+    match bit for bit (for runs that do not diverge)."""
+    params = init_params(cfg, tcfg.init, tcfg.seed)
+    for k in range(tcfg.steps):
+        g = gradient(cfg, params, x, y, tcfg.lam)
+        params = ParamSet([w - effective_eta(tcfg, k) * gw
+                           for w, gw in zip(params.weights, g.weights)])
+    return params
+
+
+def test_lockstep_members_match_the_serial_reference():
+    _, x, y, idx = small_problem()
+    members = [(NetworkConfig(3, (6,) + (2,) * v, 1, v, SMOOTH),
+                TrainConfig(eta=0.05, lam=0.01, steps=60, record_every=25,
+                            lr_drop_fraction=0.5, seed=s))
+               for v in (1, 2, 3) for s in (0, 1)]
+    groups = lockstep_groups(members)
+    assert all(g is groups[0] for g in groups)
+    for (cfg, tcfg), g in zip(members, groups):
+        params, traj = train(cfg, tcfg, x, y, idx, group=g)
+        assert [r.step for r in traj.records] == [0, 25, 50, 60]
+        for w, ref in zip(params.weights, _serial_reference(cfg, tcfg, x, y).weights):
+            np.testing.assert_array_equal(w, ref)
+        alone = train(cfg, tcfg, x, y, idx)[0]
+        assert params.dist(alone) == 0.0
+
+
+def test_lockstep_groups_need_nesting_layers_and_equal_settings():
+    deep_nonlinear = NetworkConfig(3, (4, 4, 2), 2, 1, SMOOTH)
+    one_nonlinear = NetworkConfig(3, (4, 2), 1, 1, SMOOTH)  # layer 2 linear: no nesting
+    deep_linear = NetworkConfig(3, (4, 2, 2), 1, 2, SMOOTH)
+    t0 = TrainConfig(eta=0.05, lam=0.01, steps=10, seed=0)
+    t1 = TrainConfig(eta=0.05, lam=0.01, steps=10, seed=1)
+    other_eta = TrainConfig(eta=0.04, lam=0.01, steps=10, seed=1)
+    members = [(one_nonlinear, t0), (deep_nonlinear, t0), (deep_linear, t1),
+               (deep_nonlinear, t1), (deep_linear, other_eta)]
+    groups = lockstep_groups(members)
+    assert groups[0] is groups[2] and groups[1] is groups[3]
+    assert len({id(g) for g in groups}) == 3
+    assert groups[0].members == [(deep_linear, t1), (one_nonlinear, t0)]  # deepest first
+
+
+def test_workspace_step_matches_the_lone_step():
+    # each member of a two-member workspace steps as the lone gd_step does
+    cfg, x, y, idx = small_problem()
+    params = init_params(cfg, InitSpec(), seed=0)
+    ws = trainer.Workspace([cfg, cfg], x, y, [params, params])
+    new = gd_step(cfg, ws.state, x, y, 0.01, 0.1, ws)
+    assert ws.failed == {} and new is ws.state
+    lone = gd_step(cfg, params, x, y, 0.01, 0.1)
+    for b in (0, 1):
+        assert ws.member(b).dist(lone) == 0.0
+
+
+def test_a_member_with_a_non_finite_gradient_fails_alone(monkeypatch):
+    # warnings are errors in this suite: the failed member's update stays silent
+    cfg, x, y, idx = small_problem()
+    params = init_params(cfg, InitSpec(), seed=0)
+
+    def planted(cfg, params, trace, cotangent, out):
+        for layer, gw in enumerate(out, start=1):
+            gw[...] = 1.0
+            if layer == 2:
+                gw[1] = np.inf
+        return ParamSet(out)
+
+    monkeypatch.setattr(trainer, "backprop", planted)
+    ws = trainer.Workspace([cfg, cfg], x, y, [params, params])
+    gd_step(cfg, ws.state, x, y, 0.5, 0.0, ws)
+    assert list(ws.failed) == [1] and str(ws.failed[1]) == "non-finite gradient at layer 2"
+    for w, w0 in zip(ws.member(0).weights, params.weights):
+        np.testing.assert_array_equal(w, w0 - 0.5)
