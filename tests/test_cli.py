@@ -603,9 +603,9 @@ def test_synthetic_data_defaults_come_from_synth_gaussian():
 
 
 def _member_dirs_match_members_alone(tmp_path, capsys, cfg, axis, values, seeds):
-    """`nclab sweep` against `_run_member` of each member alone: the same exit
-    code's stderr lines in the same order, and byte-identical member
-    directories. Returns the sweep's exit code."""
+    """`nclab sweep` against `_run_member` of each member alone: the same
+    stderr lines in the same order, and byte-identical member directories.
+    Returns the sweep's exit code."""
     out = tmp_path / "sweep"
     code = cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)),
                      "--axis", axis, "--values", ",".join(map(str, values)),
