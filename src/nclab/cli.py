@@ -283,6 +283,18 @@ def load_params(path: Path):
         return ParamSet([npz[f"w{i + 1}"] for i in range(len(npz.files))])
 
 
+def _load_run_params(path: Path, net):
+    """The weights in `path` (None if absent); ConfigError if not `net`'s."""
+    if not path.exists():
+        return None
+    try:
+        params = load_params(path)
+        params.check_shapes(net)
+    except (KeyError, ValueError) as exc:  # KeyError: no array w<l> in the file
+        raise ConfigError(f"{path} does not fit the run's network: {exc}") from None
+    return params
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -415,9 +427,8 @@ def cmd_bounds(run_dir) -> int:
         raise ConfigError("the data rebuilt from the config are not the data "
                           "the run was trained on (SHA-256 mismatch)")
     net = build_network(cfg, ds.x.shape[0])
-    params = load_params(final_path)
-    init_path = run / "params_init.npz"
-    params_init = load_params(init_path) if init_path.exists() else None
+    params, params_init = (_load_run_params(path, net)
+                           for path in (final_path, run / "params_init.npz"))
     payload = evaluate_bounds(cfg, net, ds, params, params_init)
     report.pop("schema_version", None)
     report["bounds"] = payload
@@ -485,10 +496,15 @@ SWEEP_COLUMNS = ["value", "seed", "status", "nc1_last", "nc2_last",
                  "mean_balancedness", "min_negativity", "mean_negativity"]
 
 
+def _int_list(flag: str, text: str) -> list:
+    """The distinct non-negative integers of a comma-separated sweep flag."""
+    out = [int(v) if v.isdecimal() else -1 for v in text.split(",")]
+    if min(out) < 0 or len(set(out)) < len(out):
+        raise ConfigError(f"{flag} takes distinct non-negative integers: {text!r}")
+    return out
+
+
 def cmd_sweep(config_path, axis, values, seeds, out_dir) -> int:
-    if axis not in ("linear_depth", "nonlinear_depth"):
-        print(f"unknown sweep axis {axis!r}", file=sys.stderr)
-        return EXIT_CONFIG
     cfg = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -548,8 +564,7 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return cmd_bounds(args.run)
         if args.command == "sweep":
-            values = [int(v) for v in args.values.split(",") if v]
-            seeds = [int(s) for s in args.seeds.split(",") if s]
+            values, seeds = _int_list("--values", args.values), _int_list("--seeds", args.seeds)
             return cmd_sweep(args.config, args.axis, values, seeds, args.out)
         if args.command == "verify":
             return cmd_verify(args.level)

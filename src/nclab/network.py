@@ -215,16 +215,20 @@ def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
     return out
 
 
+def _c0(resid: np.ndarray) -> float:
+    """c_0 = 0.5*||Z_L - Y||_F^2 of the residual by `densemat.fro_norm`'s dot
+    product, so sqrt(2 c_0) is fro_norm(resid) bit for bit; the only c_0."""
+    flat = resid.ravel(order="K")
+    return 0.5 * float(flat @ flat)
+
+
 def loss(cfg: NetworkConfig, params: ParamSet, x, y, lam: float = 0.0,
-         trace: ForwardTrace | None = None, resid: np.ndarray | None = None) -> tuple:
-    """Returns (c_lambda, c_0) with c_0 = 0.5*||Z_L - Y||_F^2; a caller that
-    holds the residual Z_L - Y passes it."""
-    if resid is None:
-        y = np.asarray(y, dtype=np.float64)
-        if trace is None:
-            trace = forward(cfg, params, x)
-        resid = trace.z[-1] - y
-    c0 = 0.5 * float(np.sum(resid * resid))
+         trace: ForwardTrace | None = None) -> tuple:
+    """Returns (c_lambda, c_0), c_0 = 0.5*||Z_L - Y||_F^2 from `_c0`."""
+    y = np.asarray(y, dtype=np.float64)
+    if trace is None:
+        trace = forward(cfg, params, x)
+    c0 = _c0(trace.z[-1] - y)
     clam = c0 + 0.5 * lam * params.norm() ** 2
     return clam, c0
 
@@ -254,12 +258,10 @@ def backprop(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     return ParamSet(grads)
 
 
-def gradient(cfg: NetworkConfig, params: ParamSet, x, y, lam: float = 0.0,
-             trace: ForwardTrace | None = None) -> ParamSet:
+def gradient(cfg: NetworkConfig, params: ParamSet, x, y, lam: float = 0.0) -> ParamSet:
     """Gradient of the lambda-regularized square loss."""
     y = np.asarray(y, dtype=np.float64)
-    if trace is None:
-        trace = forward(cfg, params, x)
+    trace = forward(cfg, params, x)
     g = backprop(cfg, params, trace, trace.z[-1] - y)
     if lam != 0.0:
         g = ParamSet([gw + lam * w for gw, w in zip(g.weights, params.weights)])

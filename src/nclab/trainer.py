@@ -4,10 +4,11 @@ fixed seed. Each recorded step is observed once: one forward trace gives its
 losses, divergence check and `metrics.measure` report (class means and
 operator norms included, hence only at the recording cadence).
 
-Runs whose layers nest train in lockstep (`lockstep_groups`): one batched GD
-step per step over a member axis, into buffers allocated once. Every
-operation is elementwise or one member's matrix product, so each member's
-floats are those of a run alone, bit for bit; a lone run is a group of one.
+Every run steps a `Workspace`, buffers allocated once: `gd_step` is one GD
+step batched over a member axis. Runs whose layers nest train in lockstep
+(`lockstep_groups`); a lone run is a group of one. Each member's floats are
+those of a run alone, bit for bit. c_0 comes from `network._c0` alone, one
+exact divergence test per state, and sqrt(2 c_0) is the record's eps1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics
-from .network import ForwardTrace, NetworkConfig, ParamSet, backprop, forward, loss
+from .network import ForwardTrace, NetworkConfig, ParamSet, _c0, backprop, forward, loss
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -146,40 +147,24 @@ class Workspace:
         return ParamSet([w[b] for w in (of or self.state.weights)[:self.depths[b]]])
 
 
-def gd_step(cfg: NetworkConfig, params: ParamSet, x, y, eta: float, lam: float,
-            ws: Workspace | None = None) -> ParamSet:
-    """One update theta - eta * grad C_lambda(theta); the input is not mutated.
-
-    LossDiverged if c_0 of `params`, from the trace the gradient reads, fails
-    the divergence test, so every state is tested. The gradient is tested for
-    finiteness once, through its sum; only when that is not finite (a NaN or
-    inf entry, or a finite gradient whose sum overflows) are the layers
-    scanned, so the error names the first non-finite one.
-
-    Given the Workspace `ws` whose state `params` is, all its members step at
-    once into its other theta, which is returned, and each failing member's
-    error goes into `ws.failed` instead of being raised.
-    """
-    lone = ws is None
-    if lone:
-        params.check_shapes(cfg)
-        x = np.asarray(x, dtype=np.float64)
-        ws = Workspace([cfg], x, np.asarray(y, dtype=np.float64), [params])
-        params = ws.state
-    failed = ws.failed = {}
+def gd_step(ws: Workspace, eta: float, lam: float) -> dict:
+    """theta - eta * grad C_lambda(theta) for every member of `ws`, into its
+    other theta, which becomes the state; returns {member: error} of the
+    members that failed, which update by zero. Each member's c_0, one dot
+    product of the residual the gradient reads, takes the exact divergence
+    test (LossDiverged). The gradient's sum tests its finiteness; only if
+    that fails are the layers scanned, to name the first non-finite one."""
+    failed = {}
     new = ws.flat[1 - ws.now]
     with np.errstate(over="ignore", invalid="ignore"):
-        forward(ws.cfg, params, ws.x, ws.trace)
+        forward(ws.cfg, ws.state, ws.x, ws.trace)
         for b, resid in enumerate(ws.resid):  # Z_L - Y, backprop's cotangent
             np.subtract(resid, ws.y, out=resid)
-            # one dot product per member, within 1e-6 of 2 c_0: only a state near
-            # or past the threshold takes the exact test, on loss()'s c_0
-            if not np.vdot(resid, resid) <= 2.0 * DIVERGENCE_THRESHOLD * (1.0 - 1e-6):
-                try:
-                    _test_loss(loss(cfg, ws.member(b), x, y, resid=resid)[1])
-                except LossDiverged as exc:
-                    failed[b] = exc
-        backprop(ws.cfg, params, ws.trace, ws.trace.z[-1], ws.grads)
+            try:
+                _test_loss(_c0(resid))
+            except LossDiverged as exc:
+                failed[b] = exc
+        backprop(ws.cfg, ws.state, ws.trace, ws.trace.z[-1], ws.grads)
         if lam != 0.0:
             np.add(ws.g, np.multiply(ws.flat[ws.now], lam, out=new), out=ws.g)
         total = ws.g.sum()
@@ -188,14 +173,12 @@ def gd_step(cfg: NetworkConfig, params: ParamSet, x, y, eta: float, lam: float,
             for layer, gw in enumerate(ws.member(b, ws.grads).weights, start=1):
                 if b not in failed and not np.all(np.isfinite(gw)):
                     failed[b] = FloatingPointError(f"non-finite gradient at layer {layer}")
-    for b in failed:  # a failed member's state is dropped: it updates by zero, silently
+    for b in failed:
         for gw in ws.member(b, ws.grads).weights:
             gw[...] = 0.0
     np.subtract(ws.flat[ws.now], np.multiply(ws.g, eta, out=ws.g), out=new)
     ws.now = 1 - ws.now
-    if lone and failed:
-        raise failed[0]
-    return ws.member(0) if lone else ws.state
+    return failed
 
 
 def _observe(cfg, train_cfg, params, theta0, x, y, idx, step,
@@ -210,15 +193,9 @@ def _observe(cfg, train_cfg, params, theta0, x, y, idx, step,
     if step > 0:
         _test_loss(c0)
     rep = metrics.measure(cfg, params, trace, y, idx, first_layer)
-    return TrajectoryRecord(
-        step=step,
-        c_lambda=clam,
-        c_0=c0,
-        param_norm=params.norm(),
-        dist_from_init=params.dist(theta0),
-        metrics=rep,
-        params=params if train_cfg.store_params else None,
-    )
+    return TrajectoryRecord(step=step, c_lambda=clam, c_0=c0, param_norm=params.norm(),
+                            dist_from_init=params.dist(theta0), metrics=rep,
+                            params=params if train_cfg.store_params else None)
 
 
 def effective_eta(train_cfg: TrainConfig, step: int) -> float:
@@ -296,7 +273,7 @@ def _run_lockstep(members: list, x, y, idx, first_layer) -> list:
         except ValueError as exc:
             run.result = exc
     active = [run for run in runs if run.result is None]
-    states, ws = [run.theta0 for run in active], None
+    states, ws, failed = [run.theta0 for run in active], None, {}
     train_cfg = members[0][1]
     for k in range(train_cfg.steps + 1):  # state k, then the update to state k + 1
         if k % train_cfg.record_every == 0 or k == train_cfg.steps:
@@ -313,15 +290,15 @@ def _run_lockstep(members: list, x, y, idx, first_layer) -> list:
                     run.stop(k, exc)
         if k == train_cfg.steps:
             break
-        if ws is None or ws.failed:
+        if ws is None or failed:
             live = [b for b, run in enumerate(active) if run.result is None]
             states = [states[b] if ws is None else ws.member(b) for b in live]
             active = [active[b] for b in live]
             if not active:
                 break
             ws = Workspace([run.cfg for run in active], x, y, states)
-        gd_step(ws.cfg, ws.state, x, y, effective_eta(train_cfg, k), train_cfg.lam, ws)
-        for b, exc in ws.failed.items():
+        failed = gd_step(ws, effective_eta(train_cfg, k), train_cfg.lam)
+        for b, exc in failed.items():
             active[b].stop(k, exc)
     for run in active:
         if run.result is None:

@@ -697,3 +697,50 @@ def test_a_member_whose_record_raises_leaves_the_group(tmp_path, capsys, monkeyp
                         tmp_path / "alone" / name)
         for f in (out / name).iterdir():
             assert f.read_bytes() == (tmp_path / "alone" / name / f.name).read_bytes()
+
+
+@pytest.mark.parametrize("flag, text", [("--values", "1,x"), ("--values", ","),
+                                        ("--values", "1,1"), ("--seeds", "-1")])
+def test_sweep_rejects_bad_values_and_seeds_with_exit_2(tmp_path, capsys, flag, text):
+    # malformed, empty, duplicate or negative: nothing trains, no sweep.csv
+    flags = {"--values": "1,2", "--seeds": "0", flag: text}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--axis", "linear_depth", *[a for kv in flags.items() for a in kv],
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and flag in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, arrays", [
+    ("params_final.npz", lambda ws: {"w1": ws[0]}),                          # one layer of three
+    ("params_init.npz", lambda ws: {"w1": ws[0], "w2": np.zeros((5, 5)), "w3": ws[2]}),
+    ("params_init.npz", lambda ws: {"a": ws[0]}),                             # no w1
+])
+def test_bounds_refuses_params_that_do_not_fit_the_network(tmp_path, capsys, name, arrays):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    np.savez(out / name, **arrays(cli.load_params(out / name).weights))
+    capsys.readouterr()
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and name in err[0]
+    assert "bounds" not in json.loads((out / "report.json").read_text())
+
+
+def test_trajectory_eps1_is_the_reports_eps1(tmp_path):
+    # sqrt(2 c_0) and measure's eps1 come from one dot product: equal bit for bit
+    cfg = {"schema_version": 1,
+           "network": {"widths": [64, 32, 16, 8, 4], "l1": 3, "activation": SMOOTH_ACT},
+           "train": {"eta": 0.01, "lam": 0.02, "steps": 60, "record_every": 10,
+                     "lr_drop_fraction": 1.0, "seed": 0},
+           "data": {"kind": "synthetic", "d": 16, "k": 4, "n_per_class": 8,
+                    "class_sep": 1.0, "noise": 0.1, "seed": 0}}
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    header, rows = _read_csv(out / "trajectory.csv")
+    final = json.loads((out / "report.json").read_text())["train"]["final"]
+    assert float(rows[-1][header.index("eps1")]) == final["eps1"]
