@@ -16,6 +16,7 @@ import csv
 import inspect
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import MISSING, asdict, fields
@@ -107,7 +108,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "rank_tol": {"type": "number", "exclusiveMinimum": 0},
+                "rank_tol": {"type": "number", "exclusiveMinimum": 0,
+                             "exclusiveMaximum": 1},
             },
         },
     },
@@ -117,19 +119,60 @@ class ConfigError(ValueError):
     pass
 
 
-def load_config(path) -> dict:
-    import jsonschema  # only config validation needs it; bounds and verify start without
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": (int, float), "integer": int}  # an integer is never 20.0
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum of"),
+           "maximum": (operator.gt, "greater than the maximum of"),
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+           "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of")}
+SCHEMA_KEYWORDS = frozenset(["type", "const", "enum", "minItems", "items", "required",
+                             "properties", "additionalProperties", *_BOUNDS])
 
+
+def validate_config(value, schema=CONFIG_SCHEMA, path=()) -> None:
+    """Raise ConfigError naming the first field of `value` that `schema`
+    refuses. Only the JSON Schema keywords in SCHEMA_KEYWORDS are read, and
+    `additionalProperties` only as false."""
+    def refuse(reason):
+        raise ConfigError(f"config field {'/'.join(map(str, path)) or '<root>'}: {reason}")
+
+    kind = schema.get("type")
+    if kind and (not isinstance(value, _TYPES[kind])
+                 or isinstance(value, bool) != (kind == "boolean")):
+        refuse(f"{value!r} is not of type {kind!r}")
+    allowed = [schema["const"]] if "const" in schema else schema.get("enum")
+    if allowed is not None and not any(  # JSON's true is not 1
+            isinstance(v, bool) == isinstance(value, bool) and v == value for v in allowed):
+        refuse(f"{value!r} is not one of {allowed!r}")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        for key, (fails, words) in _BOUNDS.items():
+            if key in schema and fails(value, schema[key]):
+                refuse(f"{value!r} is {words} {schema[key]!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            refuse(f"{value!r} has fewer than {schema['minItems']} items")
+        for i, item in enumerate(value):
+            validate_config(item, schema.get("items", {}), (*path, i))
+    if isinstance(value, dict):
+        for name in schema.get("required", ()):
+            if name not in value:
+                refuse(f"{name!r} is a required property")
+        props = schema.get("properties", {})
+        extra = [name for name in value if name not in props]
+        if extra and schema.get("additionalProperties") is False:
+            refuse(f"additional properties are not allowed ({', '.join(map(repr, extra))})")
+        for name, sub in props.items():
+            if name in value:
+                validate_config(value[name], sub, (*path, name))
+
+
+def load_config(path) -> dict:
     try:
         with open(path) as f:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {where}: {exc.message}") from exc
+    validate_config(raw)
     return resolve_config(raw)
 
 
@@ -360,11 +403,7 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     """Every applicable bound on a finished run, with premise flags."""
     if net.depth < 2:
         raise ConfigError("bounds need a network with at least two layers")
-    bcfg = cfg.get("bounds", {})
-    unknown = sorted(set(bcfg) - set(CONFIG_SCHEMA["properties"]["bounds"]["properties"]))
-    if unknown:  # a run directory's resolved config is not validated again
-        raise ConfigError(f"config field bounds: unknown keys {unknown}")
-    rank_tol = bcfg.get("rank_tol", densemat.DEFAULT_RANK_TOL)
+    rank_tol = cfg.get("bounds", {}).get("rank_tol", densemat.DEFAULT_RANK_TOL)
     trace = forward(net, params, ds.x)
     rep = metrics.measure(net, params, trace, ds.y, ds.idx, rank_tol=rank_tol)
     sK_y = ds.idx.sK_y
@@ -417,6 +456,12 @@ def cmd_bounds(run_dir) -> int:
         print(f"missing run artifacts in {run}", file=sys.stderr)
         return EXIT_CONFIG
     cfg = json.loads(cfg_path.read_text())["config"]
+    validate_config(cfg)
+    for section, values in resolve_config(cfg).items():  # a resolved config is complete
+        for name in values if isinstance(values, dict) else ():
+            if name not in cfg.get(section, {}):
+                raise ConfigError(f"config field {section}: {name!r} is a required "
+                                  "property of a resolved config")
     report_path = run / "report.json"
     report = json.loads(report_path.read_text()) if report_path.exists() else {}
     ds = build_dataset(cfg)

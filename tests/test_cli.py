@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -53,19 +54,188 @@ def _fresh_python(code, *args):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_bounds_and_verify_start_without_jsonschema(tmp_path):
-    proc = _fresh_python("import sys, nclab.cli, nclab.verify; "
-                         "print('jsonschema' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-    # a config is still validated: a bad one exits 2 with one stderr line
+def test_no_command_imports_jsonschema(tmp_path):
     cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"].update(steps=5, record_every=5)
+    good = write_config(tmp_path, cfg)
     cfg["train"]["momentum"] = 0.9
-    proc = _fresh_python("import sys, nclab.cli; sys.exit(nclab.cli.main(sys.argv[1:]))",
-                         "train", "--config", str(write_config(tmp_path, cfg)),
-                         "--out", str(tmp_path / "run"))
-    assert proc.returncode == cli.EXIT_CONFIG
-    assert len(proc.stderr.splitlines()) == 1 and "momentum" in proc.stderr
+    bad = write_config(tmp_path, cfg, "bad.json")
+    proc = _fresh_python(
+        "import sys; from nclab.cli import main; import nclab.verify; cfg, bad, out = sys.argv[1:]\n"
+        "print([main(['train', '--config', cfg, '--out', out + '/run']),"
+        " main(['bounds', '--run', out + '/run']),"
+        " main(['sweep', '--config', cfg, '--axis', 'linear_depth', '--values', '1,2',"
+        " '--seeds', '0', '--out', out + '/sweep']),"
+        " main(['train', '--config', bad, '--out', out + '/bad'])], 'jsonschema' in sys.modules)",
+        str(good), str(bad), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 2] False"
+    # the refused config gave one stderr line naming its field
+    assert proc.stderr.splitlines() == [
+        "config error: config field train: additional properties are not allowed ('momentum')"]
+
+
+DROP = object()  # remove the key instead of setting it
+
+
+def _edit(cfg, keys, value):
+    """`cfg` with the entry at the path `keys` set to `value` (or dropped)."""
+    *parents, last = keys
+    node = cfg
+    for key in parents:
+        node = node.setdefault(key, {})
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+def _mutated(keys, value):
+    return _edit(json.loads(json.dumps(BASE_CONFIG)), keys, value)
+
+
+def _refused_field(capsys, code) -> str:
+    """The field named by the one stderr line of a command that exited 2."""
+    err = capsys.readouterr().err.splitlines()
+    assert code == cli.EXIT_CONFIG and len(err) == 1, err
+    assert err[0].startswith("config error: config field "), err
+    return err[0][len("config error: config field "):].split(": ")[0]
+
+
+KEYWORD_CASES = [
+    ("type", ["train", "eta"], "0.05", "train/eta"),
+    ("const", ["schema_version"], 2, "schema_version"),
+    ("enum", ["data", "kind"], "csv", "data/kind"),
+    ("minimum", ["train", "lam"], -0.1, "train/lam"),
+    ("maximum", ["train", "lr_drop_fraction"], 1.5, "train/lr_drop_fraction"),
+    ("exclusiveMinimum", ["train", "eta"], 0, "train/eta"),
+    ("exclusiveMaximum", ["bounds", "rank_tol"], 1, "bounds/rank_tol"),
+    ("minItems", ["network", "widths"], [], "network/widths"),
+    ("items", ["network", "widths"], [6, 0, 3], "network/widths/1"),
+    ("required", ["train", "lam"], DROP, "train"),
+    ("properties", ["network", "activation", "beta"], 0.5, "network/activation/beta"),
+    ("additionalProperties", ["momentum"], 0.9, "<root>"),
+]
+
+
+@pytest.mark.parametrize("keyword, keys, value, field", KEYWORD_CASES,
+                         ids=[case[0] for case in KEYWORD_CASES])
+def test_each_schema_keyword_refuses_with_exit_2(tmp_path, capsys, keyword, keys, value,
+                                                 field):
+    cfg = _mutated(keys, value)
+    code = cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "run")])
+    assert _refused_field(capsys, code) == field
+    assert not (tmp_path / "run").exists()
+
+
+def _schemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _schemas(sub)
+    if "items" in schema:
+        yield from _schemas(schema["items"])
+
+
+def test_config_schema_uses_only_keywords_the_validator_reads():
+    assert {case[0] for case in KEYWORD_CASES} == cli.SCHEMA_KEYWORDS
+    for schema in _schemas(cli.CONFIG_SCHEMA):
+        assert set(schema) <= cli.SCHEMA_KEYWORDS, schema
+        assert schema.get("additionalProperties", False) is False, schema
+        assert schema.get("type", "object") in {
+            "object", "array", "string", "boolean", "number", "integer"}, schema
+
+
+@pytest.mark.parametrize("keys, value, field", [
+    (["train", "steps"], 20.0, "train/steps"), (["network", "l1"], 1.0, "network/l1"),
+    (["data", "d"], 5.0, "data/d"), (["train", "seed"], 2.0, "train/seed"),
+    (["train", "record_every"], 10.0, "train/record_every"),
+    (["network", "widths"], [6.0, 4, 3], "network/widths/0"),
+    (["data", "classes"], [0, 1.0, 2], "data/classes/1")])
+def test_integer_fields_take_json_integers_only(tmp_path, capsys, keys, value, field):
+    code = cli.main(["train", "--config", str(write_config(tmp_path, _mutated(keys, value))),
+                     "--out", str(tmp_path / "run")])
+    assert _refused_field(capsys, code) == field
+
+
+@pytest.mark.parametrize("keys, value, field", [
+    (["bounds", "rank_tol"], 0, "bounds/rank_tol"),
+    (["bounds", "rank_tol"], 1.5, "bounds/rank_tol"),
+    (["data", "seed"], DROP, "data"),
+    (["network", "activation", "gamma"], 2, "network/activation/gamma")])
+def test_bounds_validates_the_resolved_config(tmp_path, capsys, keys, value, field):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    resolved = json.loads((out / "config.resolved.json").read_text())
+    _edit(resolved["config"], keys, value)
+    (out / "config.resolved.json").write_text(json.dumps(resolved))
+    report = (out / "report.json").read_text()
+    assert _refused_field(capsys, cli.main(["bounds", "--run", str(out)])) == field
+    assert (out / "report.json").read_text() == report
+
+
+def _random_mutation(cfg, rng, names, pool):
+    """Set, add or delete one random entry of one random object or array of `cfg`."""
+    nodes, stack = [], [cfg]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(v for v in (node.values() if isinstance(node, dict) else node)
+                     if isinstance(v, (dict, list)))
+    node = rng.choice(nodes)
+    value = json.loads(json.dumps(rng.choice(pool)))
+    if isinstance(node, dict):
+        key = rng.choice(list(node)) if node and rng.random() < 0.8 else rng.choice(names)
+        if key in node and rng.random() < 0.1:
+            del node[key]
+        else:
+            node[key] = value
+    elif node and rng.random() < 0.3:
+        del node[rng.randrange(len(node))]
+    elif node and rng.random() < 0.6:
+        node[rng.randrange(len(node))] = value
+    else:
+        node.append(value)
+
+
+def test_validator_agrees_with_jsonschema_on_mutated_configs():
+    jsonschema = pytest.importorskip("jsonschema")
+    stock = jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA)
+    # the one intended difference: an integer field takes no integral float
+    strict = jsonschema.validators.extend(
+        jsonschema.Draft202012Validator,
+        type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+            "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)),
+    )(cli.CONFIG_SCHEMA)
+    names = sorted({name for schema in _schemas(cli.CONFIG_SCHEMA)
+                    for name in schema.get("properties", {})} | {"zz_unknown"})
+    pool = [0, 1, 2, 3, 4, -1, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -0.5, 1e-10, True, False, None,
+            "relu", "leaky_relu", "idx", "synthetic", "x", [], [1], [3, 3], [0.5], [2.0],
+            {}, {"kind": "relu"}]
+    rng = random.Random(19)
+    tally = {"accepted": 0, "refused": 0, "integral_float_only": 0}
+    for _ in range(2500):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            _random_mutation(cfg, rng, names, pool)
+        try:
+            cli.validate_config(cfg)
+            field = None
+        except cli.ConfigError as exc:
+            field = str(exc)[len("config field "):].split(": ")[0]
+        errors = list(strict.iter_errors(cfg))
+        assert (field is None) == (not errors), (cfg, field)
+        if errors:  # the field named is one jsonschema names too
+            assert field in {"/".join(map(str, e.absolute_path)) or "<root>"
+                             for e in errors}, (cfg, field)
+        stock_accepts = stock.is_valid(cfg)
+        assert stock_accepts or errors  # nclab accepts nothing that jsonschema refuses
+        tally["accepted" if field is None else "refused"] += 1
+        tally["integral_float_only"] += stock_accepts and bool(errors)
+    assert min(tally.values()) >= 20, tally
 
 
 def test_malformed_json_rejected(tmp_path, capsys):
