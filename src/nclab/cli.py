@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import data as data_mod
 from . import densemat, metrics, ntk
-from .network import ActivationSpec, NetworkConfig, forward, loss
+from .network import ActivationSpec, NetworkConfig, ParamSet, forward, loss
 from .trainer import InitSpec, TrainConfig, lockstep_groups, train
 
 SCHEMA_VERSION = 1
@@ -132,7 +132,7 @@ SCHEMA_KEYWORDS = frozenset(["type", "const", "enum", "minItems", "items", "requ
 def validate_config(value, schema=CONFIG_SCHEMA, path=()) -> None:
     """Raise ConfigError naming the first field of `value` that `schema`
     refuses. Only the JSON Schema keywords in SCHEMA_KEYWORDS are read, and
-    `additionalProperties` only as false."""
+    `additionalProperties` only as false; a number must be finite."""
     def refuse(reason):
         raise ConfigError(f"config field {'/'.join(map(str, path)) or '<root>'}: {reason}")
 
@@ -145,6 +145,8 @@ def validate_config(value, schema=CONFIG_SCHEMA, path=()) -> None:
             isinstance(v, bool) == isinstance(value, bool) and v == value for v in allowed):
         refuse(f"{value!r} is not one of {allowed!r}")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not math.isfinite(value):
+            refuse(f"{value!r} is not a finite number")
         for key, (fails, words) in _BOUNDS.items():
             if key in schema and fails(value, schema[key]):
                 refuse(f"{value!r} is {words} {schema[key]!r}")
@@ -166,12 +168,20 @@ def validate_config(value, schema=CONFIG_SCHEMA, path=()) -> None:
                 validate_config(value[name], sub, (*path, name))
 
 
-def load_config(path) -> dict:
+def _read_json_object(path) -> dict:
+    """The JSON object in the file `path`; ConfigError naming the file if it
+    cannot be read or holds anything else."""
     try:
-        with open(path) as f:
-            raw = json.load(f)
+        value = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    return value
+
+
+def load_config(path) -> dict:
+    raw = _read_json_object(path)
     validate_config(raw)
     return resolve_config(raw)
 
@@ -287,14 +297,10 @@ def write_trajectory_csv(out: Path, traj) -> None:
     header = ["step", "c_lambda", "c_0", "param_norm", "dist_from_init", "eps1"]
     header += [f"gap_{l}" for l in first.metrics.balancedness_gaps]
     header += [f"opnorm_{l}" for l in first.metrics.op_norms]
-    rows = []
-    for r in traj.records:
-        # eps1 = ||Z_L - Y||_F, here from the loss c_0 = eps1^2 / 2
-        row = [r.step, r.c_lambda, r.c_0, r.param_norm, r.dist_from_init,
-               math.sqrt(2.0 * r.c_0)]
-        row += list(r.metrics.balancedness_gaps.values())
-        row += list(r.metrics.op_norms.values())
-        rows.append(row)
+    # eps1 = ||Z_L - Y||_F, here from the loss c_0 = eps1^2 / 2
+    rows = [[r.step, r.c_lambda, r.c_0, r.param_norm, r.dist_from_init, math.sqrt(2.0 * r.c_0),
+             *r.metrics.balancedness_gaps.values(), *r.metrics.op_norms.values()]
+            for r in traj.records]
     write_csv(out / "trajectory.csv", header, rows)
 
 
@@ -321,7 +327,6 @@ def save_params(path: Path, params) -> None:
 
 
 def load_params(path: Path):
-    from .network import ParamSet
     with np.load(path) as npz:
         return ParamSet([npz[f"w{i + 1}"] for i in range(len(npz.files))])
 
@@ -348,8 +353,7 @@ def cmd_train(config_path, out_dir) -> int:
     write_trajectory_csv(out, traj)
     write_metrics_csv(out, traj)
     write_means_grams(out, net, traj.last())
-    first = traj.records[0]
-    init_p = first.params
+    init_p = traj.records[0].params
     if init_p is not None:
         save_params(out / "params_init.npz", init_p)
     save_params(out / "params_final.npz", params)
@@ -455,7 +459,7 @@ def cmd_bounds(run_dir) -> int:
     if not cfg_path.exists() or not final_path.exists():
         print(f"missing run artifacts in {run}", file=sys.stderr)
         return EXIT_CONFIG
-    cfg = json.loads(cfg_path.read_text())["config"]
+    cfg = _read_json_object(cfg_path).get("config")
     validate_config(cfg)
     for section, values in resolve_config(cfg).items():  # a resolved config is complete
         for name in values if isinstance(values, dict) else ():
@@ -463,7 +467,7 @@ def cmd_bounds(run_dir) -> int:
                 raise ConfigError(f"config field {section}: {name!r} is a required "
                                   "property of a resolved config")
     report_path = run / "report.json"
-    report = json.loads(report_path.read_text()) if report_path.exists() else {}
+    report = _read_json_object(report_path) if report_path.exists() else {}
     ds = build_dataset(cfg)
     trained_on = report.get("train", {}).get("data_sha256")
     if trained_on is None:

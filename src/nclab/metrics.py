@@ -113,8 +113,8 @@ def balancedness_ratio(gap: float, norm_next: float, norm: float) -> float:
 
 
 def negativity(preact: np.ndarray, activated: np.ndarray) -> float:
-    """||A - sigma(A)||_op / ||A||_op on a layer's preactivations A, with
-    sigma(A) the layer's output as the forward trace recorded it."""
+    """||A - sigma(A)||_op / ||A||_op on a layer's preactivations A = W_l Z_{l-1},
+    with sigma(A) the layer's output as the forward trace recorded it."""
     a = np.asarray(preact, dtype=np.float64)
     denom = densemat.op_norm(a)
     if denom == 0.0:
@@ -174,7 +174,8 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
 
     NC2 uses `rank_tol`. NC3 is only defined against a K-row weight matrix, so
     it is reported for Z_{L-1} (against W_L) and left unset elsewhere.
-    Negativity applies to nonlinear layers' preactivations. A quantity that is
+    Negativity applies to nonlinear layers, whose preactivations W_l Z_{l-1}
+    it forms from the trace, one product per layer. A quantity that is
     undefined on this state (e.g. eps1/eps2/r of a one-layer network) is None.
     """
     if first_layer is None:
@@ -189,7 +190,7 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
         if layer == cfg.depth - 1:
             lm.nc3 = _try(nc3, z, params.weights[cfg.depth - 1], idx)
         if 1 <= layer <= cfg.l1:
-            lm.negativity = _try(negativity, trace.preact[layer - 1], z)
+            lm.negativity = _try(negativity, params.weights[layer - 1] @ trace.z[layer - 1], z)
         layers.append(lm)
     norms = {l: densemat.op_norm(w) for l, w in enumerate(params.weights, start=1)}
     gaps, ratios = {}, {}

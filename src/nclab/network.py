@@ -178,28 +178,27 @@ class ParamSet:
 @dataclass
 class ForwardTrace:
     z: list       # Z_0 .. Z_L
-    preact: list  # W_l Z_{l-1} for the l1 nonlinear layers
-    dact: list    # act_grad of each entry of preact
+    dact: list    # act_grad at the preactivations W_l Z_{l-1} of the l1 nonlinear layers
     scratch: list | None = None  # per nonlinear layer: caller-given work space, or None
 
 
 def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
             out: ForwardTrace | None = None) -> ForwardTrace:
     """Every forward quantity of a state: the layer outputs, and the
-    preactivations of the nonlinear layers with the activation's derivative
-    there, which backprop and the NTK tangents read.
+    activation's derivative at the nonlinear layers' preactivations, which
+    backprop and the NTK tangents read. Preactivations are not kept.
 
     Weights may carry a leading member axis, (B_l, n_l, n_{l-1}) for layer l,
     which reads the first B_l members of the layer below. `out` is a trace of
-    caller-given buffers: z[l] is then written over the preactivation, which
-    is not kept, and nothing is checked or allocated.
+    caller-given buffers: z[l] is then written over the preactivation, and
+    nothing is checked or allocated.
     """
     if out is None:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != cfg.input_dim:
             raise ValueError(f"input has {x.shape[0]} rows, network expects {cfg.input_dim}")
         params.check_shapes(cfg)
-        out = ForwardTrace([x] + [None] * cfg.depth, [], [None] * cfg.l1, [None] * cfg.l1)
+        out = ForwardTrace([x] + [None] * cfg.depth, [None] * cfg.l1, [None] * cfg.l1)
     cur = x
     for layer, w in enumerate(params.weights, start=1):
         try:
@@ -208,8 +207,6 @@ def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
             raise ValueError(f"shape mismatch at layer {layer}: {exc}") from exc
         if layer <= cfg.l1:
             d = out.dact[layer - 1] = act_grad(cfg.activation, pre, out.dact[layer - 1])
-            if out.scratch[layer - 1] is None:
-                out.preact.append(pre)
             pre = act_apply(cfg.activation, pre, d, out.scratch[layer - 1])
         out.z[layer] = cur = pre
     return out

@@ -1,8 +1,9 @@
 """Full-batch gradient descent with weight decay, trajectory recording and the
 late learning-rate drop. One run is strictly sequential and deterministic for a
-fixed seed. Each recorded step is observed once: one forward trace gives its
-losses, divergence check and `metrics.measure` report (class means and
-operator norms included, hence only at the recording cadence).
+fixed seed. Each state is traced once, by the `Workspace` that holds it, and a
+recorded step reads that trace for its losses, divergence check and
+`metrics.measure` report (class means and operator norms included, hence only
+at the recording cadence).
 
 Every run steps a `Workspace`, buffers allocated once: `gd_step` is one GD
 step batched over a member axis. Runs whose layers nest train in lockstep
@@ -116,8 +117,8 @@ class Workspace:
     a prefix of the first member's `cfg`, at `states`. Deepest first, the B_l
     members that have a layer l are the first B_l, so their weights l are one
     (B_l, n_l, n_{l-1}) view of a flat theta, which `forward` and `backprop`
-    take at once. Two flat thetas alternate as the state and the next one;
-    the nonlinear layers share one scratch array."""
+    take at once. Two flat thetas alternate as the state and the next one,
+    whose trace is `trace`; the nonlinear layers share one scratch array."""
 
     def __init__(self, cfgs: list, x, y, states: list):
         cfg = self.cfg = cfgs[0]
@@ -134,9 +135,11 @@ class Workspace:
                 w[b] = src
         z = [x] + [np.empty(shape[:2] + (x.shape[1],)) for shape in shapes]
         scratch = np.empty(max([a.size for a in z[1:cfg.l1 + 1]], default=0))  # one, shared
-        self.trace = ForwardTrace(z, [], [np.empty_like(a) for a in z[1:cfg.l1 + 1]],
+        self.trace = ForwardTrace(z, [np.empty_like(a) for a in z[1:cfg.l1 + 1]],
                                   [scratch[:a.size].reshape(a.shape) for a in z[1:cfg.l1 + 1]])
         self.resid = [z[d][b] for b, d in enumerate(self.depths)]  # each member's output
+        with np.errstate(over="ignore", invalid="ignore"):
+            forward(cfg, self.state, x, self.trace)
 
     @property
     def state(self) -> ParamSet:
@@ -149,15 +152,14 @@ class Workspace:
 
 def gd_step(ws: Workspace, eta: float, lam: float) -> dict:
     """theta - eta * grad C_lambda(theta) for every member of `ws`, into its
-    other theta, which becomes the state; returns {member: error} of the
-    members that failed, which update by zero. Each member's c_0, one dot
+    other theta, which becomes the state, traced; returns {member: error} of
+    the members that failed, which update by zero. Each member's c_0, one dot
     product of the residual the gradient reads, takes the exact divergence
     test (LossDiverged). The gradient's sum tests its finiteness; only if
     that fails are the layers scanned, to name the first non-finite one."""
     failed = {}
     new = ws.flat[1 - ws.now]
     with np.errstate(over="ignore", invalid="ignore"):
-        forward(ws.cfg, ws.state, ws.x, ws.trace)
         for b, resid in enumerate(ws.resid):  # Z_L - Y, backprop's cotangent
             np.subtract(resid, ws.y, out=resid)
             try:
@@ -178,24 +180,28 @@ def gd_step(ws: Workspace, eta: float, lam: float) -> dict:
             gw[...] = 0.0
     np.subtract(ws.flat[ws.now], np.multiply(ws.g, eta, out=ws.g), out=new)
     ws.now = 1 - ws.now
+    with np.errstate(over="ignore", invalid="ignore"):
+        forward(ws.cfg, ws.state, ws.x, ws.trace)
     return failed
 
 
-def _observe(cfg, train_cfg, params, theta0, x, y, idx, step,
-             first_layer) -> TrajectoryRecord:
-    """Record `params` from one forward trace; LossDiverged, with the cause,
-    if its loss diverged. The initial state (step 0) is recorded whatever its
-    loss.
-    """
+def _observe(run: _Run, ws: Workspace, b: int, idx, step, first_layer) -> None:
+    """Record member b of `ws`, `run`, from the trace `ws` holds and make its
+    state the last healthy one; LossDiverged, with the cause, if its loss
+    diverged. The initial state (step 0) is recorded whatever its loss."""
+    params = ws.member(b).copy()
+    trace = ForwardTrace([ws.x] + ws.member(b, ws.trace.z[1:]).weights,  # views
+                         ws.member(b, ws.trace.dact).weights)
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = forward(cfg, params, x)
-        clam, c0 = loss(cfg, params, x, y, train_cfg.lam, trace=trace)
+        clam, c0 = loss(run.cfg, params, ws.x, ws.y, run.train_cfg.lam, trace=trace)
     if step > 0:
         _test_loss(c0)
-    rep = metrics.measure(cfg, params, trace, y, idx, first_layer)
-    return TrajectoryRecord(step=step, c_lambda=clam, c_0=c0, param_norm=params.norm(),
-                            dist_from_init=params.dist(theta0), metrics=rep,
-                            params=params if train_cfg.store_params else None)
+    rep = metrics.measure(run.cfg, params, trace, ws.y, idx, first_layer)
+    run.traj.records.append(TrajectoryRecord(
+        step=step, c_lambda=clam, c_0=c0, param_norm=params.norm(),
+        dist_from_init=params.dist(run.theta0), metrics=rep,
+        params=params if run.train_cfg.store_params else None))
+    run.last_healthy = params
 
 
 def effective_eta(train_cfg: TrainConfig, step: int) -> float:
@@ -258,12 +264,21 @@ class _Run:
             self.result = (self.last_healthy, self.traj)
 
 
+def _leave(ws: Workspace, active: list) -> tuple:
+    """(workspace, runs) of the members of `active` that have not stopped: a
+    workspace built for them at their states in `ws` if any other has."""
+    live = [b for b, run in enumerate(active) if run.result is None]
+    if 0 < len(live) < len(active):
+        ws = Workspace([active[b].cfg for b in live], ws.x, ws.y, [ws.member(b) for b in live])
+    return ws, [active[b] for b in live]
+
+
 def _run_lockstep(members: list, x, y, idx, first_layer) -> list:
     """Train a group, one batched GD step per step, each member exactly as it
-    would train alone: its own c_0 tests, records, divergence and errors. A
-    member that stops leaves the group and the others go on. Records copy
-    their states out and run without the step buffers, which are built again
-    for the members still running."""
+    would train alone: its own c_0 tests, records, divergence and errors. One
+    workspace holds the states and their trace through the run, and records
+    read it. A member that stops leaves the group, before the next step or
+    record, and the others go on in a workspace built for them."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     runs = [_Run(cfg, tcfg) for cfg, tcfg in members]
     for run in runs:
@@ -273,36 +288,24 @@ def _run_lockstep(members: list, x, y, idx, first_layer) -> list:
         except ValueError as exc:
             run.result = exc
     active = [run for run in runs if run.result is None]
-    states, ws, failed = [run.theta0 for run in active], None, {}
+    ws = (Workspace([run.cfg for run in active], x, y, [run.theta0 for run in active])
+          if active else None)
     train_cfg = members[0][1]
     for k in range(train_cfg.steps + 1):  # state k, then the update to state k + 1
         if k % train_cfg.record_every == 0 or k == train_cfg.steps:
-            if ws is not None:
-                states, ws = [ws.member(b).copy() for b in range(len(active))], None
-            for run, params in zip(active, states):
-                if run.result is not None:  # stopped at the last step
-                    continue
+            for b, run in enumerate(active):
                 try:
-                    run.traj.records.append(_observe(run.cfg, run.train_cfg, params, run.theta0,
-                                                     x, y, idx, k, first_layer))
-                    run.last_healthy = params
+                    _observe(run, ws, b, idx, k, first_layer)
                 except Exception as exc:  # the member's own, raised from its call
                     run.stop(k, exc)
-        if k == train_cfg.steps:
+            ws, active = _leave(ws, active)
+        if k == train_cfg.steps or not active:
             break
-        if ws is None or failed:
-            live = [b for b, run in enumerate(active) if run.result is None]
-            states = [states[b] if ws is None else ws.member(b) for b in live]
-            active = [active[b] for b in live]
-            if not active:
-                break
-            ws = Workspace([run.cfg for run in active], x, y, states)
-        failed = gd_step(ws, effective_eta(train_cfg, k), train_cfg.lam)
-        for b, exc in failed.items():
+        for b, exc in gd_step(ws, effective_eta(train_cfg, k), train_cfg.lam).items():
             active[b].stop(k, exc)
+        ws, active = _leave(ws, active)
     for run in active:
-        if run.result is None:
-            run.result = (run.last_healthy, run.traj)
+        run.result = (run.last_healthy, run.traj)
     return [run.result for run in runs]
 
 

@@ -46,11 +46,7 @@ def make_balanced_chain(seed: int, dims: list, sigma_lo: float = 0.5,
         return q[:, :rank]
 
     bases = [frame(d) for d in dims]
-    weights = []
-    for layer in range(depth):
-        w = bases[layer + 1] * root @ bases[layer].T
-        weights.append(w)
-    return weights
+    return [bases[layer + 1] * root @ bases[layer].T for layer in range(depth)]
 
 
 def make_thm1_instance(seed: int, eps1_scale: float = 1e-3,
@@ -84,8 +80,7 @@ def make_thm1_instance(seed: int, eps1_scale: float = 1e-3,
         j = int(rng.integers(0, l2 - 1))
         pert = rng.standard_normal(weights[j].shape)
         weights[j] = weights[j] + eps2_scale * pert / max(np.linalg.norm(pert), 1e-300)
-    params = ParamSet(weights)
-    return {"cfg": cfg, "params": params, "x": x, "y": y, "idx": idx,
+    return {"cfg": cfg, "params": ParamSet(weights), "x": x, "y": y, "idx": idx,
             "seed": seed}
 
 
@@ -290,9 +285,7 @@ def check_dense_ntk_agreement(seed: int = 6) -> tuple:
     rng = np.random.default_rng(seed)
     cfg = NetworkConfig(input_dim=3, widths=(4, 2), l1=1, l2=1,
                         activation=SMOOTH)
-    weights = [rng.standard_normal(cfg.layer_shape(layer))
-               for layer in range(1, 3)]
-    params = ParamSet(weights)
+    params = ParamSet([rng.standard_normal(cfg.layer_shape(layer)) for layer in range(1, 3)])
     x = rng.standard_normal((3, 5))
     dense = ntk.dense_ntk(cfg, params, x)
     top = densemat.op_norm(dense)

@@ -177,6 +177,53 @@ def test_bounds_validates_the_resolved_config(tmp_path, capsys, keys, value, fie
     assert (out / "report.json").read_text() == report
 
 
+NON_FINITE_CASES = [
+    (["train", "eta"], math.nan, "train/eta"),
+    (["train", "lr_drop_factor"], math.inf, "train/lr_drop_factor"),
+    (["data", "noise"], -math.inf, "data/noise"),
+    (["network", "activation", "beta"], math.inf, "network/activation/beta"),
+    (["train", "init_scales"], [1.0, math.nan, 1.0], "train/init_scales/1")]
+
+
+@pytest.mark.parametrize("keys, value, field", NON_FINITE_CASES)
+@pytest.mark.parametrize("command", ["train", "bounds"])
+def test_non_finite_numbers_are_refused_with_exit_2(tmp_path, capsys, command, keys, value,
+                                                    field):
+    out = tmp_path / "run"
+    if command == "train":
+        code = cli.main(["train", "--config", str(write_config(tmp_path, _mutated(keys, value))),
+                         "--out", str(out)])
+        assert not out.exists()
+    else:
+        assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                         "--out", str(out)]) == cli.EXIT_OK
+        capsys.readouterr()
+        resolved = json.loads((out / "config.resolved.json").read_text())
+        _edit(resolved["config"], keys, value)
+        (out / "config.resolved.json").write_text(json.dumps(resolved))
+        report = (out / "report.json").read_text()
+        code = cli.main(["bounds", "--run", str(out)])
+        assert (out / "report.json").read_text() == report
+    err = capsys.readouterr().err.splitlines()
+    assert code == cli.EXIT_CONFIG and len(err) == 1, err
+    assert err[0].startswith(f"config error: config field {field}: "), err
+    assert err[0].endswith("is not a finite number"), err
+
+
+@pytest.mark.parametrize("name", ["config.resolved.json", "report.json"])
+@pytest.mark.parametrize("text", ["{not json", "[]"])
+def test_bounds_refuses_a_malformed_run_file_with_exit_2(tmp_path, capsys, name, text):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    (out / name).write_text(text)
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and str(out / name) in err[0]
+    assert (out / name).read_text() == text
+
+
 def _random_mutation(cfg, rng, names, pool):
     """Set, add or delete one random entry of one random object or array of `cfg`."""
     nodes, stack = [], [cfg]
@@ -374,6 +421,48 @@ def test_train_traces_the_final_state_once(tmp_path, monkeypatch):
                      "--out", str(out)]) == cli.EXIT_OK
     final = cli.load_params(out / "params_final.npz")
     assert traced.count(_params_digest(final)) == 1
+
+
+def _count_forward_calls(monkeypatch) -> list:
+    calls = []
+    real = network.forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (cli, network, trainer):  # every module that calls forward in training
+        monkeypatch.setattr(module, "forward", counting)
+    return calls
+
+
+def test_train_traces_each_state_once_in_one_workspace(tmp_path, monkeypatch):
+    calls, built = _count_forward_calls(monkeypatch), []
+
+    class Counting(trainer.Workspace):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(trainer, "Workspace", Counting)
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"].update(steps=10, record_every=1)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads((out / "report.json").read_text())["train"]["steps_recorded"] == 11
+    assert len(calls) == 11 and len(built) == 1  # states 0 .. 10, one workspace
+
+
+@pytest.mark.parametrize("axis, groups", [("linear_depth", 1), ("nonlinear_depth", 2)])
+def test_sweep_traces_each_state_once_per_lockstep_group(tmp_path, monkeypatch, axis, groups):
+    calls = _count_forward_calls(monkeypatch)
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"].update(steps=10, record_every=1)
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--axis", axis,
+                     "--values", "1,2", "--seeds", "0,1",
+                     "--out", str(tmp_path / "sweep")]) == cli.EXIT_OK
+    assert len(calls) == groups * 11
 
 
 @pytest.mark.parametrize("l1", [1, 2])  # l2 = 2 and l2 = 1

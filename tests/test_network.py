@@ -125,7 +125,7 @@ def test_forward_matches_manual_recomputation():
     for layer in range(1, cfg.depth + 1):
         pre = params.weights[layer - 1] @ cur
         if layer <= cfg.l1:
-            assert np.allclose(trace.preact[layer - 1], pre, atol=1e-14)
+            assert np.allclose(trace.dact[layer - 1], act_grad(SMOOTH, pre), atol=1e-14)
             cur = np.vectorize(lambda t: float(act_apply(SMOOTH, t)))(pre)
         else:
             cur = pre
@@ -145,8 +145,8 @@ def test_forward_evaluates_one_normal_cdf_per_nonlinear_layer(monkeypatch):
     trace = forward(cfg, params, x)
     assert calls == [(5, 6), (4, 6)]
     # the activation written through its derivative is the activation
-    for pre, z in zip(trace.preact, trace.z[1:]):
-        np.testing.assert_allclose(z, act_apply(SMOOTH, pre), rtol=0, atol=0)
+    for w, below, z in zip(params.weights, trace.z, trace.z[1:cfg.l1 + 1]):
+        np.testing.assert_allclose(z, act_apply(SMOOTH, w @ below), rtol=0, atol=0)
 
 
 def test_fused_activation_matches_the_mollified_form():

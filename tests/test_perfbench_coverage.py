@@ -1,8 +1,9 @@
 """The traced benchmark's coverage pins, on short runs: every per-layer
-metric that `perfbench/run.py` lists in `EXERCISED` for `pyramidal` and
-`depth_sweep` must be non-zero, or the traced run counts a `coverage`
-failure. `cli.artifact_bytes` is left out: `run.py` computes it from the
-artifacts, not from spans. Reads `perfbench/` and changes nothing there.
+metric that `perfbench/run.py` lists in `EXERCISED` for `pyramidal`,
+`depth_sweep` and `verify_full` must be non-zero, or the traced run counts a
+`coverage` failure. `cli.artifact_bytes` is left out: `run.py` computes it
+from the artifacts, not from spans. Reads `perfbench/` and changes nothing
+there.
 """
 
 import json
@@ -31,9 +32,11 @@ def bench():
 
 def _traced(bench, tmp_path, workload, commands) -> dict:
     run, spans = bench
-    cfg = run.WORKLOADS[workload]((0, 1))
-    cfg["train"]["steps"] = STEPS
-    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    make = run.WORKLOADS[workload]  # None for verify_full, which takes no config
+    cfg = make((0, 1)) if make else None
+    if cfg:
+        cfg["train"]["steps"] = STEPS
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     prefixes = []
@@ -58,4 +61,9 @@ def test_depth_sweep_exercises_every_pinned_metric(bench, tmp_path):
     m = _traced(bench, tmp_path, "depth_sweep", lambda cfg: [
         ["sweep", "--config", "config.json", "--axis", "linear_depth",
          "--values", "1,2,3,4,5", "--seeds", cfg["train"]["seed"], "--out", "run"]])
+    assert sorted(n for n, v in m.items() if not v) == []
+
+
+def test_verify_full_exercises_every_pinned_metric(bench, tmp_path):
+    m = _traced(bench, tmp_path, "verify_full", lambda cfg: [["verify", "--level", "full"]])
     assert sorted(n for n, v in m.items() if not v) == []
