@@ -12,6 +12,7 @@ sweep member that did not finish ok).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import inspect
 import json
@@ -239,11 +240,19 @@ def build_dataset(cfg: dict) -> data_mod.Dataset:
         raise ConfigError(f"cannot load idx data: {exc}") from exc
 
 
-def build_train_config(cfg: dict) -> TrainConfig:
+def build_run(cfg: dict, ds: data_mod.Dataset) -> tuple:
+    """(NetworkConfig, TrainConfig) of a resolved config on its data `ds`;
+    ConfigError if the network does not fit the data or its init scales."""
+    net = build_network(cfg, ds.x.shape[0])
+    if net.n_classes != ds.y.shape[0]:
+        raise ConfigError(
+            f"last width {net.n_classes} != number of classes {ds.y.shape[0]}")
     t = dict(cfg["train"])
-    scales = t.pop("init_scales", None)
-    init = InitSpec(scales=tuple(scales)) if scales is not None else InitSpec()
-    return TrainConfig(**t, init=init)
+    scales = tuple(t.pop("init_scales", ()))
+    if scales and len(scales) != net.depth:  # [] takes the default scales
+        raise ConfigError(f"config field train/init_scales: {len(scales)} scales "
+                          f"for a network of {net.depth} layers")
+    return net, TrainConfig(**t, init=InitSpec(scales=scales))
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +276,15 @@ def write_csv(path: Path, header: list, rows: list) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["schema_version"] = SCHEMA_VERSION
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+    payload = _sanitize({**payload, "schema_version": SCHEMA_VERSION})
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _sanitize(obj):
-    """Replace non-finite floats so json stays strictly standard."""
+    """`obj` as strict JSON values: numpy scalars become Python values and
+    non-finite floats their repr strings."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
@@ -348,8 +350,9 @@ def _load_run_params(path: Path, net):
 # ---------------------------------------------------------------------------
 
 def cmd_train(config_path, out_dir) -> int:
+    cfg = load_config(config_path)
     out = Path(out_dir)
-    net, params, traj = _train_into(load_config(config_path), out)
+    net, params, traj = _train_into(cfg, build_dataset(cfg), out)
     write_trajectory_csv(out, traj)
     write_metrics_csv(out, traj)
     write_means_grams(out, net, traj.last())
@@ -369,20 +372,16 @@ def cmd_train(config_path, out_dir) -> int:
     return EXIT_OK
 
 
-def _train_into(cfg: dict, out: Path, first_layer: int | None = None,
+def _train_into(cfg: dict, ds, out: Path, first_layer: int | None = None,
                 group=None) -> tuple:
-    """Train a resolved config, measuring from `first_layer`, with its lockstep
-    `group` if any, into `out`: config.resolved.json and report.json. Returns
-    (net, params, trajectory)."""
-    ds = build_dataset(cfg)
-    net = build_network(cfg, ds.x.shape[0])
-    if net.n_classes != ds.y.shape[0]:
-        raise ConfigError(
-            f"last width {net.n_classes} != number of classes {ds.y.shape[0]}")
+    """Train a resolved config on its data `ds`, measuring from `first_layer`,
+    with its lockstep `group` if any, into `out`: config.resolved.json and
+    report.json. Returns (net, params, trajectory)."""
+    net, train_cfg = build_run(cfg, ds)
     if first_layer is None:
         # from the head input, or lower when a layer whose Gram is written lies below it
         first_layer = min(max(net.l1, 1), max(net.depth - 2, 1))
-    params, traj = train(net, build_train_config(cfg), ds.x, ds.y, ds.idx,
+    params, traj = train(net, train_cfg, ds.x, ds.y, ds.idx,
                          first_layer=first_layer, group=group)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.resolved.json", {"config": cfg})
@@ -399,7 +398,7 @@ def _train_into(cfg: dict, out: Path, first_layer: int | None = None,
     }
     if traj.diverged:  # a healthy run's report keeps its keys
         summary["divergence"] = {"step": traj.diverged_at, "cause": traj.divergence}
-    write_json(out / "report.json", {"train": _sanitize(summary)})
+    write_json(out / "report.json", {"train": summary})
     return net, params, traj
 
 
@@ -415,12 +414,12 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     k, n = net.n_classes, ds.x.shape[1]
     thm1 = bounds_mod.thm1_verdicts(net, params, rep, sK_y, x_op, n, rank_tol)
 
-    out = {"measured": _sanitize({
+    out = {"measured": {
         "eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r, "sK_y": sK_y,
         "x_opnorm": x_op,
         "nc1": thm1.reports["thm1_nc1"].measured,
         "kappa_w_l": thm1.kappa_w_l, "kappa_prod": thm1.kappa_prod,
-    }), "reports": {name: _sanitize(asdict(r)) for name, r in thm1.reports.items()}}
+    }, "reports": {name: asdict(r) for name, r in thm1.reports.items()}}
 
     try:
         out["measured"]["residual_to_pinv"] = bounds_mod.residual_to_pinv(
@@ -429,12 +428,12 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
         pass
 
     nrep = ntk.ntk_opnorm(net, params, ds.x, trace=trace)
-    out["ntk"] = _sanitize({"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
-                            "residual": nrep.residual, "converged": nrep.converged})
-    out["reports"]["ntk_lower"] = _sanitize(asdict(bounds_mod.bound_report(
+    out["ntk"] = {"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
+                  "residual": nrep.residual, "converged": nrep.converged}
+    out["reports"]["ntk_lower"] = asdict(bounds_mod.bound_report(
         "ntk_lower", {"eps1_small": thm1.inputs.eps1_premise()},
         lambda: bounds_mod.ntk_lower_bound(sK_y, rep.eps1, k, rep.r, net.l2),
-        nrep.rho, lower=True)))
+        nrep.rho, lower=True))
 
     try:
         if params_init is None:
@@ -444,7 +443,7 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
         sched = bounds_mod.thm2_schedule(
             sched, net, max(rep.eps1, 1e-6), max(rep.eps2, 1e-8), ds.b, x_op,
             params_init.norm(), c00, c_lam0, k, n)
-        out["schedule"] = _sanitize(asdict(sched))
+        out["schedule"] = asdict(sched)
     except (ValueError, bounds_mod.VacuousBound) as exc:
         out["schedule"] = {"error": str(exc)}
     except OverflowError as exc:  # e.g. the Lipschitz constant's float power
@@ -469,17 +468,17 @@ def cmd_bounds(run_dir) -> int:
     report_path = run / "report.json"
     report = _read_json_object(report_path) if report_path.exists() else {}
     ds = build_dataset(cfg)
-    trained_on = report.get("train", {}).get("data_sha256")
+    trained = report.get("train", {})
+    trained_on = trained.get("data_sha256") if isinstance(trained, dict) else None
     if trained_on is None:
         raise ConfigError(f"{report_path} records no training-data fingerprint")
     if trained_on != ds.fingerprint():
         raise ConfigError("the data rebuilt from the config are not the data "
                           "the run was trained on (SHA-256 mismatch)")
-    net = build_network(cfg, ds.x.shape[0])
+    net, _ = build_run(cfg, ds)
     params, params_init = (_load_run_params(path, net)
                            for path in (final_path, run / "params_init.npz"))
     payload = evaluate_bounds(cfg, net, ds, params, params_init)
-    report.pop("schema_version", None)
     report["bounds"] = payload
     write_json(report_path, report)
     n_holds = sum(1 for r in payload["reports"].values() if r["holds"] == "holds")
@@ -503,21 +502,9 @@ def sweep_member_config(cfg: dict, axis: str, value: int, seed: int) -> dict:
     return member
 
 
-def _lockstep_groups(cfg: dict, members: dict) -> dict:
-    """The lockstep group of each sweep member: all train on `cfg`'s data.
-    If any member does not build, every member runs alone and reports its
-    own error."""
-    try:
-        dim = build_dataset(cfg).x.shape[0]
-        built = {key: (build_network(m, dim), build_train_config(m)) for key, m in members.items()}
-    except (ConfigError, ValueError):
-        return {}
-    return dict(zip(built, lockstep_groups(list(built.values()))))
-
-
-def _run_member(cfg: dict, out: Path, group=None) -> dict:
+def _run_member(cfg: dict, ds, out: Path, group=None) -> dict:
     # measure every layer: the negativity summary covers the whole backbone
-    net, _, traj = _train_into(cfg, out, first_layer=1, group=group)
+    net, _, traj = _train_into(cfg, ds, out, first_layer=1, group=group)
     if traj.diverged:
         print(f"{out.name}: diverged at step {traj.diverged_at}: {traj.divergence}",
               file=sys.stderr)
@@ -555,14 +542,19 @@ def _int_list(flag: str, text: str) -> list:
 
 def cmd_sweep(config_path, axis, values, seeds, out_dir) -> int:
     cfg = load_config(config_path)
+    ds = build_dataset(cfg)  # every member trains on these data
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     members = {(v, s): sweep_member_config(cfg, axis, v, s) for v in values for s in seeds}
-    groups = _lockstep_groups(cfg, members)
+    built = {}
+    for key, member in members.items():
+        with contextlib.suppress(ConfigError):  # its row reports the error
+            built[key] = build_run(member, ds)
+    groups = dict(zip(built, lockstep_groups(list(built.values()))))
 
     def job(v, s):
         try:
-            return (v, s, _run_member(members[v, s], out / f"value_{v}_seed_{s}",
+            return (v, s, _run_member(members[v, s], ds, out / f"value_{v}_seed_{s}",
                                       groups.get((v, s))))
         except (ConfigError, ValueError, densemat.SvdConvergenceError) as exc:
             return (v, s, {"status": f"error: {exc}"})

@@ -201,10 +201,7 @@ def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
         out = ForwardTrace([x] + [None] * cfg.depth, [None] * cfg.l1, [None] * cfg.l1)
     cur = x
     for layer, w in enumerate(params.weights, start=1):
-        try:
-            pre = np.matmul(w, cur[:len(w)] if cur.ndim == 3 else cur, out=out.z[layer])
-        except ValueError as exc:
-            raise ValueError(f"shape mismatch at layer {layer}: {exc}") from exc
+        pre = np.matmul(w, cur[:len(w)] if cur.ndim == 3 else cur, out=out.z[layer])
         if layer <= cfg.l1:
             d = out.dact[layer - 1] = act_grad(cfg.activation, pre, out.dact[layer - 1])
             pre = act_apply(cfg.activation, pre, d, out.scratch[layer - 1])

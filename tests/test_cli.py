@@ -224,6 +224,20 @@ def test_bounds_refuses_a_malformed_run_file_with_exit_2(tmp_path, capsys, name,
     assert (out / name).read_text() == text
 
 
+@pytest.mark.parametrize("entry", [[], 5])
+def test_bounds_refuses_a_report_whose_train_entry_is_not_an_object(tmp_path, capsys, entry):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    text = json.dumps({"schema_version": 1, "train": entry})
+    (out / "report.json").write_text(text)
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(out / "report.json") in err[0], err
+    assert (out / "report.json").read_text() == text
+
+
 def _random_mutation(cfg, rng, names, pool):
     """Set, add or delete one random entry of one random object or array of `cfg`."""
     nodes, stack = [], [cfg]
@@ -498,6 +512,17 @@ def test_means_gram_cells_are_plain_floats(tmp_path):
     assert cli._fmt(np.float64(0.1)) == cli._fmt(0.1) == "0.1"
 
 
+def test_json_artifacts_are_strict_json(tmp_path):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    path = tmp_path / "report.json"
+    cli.write_json(path, {"a": float("inf"), "b": [np.float64("nan"), np.float64(0.5)],
+                          "c": {"d": -math.inf, "e": np.int64(3)}})
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "a": "inf", "b": ["nan", 0.5], "c": {"d": "-inf", "e": 3}, "schema_version": 1}
+
+
 def test_bounds_reports_a_schedule_overflow_and_keeps_the_verdicts(tmp_path):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["train"].update({"steps": 0, "init_scales": [1e30, 1e30, 1e30]})
@@ -561,7 +586,7 @@ def test_sweep_degenerate_row_matches_standalone_train(tmp_path):
     member = cli.sweep_member_config(cli.resolve_config(cfg), "linear_depth",
                                      2, 0)
     assert member["network"]["widths"] == [6, 3, 3]
-    res = cli._run_member(member, tmp_path / "member")
+    res = cli._run_member(member, cli.build_dataset(member), tmp_path / "member")
     assert float(row["nc1_last"]) == pytest.approx(res["nc1_last"], rel=1e-12)
     assert float(row["nc2_last"]) == pytest.approx(res["nc2_last"], rel=1e-12)
 
@@ -600,6 +625,19 @@ def test_class_count_mismatch_is_config_error(tmp_path, capsys):
                      "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_CONFIG
     assert "classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scales", [[1.0, 1.0], [1.0] * 4])
+def test_init_scales_need_one_entry_per_layer(tmp_path, capsys, scales):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"]["init_scales"] = scales  # the net has 3 layers
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "config error: config field train/init_scales: "), err
+    assert not out.exists()
 
 
 def test_bounds_report_serializes_for_ten_classes(tmp_path):
@@ -689,7 +727,8 @@ def test_sweep_member_measures_each_record_once(tmp_path, monkeypatch):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["train"]["steps"] = 100
     member = cli.sweep_member_config(cli.resolve_config(cfg), "linear_depth", 2, 0)
-    assert cli._run_member(member, tmp_path / "member")["status"] == "ok"
+    assert cli._run_member(member, cli.build_dataset(member),
+                           tmp_path / "member")["status"] == "ok"
     assert len(calls) == 3  # records at steps 0, 50 and 100
 
 
@@ -735,7 +774,7 @@ def test_impossible_synthetic_data_is_config_error(tmp_path, capsys):
 
 
 def test_sweep_csv_quotes_a_status_with_a_comma(tmp_path, monkeypatch):
-    def failing_member(cfg, out, group):
+    def failing_member(cfg, ds, out, group):
         raise ValueError("width 0, depth 2")
 
     monkeypatch.setattr(cli, "_run_member", failing_member)
@@ -871,10 +910,11 @@ def _member_dirs_match_members_alone(tmp_path, capsys, cfg, axis, values, seeds)
                      "--seeds", ",".join(map(str, seeds)), "--out", str(out)])
     swept = capsys.readouterr().err
     resolved = cli.resolve_config(cfg)
+    ds = cli.build_dataset(resolved)
     for v in values:
         for s in seeds:
             name = f"value_{v}_seed_{s}"
-            cli._run_member(cli.sweep_member_config(resolved, axis, v, s),
+            cli._run_member(cli.sweep_member_config(resolved, axis, v, s), ds,
                             tmp_path / "alone" / name)
             files = sorted(p.name for p in (out / name).iterdir())
             assert files == sorted(p.name for p in (tmp_path / "alone" / name).iterdir())
@@ -885,20 +925,37 @@ def _member_dirs_match_members_alone(tmp_path, capsys, cfg, axis, values, seeds)
     return code
 
 
-def test_lockstep_sweep_members_match_members_alone(tmp_path, capsys):
-    # the criterion-8 net: all ten members nest and train in one lockstep group
-    cfg = {"schema_version": 1,
-           "network": {"widths": [16, 8, 3], "l1": 2, "activation": SMOOTH_ACT},
-           "train": {"eta": 0.05, "lam": 0.02, "steps": 300, "record_every": 100,
-                     "lr_drop_fraction": 1.0, "seed": 0},
-           "data": {"kind": "synthetic", "d": 8, "k": 3, "n_per_class": 4,
-                    "class_sep": 1.0, "noise": 0.1, "seed": 0}}
-    assert _member_dirs_match_members_alone(tmp_path, capsys, cfg, "linear_depth",
-                                            [1, 2, 3, 4, 5], [0, 1]) == cli.EXIT_OK
-    resolved = cli.resolve_config(cfg)
-    assert len(set(cli._lockstep_groups(resolved, {
-        (v, s): cli.sweep_member_config(resolved, "linear_depth", v, s)
-        for v in range(1, 6) for s in (0, 1)}).values())) == 1
+def _lockstep_runs(monkeypatch) -> list:
+    """The depths of the members of each lockstep run, in the order the runs
+    start (a lone member is a run of one)."""
+    runs = []
+    real = trainer._run_lockstep
+
+    def recording(members, *args):
+        runs.append([net.depth for net, _ in members])
+        return real(members, *args)
+
+    monkeypatch.setattr(trainer, "_run_lockstep", recording)
+    return runs
+
+
+# the criterion-8 net
+CRITERION_8_CONFIG = {
+    "schema_version": 1,
+    "network": {"widths": [16, 8, 3], "l1": 2, "activation": SMOOTH_ACT},
+    "train": {"eta": 0.05, "lam": 0.02, "steps": 300, "record_every": 100,
+              "lr_drop_fraction": 1.0, "seed": 0},
+    "data": {"kind": "synthetic", "d": 8, "k": 3, "n_per_class": 4,
+             "class_sep": 1.0, "noise": 0.1, "seed": 0}}
+
+
+def test_lockstep_sweep_members_match_members_alone(tmp_path, capsys, monkeypatch):
+    # all ten members nest and train in one lockstep group
+    runs = _lockstep_runs(monkeypatch)
+    assert _member_dirs_match_members_alone(tmp_path, capsys, CRITERION_8_CONFIG,
+                                            "linear_depth", [1, 2, 3, 4, 5],
+                                            [0, 1]) == cli.EXIT_OK
+    assert [len(r) for r in runs] == [10] + [1] * 10  # the sweep, then each member alone
 
 
 def test_lockstep_sweep_with_diverging_members_matches_members_alone(tmp_path, capsys):
@@ -916,17 +973,14 @@ def test_lockstep_sweep_with_diverging_members_matches_members_alone(tmp_path, c
     assert steps == [4, 4, 4, 3, 3, 4, 14, None]
 
 
-def test_nonlinear_depth_sweep_groups_each_value(tmp_path, capsys):
+def test_nonlinear_depth_sweep_groups_each_value(tmp_path, capsys, monkeypatch):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["train"]["steps"] = 60
-    resolved = cli.resolve_config(cfg)
-    groups = cli._lockstep_groups(resolved, {
-        (v, s): cli.sweep_member_config(resolved, "nonlinear_depth", v, s)
-        for v in (1, 2, 3) for s in (0, 1)})
-    assert [groups[v, 0] is groups[v, 1] for v in (1, 2, 3)] == [True] * 3
-    assert len(set(groups.values())) == 3
+    runs = _lockstep_runs(monkeypatch)
     assert _member_dirs_match_members_alone(tmp_path, capsys, cfg, "nonlinear_depth",
                                             [1, 2, 3], [0, 1]) == cli.EXIT_OK
+    # value v has v + 2 layers; its two seeds form one group
+    assert runs == [[3, 3], [4, 4], [5, 5]] + [[v + 2] for v in (1, 2, 3) for _ in (0, 1)]
 
 
 def test_a_member_whose_record_raises_leaves_the_group(tmp_path, capsys, monkeypatch):
@@ -953,7 +1007,7 @@ def test_a_member_whose_record_raises_leaves_the_group(tmp_path, capsys, monkeyp
     for v in (1, 3):  # the others went on as if alone
         name = f"value_{v}_seed_0"
         cli._run_member(cli.sweep_member_config(resolved, "linear_depth", v, 0),
-                        tmp_path / "alone" / name)
+                        cli.build_dataset(resolved), tmp_path / "alone" / name)
         for f in (out / name).iterdir():
             assert f.read_bytes() == (tmp_path / "alone" / name / f.name).read_bytes()
 
@@ -970,6 +1024,63 @@ def test_sweep_rejects_bad_values_and_seeds_with_exit_2(tmp_path, capsys, flag, 
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and flag in err[0]
     assert not out.exists()
+
+
+def test_sweep_refuses_data_it_cannot_build_with_exit_2(tmp_path, capsys, monkeypatch):
+    # nothing trains: one stderr line, and no output directory
+    monkeypatch.setenv("NCLAB_DATA_DIR", str(tmp_path))
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["data"] = {"kind": "idx", "images": "missing-images.idx", "labels": "missing-labels.idx"}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                     "--axis", "linear_depth", "--values", "1,2", "--seeds", "0,1",
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: cannot load idx data"), err
+    assert not out.exists()
+
+
+def test_sweep_builds_its_data_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.build_dataset
+
+    def counting(cfg):
+        calls.append(1)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "build_dataset", counting)
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"]["steps"] = 10
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                     "--axis", "nonlinear_depth", "--values", "1,2,3", "--seeds", "0,1",
+                     "--out", str(tmp_path / "sweep")]) == cli.EXIT_OK
+    assert len(calls) == 1
+
+
+def test_sweep_members_that_do_not_build_are_not_grouped(tmp_path, capsys, monkeypatch):
+    # linear_depth 0 leaves the criterion-8 net with last width 8 for 3 classes
+    runs = _lockstep_runs(monkeypatch)
+    cfg_path = write_config(tmp_path, CRITERION_8_CONFIG)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--axis", "linear_depth",
+                     "--values", "0,1,2", "--seeds", "0", "--out", str(out)]) == cli.EXIT_FAILED
+    assert runs == [[4, 3]]
+    swept = capsys.readouterr().err
+    rows = (out / "sweep.csv").read_text().splitlines()[2:]
+    assert rows[0] == "0,0,error: last width 8 != number of classes 3" + "," * 8
+    assert [row.split(",")[2] for row in rows[1:]] == ["ok", "ok"]
+    assert not (out / "value_0_seed_0").exists()
+    resolved = cli.load_config(cfg_path)
+    for v in (1, 2):
+        name = f"value_{v}_seed_0"
+        cli._run_member(cli.sweep_member_config(resolved, "linear_depth", v, 0),
+                        cli.build_dataset(resolved), tmp_path / "alone" / name)
+        files = sorted(p.name for p in (out / name).iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "alone" / name).iterdir())
+        for f in files:
+            assert (out / name / f).read_bytes() == \
+                (tmp_path / "alone" / name / f).read_bytes(), (name, f)
+    assert swept == capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, arrays", [

@@ -2,8 +2,8 @@
 metric that `perfbench/run.py` lists in `EXERCISED` for `pyramidal`,
 `depth_sweep` and `verify_full` must be non-zero, or the traced run counts a
 `coverage` failure. `cli.artifact_bytes` is left out: `run.py` computes it
-from the artifacts, not from spans. Reads `perfbench/` and changes nothing
-there.
+from the artifacts, not from spans. The set-up probe, which every benchmark
+run starts with, must run too. Reads `perfbench/` and changes nothing there.
 """
 
 import json
@@ -67,3 +67,17 @@ def test_depth_sweep_exercises_every_pinned_metric(bench, tmp_path):
 def test_verify_full_exercises_every_pinned_metric(bench, tmp_path):
     m = _traced(bench, tmp_path, "verify_full", lambda cfg: [["verify", "--level", "full"]])
     assert sorted(n for n, v in m.items() if not v) == []
+
+
+@pytest.mark.parametrize("args", [["config.json"], ["--verify"]])
+def test_setup_probe_runs_on_nclab_from_src(bench, tmp_path, args):
+    # probe.py calls cli.load_config, cli.build_dataset and cli.build_network
+    run, _ = bench
+    (tmp_path / "config.json").write_text(json.dumps(run.WORKLOADS["pyramidal"]((0, 1))))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "probe.py"), *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    clock, path = proc.stdout.split()
+    float(clock)
+    assert Path(path).resolve().is_relative_to(ROOT / "src")

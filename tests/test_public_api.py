@@ -13,7 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "nclab"
 
 # Reachable only from the tests until they are wired into `nclab bounds` /
-# `nclab train` or deleted (ROADMAP open item 5). Remove a name from this
+# `nclab train` or deleted (ROADMAP open item 2). Remove a name from this
 # list when it gets a caller in the package.
 UNWIRED = {
     "bounds.large_lr_kappa_bound",
