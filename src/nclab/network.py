@@ -3,7 +3,9 @@
 The network has l1 nonlinear layers followed by l2 linear layers and no bias
 terms. The smoothed leaky ReLU is the Gaussian-mollified max(gamma*u, u); it is
 evaluated in closed form via the standard normal pdf/cdf (the mollifying kernel
-is a Gaussian of standard deviation (1-gamma)/(sqrt(2*pi)*beta)).
+is a Gaussian of standard deviation (1-gamma)/(sqrt(2*pi)*beta)). The cdf is
+Hart's rational approximation (Hart et al. 1968, algorithm 5666, as given by
+West 2005), evaluated in place with numpy.
 """
 
 from __future__ import annotations
@@ -13,9 +15,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr  # standard normal CDF, vectorized
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Phi(-z) = exp(-z^2/2) * P(z) / Q(z) for z >= 0, coefficients of z^0, z^1, ...
+_HART_P = (220.206867912376, 221.213596169931, 112.079291497871, 33.912866078383,
+           6.37396220353165, 0.700383064443688, 0.0352624965998911)
+_HART_Q = (440.413735824752, 793.826512519948, 637.333633378831, 296.564248779674,
+           86.7807322029461, 16.064177579207, 1.75566716318264, 0.0883883476483184)
+_Z_MAX = 40.0  # Phi(-40) is below the smallest double
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,20 @@ class ActivationSpec:
         """Additive constant of the smoothed activation."""
         return (1.0 - self.gamma) ** 2 / (2.0 * math.pi * self.beta)
 
+    @cached_property
+    def _cdf_coefs(self) -> tuple:
+        """The smoothed derivative's kernel constants for t = min(|x|, 40 s):
+        (40 s, -1/(2 s^2), (1-gamma) s / sqrt(2 pi), P's coefficients, Q's
+        below its leading 1, (1-gamma)/2, gamma + (1-gamma)/2). P and Q are
+        Hart's in t = s z, highest power first, scaled so that Q is monic and
+        e * P(t) / Q(t) = (1-gamma) Phi(-z) for e = (1-gamma) s phi(z)."""
+        s, lead = self.kernel_sd, _HART_Q[-1]
+        p = [c * s ** (6 - k) * _SQRT_2PI / lead for k, c in enumerate(_HART_P)][::-1]
+        q = [c * s ** (7 - k) / lead for k, c in enumerate(_HART_Q[:-1])][::-1]
+        half = 0.5 * (1.0 - self.gamma)
+        return (_Z_MAX * s, -0.5 / (s * s), (1.0 - self.gamma) * s / _SQRT_2PI,
+                p, q, half, self.gamma + half)
+
 
 def act_apply(spec: ActivationSpec, x, dact=None, scratch=None):
     """Elementwise activation; accepts scalars or arrays.
@@ -51,35 +72,31 @@ def act_apply(spec: ActivationSpec, x, dact=None, scratch=None):
     The smoothed activation is written through its derivative,
     sigma(x) = x * sigma'(x) + (1 - gamma) * s * phi(x / s) - shift, with s the
     kernel's standard deviation and phi the standard normal pdf. A caller that
-    holds dact = act_grad(spec, x) passes it, so the normal CDF is evaluated
-    once per array; without it, act_grad is called here. relu and leaky_relu
-    ignore dact. Given `scratch`, an array of x's shape, sigma(x) is written
-    over the float64 array x, with no other array allocated.
+    ran dact = act_grad(spec, x, dact, scratch) passes both: the pdf term is
+    then read from scratch[0], and sigma(x) is written over the float64 array
+    x with no array allocated. Otherwise act_grad is called here on a copy.
+    relu and leaky_relu ignore dact.
     """
     if scratch is None:
         x = np.array(x, dtype=np.float64)
-        scratch = np.empty_like(x)
+        scratch = np.empty((2,) + x.shape)
+        dact = None
     if spec.kind == "relu":
         return np.maximum(x, 0.0, out=x)
     if spec.kind == "leaky_relu":
-        return np.maximum(np.multiply(x, spec.gamma, out=scratch), x, out=x)
+        return np.maximum(np.multiply(x, spec.gamma, out=scratch[0, ...]), x, out=x)
     if dact is None:
-        dact = act_grad(spec, x)
-    s = spec.kernel_sd
-    phi = np.divide(x, s, out=scratch)  # then phi(x / s) in place
-    np.square(phi, out=phi)
-    np.multiply(phi, -0.5, out=phi)
-    np.exp(phi, out=phi)
-    np.divide(phi, _SQRT_2PI, out=phi)
-    np.multiply(phi, (1.0 - spec.gamma) * s, out=phi)
+        dact = act_grad(spec, x, None, scratch)
     np.multiply(x, dact, out=x)
-    np.add(x, phi, out=x)
+    np.add(x, scratch[0, ...], out=x)
     return np.subtract(x, spec.shift, out=x)
 
 
-def act_grad(spec: ActivationSpec, x, out=None):
+def act_grad(spec: ActivationSpec, x, out=None, work=None):
     """Elementwise activation derivative (relu derivative at 0 is 0), into
-    `out` if given."""
+    `out` if given. The smoothed one, gamma + (1 - gamma) Phi(x / s), uses
+    `work`, an array of shape (2,) + x.shape, and leaves
+    e = (1 - gamma) s phi(x / s) in work[0] for act_apply."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x) if out is None else out
     if spec.kind == "relu":
@@ -87,9 +104,27 @@ def act_grad(spec: ActivationSpec, x, out=None):
     elif spec.kind == "leaky_relu":
         out[...] = np.where(x >= 0.0, 1.0, spec.gamma)
     else:
-        ndtr(np.divide(x, spec.kernel_sd, out=out), out=out)
-        np.add(np.multiply(out, 1.0 - spec.gamma, out=out), spec.gamma, out=out)
+        _smoothed_grad(spec, x, out, np.empty((2,) + x.shape) if work is None else work)
     return out
+
+
+def _smoothed_grad(spec: ActivationSpec, x, out, work) -> None:
+    """gamma + (1-gamma)/2 + copysign((1-gamma)/2 - (1-gamma) Phi(-z), x) for
+    z = min(|x| / s, 40), with Phi(-z) by two Horner loops in t = s z."""
+    cap, k, c, p, q, half, mid = spec._cdf_coefs
+    mul, add = np.multiply, np.add
+    e, t = work[0, ...], work[1, ...]
+    np.minimum(np.abs(x, out=t), cap, out=t)
+    add(mul(t, p[0], out=out), p[1], out=out)
+    for a in p[2:]:
+        add(mul(out, t, out=out), a, out=out)
+    add(t, q[0], out=e)
+    for a in q[1:]:
+        add(mul(e, t, out=e), a, out=e)
+    np.divide(out, e, out=out)  # P / Q
+    np.exp(mul(np.square(t, out=e), k, out=e), out=e)
+    mul(mul(e, c, out=e), out, out=out)  # (1 - gamma) Phi(-z)
+    add(np.copysign(np.subtract(half, out, out=out), x, out=out), mid, out=out)
 
 
 def check_activation_bounds(spec: ActivationSpec, lo: float = -50.0, hi: float = 50.0,
@@ -179,7 +214,7 @@ class ParamSet:
 class ForwardTrace:
     z: list       # Z_0 .. Z_L
     dact: list    # act_grad at the preactivations W_l Z_{l-1} of the l1 nonlinear layers
-    scratch: list | None = None  # per nonlinear layer: caller-given work space, or None
+    scratch: list | None = None  # per nonlinear layer: caller-given (2,) + shape work, or None
 
 
 def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
@@ -203,8 +238,10 @@ def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
     for layer, w in enumerate(params.weights, start=1):
         pre = np.matmul(w, cur[:len(w)] if cur.ndim == 3 else cur, out=out.z[layer])
         if layer <= cfg.l1:
-            d = out.dact[layer - 1] = act_grad(cfg.activation, pre, out.dact[layer - 1])
-            pre = act_apply(cfg.activation, pre, d, out.scratch[layer - 1])
+            work = out.scratch[layer - 1]
+            work = np.empty((2,) + pre.shape) if work is None else work
+            d = out.dact[layer - 1] = act_grad(cfg.activation, pre, out.dact[layer - 1], work)
+            pre = act_apply(cfg.activation, pre, d, work)
         out.z[layer] = cur = pre
     return out
 

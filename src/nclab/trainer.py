@@ -118,7 +118,7 @@ class Workspace:
     members that have a layer l are the first B_l, so their weights l are one
     (B_l, n_l, n_{l-1}) view of a flat theta, which `forward` and `backprop`
     take at once. Two flat thetas alternate as the state and the next one,
-    whose trace is `trace`; the nonlinear layers share one scratch array."""
+    whose trace is `trace`; the nonlinear layers share one (2, size) scratch array."""
 
     def __init__(self, cfgs: list, x, y, states: list):
         cfg = self.cfg = cfgs[0]
@@ -134,9 +134,10 @@ class Workspace:
             for w, src in zip(self.state.weights, params.weights):
                 w[b] = src
         z = [x] + [np.empty(shape[:2] + (x.shape[1],)) for shape in shapes]
-        scratch = np.empty(max([a.size for a in z[1:cfg.l1 + 1]], default=0))  # one, shared
+        scratch = np.empty((2, max([a.size for a in z[1:cfg.l1 + 1]], default=0)))  # shared
         self.trace = ForwardTrace(z, [np.empty_like(a) for a in z[1:cfg.l1 + 1]],
-                                  [scratch[:a.size].reshape(a.shape) for a in z[1:cfg.l1 + 1]])
+                                  [scratch[:, :a.size].reshape((2,) + a.shape)
+                                   for a in z[1:cfg.l1 + 1]])
         self.resid = [z[d][b] for b, d in enumerate(self.depths)]  # each member's output
         with np.errstate(over="ignore", invalid="ignore"):
             forward(cfg, self.state, x, self.trace)

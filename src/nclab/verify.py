@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import bounds, data, densemat, metrics, ntk, trainer
-from .network import (ActivationSpec, NetworkConfig, ParamSet,
+from .network import (ActivationSpec, NetworkConfig, ParamSet, act_grad,
                       check_activation_bounds, forward, gradient, loss)
 
 SMOOTH = ActivationSpec("smoothed_leaky_relu", gamma=0.3, beta=2.0)
@@ -229,11 +229,19 @@ def check_gradient_fd(seed: int = 2, trials: int = 10) -> tuple:
 
 
 def check_activation() -> tuple:
+    """The derivative's range and Lipschitz cap and |sigma(x)| <= |x|, and the
+    derivative against gamma + (1 - gamma) Phi(x / s) from the standard
+    library's erfc, Phi(u) = erfc(-u / sqrt 2) / 2, on the same grid."""
+    xs = np.linspace(-50.0, 50.0, 2001)
     for gamma, beta in ((0.1, 1.0), (0.3, 2.0), (0.5, 5.0)):
         spec = ActivationSpec("smoothed_leaky_relu", gamma=gamma, beta=beta)
         rep = check_activation_bounds(spec)
+        scale = -1.0 / (spec.kernel_sd * math.sqrt(2.0))
+        rep["cdf_max_abs_err"] = max(
+            abs(d - gamma - (1.0 - gamma) * 0.5 * math.erfc(x * scale))
+            for x, d in zip(xs.tolist(), act_grad(spec, xs).tolist()))
         if not (rep["deriv_in_range"] and rep["abs_bound_ok"]
-                and rep.get("deriv_lipschitz_ok", True)):
+                and rep.get("deriv_lipschitz_ok", True) and rep["cdf_max_abs_err"] <= 1e-15):
             return False, {"gamma": gamma, "beta": beta, **rep}
     return True, {}
 

@@ -75,6 +75,13 @@ def test_no_command_imports_jsonschema(tmp_path):
         "config error: config field train: additional properties are not allowed ('momentum')"]
 
 
+def test_nclab_imports_without_scipy():
+    # the activation's normal CDF is nclab's own; scipy is a test-only oracle
+    proc = _fresh_python("import sys, nclab.cli, nclab.verify; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 DROP = object()  # remove the key instead of setting it
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr  # an independent normal CDF, as a test oracle
 
 from nclab import network
 from nclab.network import (ActivationSpec, NetworkConfig, ParamSet, act_apply,
@@ -135,13 +136,13 @@ def test_forward_matches_manual_recomputation():
 def test_forward_evaluates_one_normal_cdf_per_nonlinear_layer(monkeypatch):
     cfg, params, x, _ = tiny_net(l1=2)
     calls = []
-    real = network.ndtr
+    real = network._smoothed_grad
 
-    def counting(u, **kwargs):
+    def counting(spec, u, *args):
         calls.append(np.shape(u))
-        return real(u, **kwargs)
+        return real(spec, u, *args)
 
-    monkeypatch.setattr(network, "ndtr", counting)
+    monkeypatch.setattr(network, "_smoothed_grad", counting)
     trace = forward(cfg, params, x)
     assert calls == [(5, 6), (4, 6)]
     # the activation written through its derivative is the activation
@@ -155,9 +156,38 @@ def test_fused_activation_matches_the_mollified_form():
     x = np.linspace(-6.0, 6.0, 1201)
     u = x / s
     pdf = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    direct = (SMOOTH.gamma * x + (1.0 - SMOOTH.gamma) * (x * network.ndtr(u) + s * pdf)
+    direct = (SMOOTH.gamma * x + (1.0 - SMOOTH.gamma) * (x * ndtr(u) + s * pdf)
               - SMOOTH.shift)
     np.testing.assert_allclose(act_apply(SMOOTH, x), direct, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 5.0])
+def test_normal_cdf_kernel_matches_mpmath(gamma, beta):
+    # Phi recovered from sigma' = gamma + (1 - gamma) Phi(x / s), in exact arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    spec = ActivationSpec("smoothed_leaky_relu", gamma=gamma, beta=beta)
+    x = np.concatenate([np.linspace(-50.0, 50.0, 2001), np.linspace(-0.6, 0.6, 241),
+                        [-0.0, 5e-324, -1e-300, 1e-300]])
+    d = act_grad(spec, x)
+    with mpmath.workdps(40):
+        s, g = mpmath.mpf(spec.kernel_sd), mpmath.mpf(gamma)
+        err = max(abs((mpmath.mpf(di) - g) / (1 - g) - mpmath.ncdf(mpmath.mpf(xi) / s))
+                  for xi, di in zip(x, d))
+    assert err <= 5e-16
+
+
+def test_normal_cdf_kernel_takes_extreme_inputs_without_warnings():
+    x = np.array([np.inf, -np.inf, np.nan, -0.0, 1e300, -1e300])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        d = act_grad(SMOOTH, x)
+        v = act_apply(SMOOTH, x)
+    g = SMOOTH.gamma
+    np.testing.assert_allclose(d[[0, 1, 3, 4, 5]], [1.0, g, g + (1.0 - g) / 2, 1.0, g],
+                               rtol=0, atol=3e-16)
+    assert np.isnan(d[2]) and np.isnan(v[2])
+    assert v[0] == np.inf and v[1] == -np.inf and abs(v[3]) <= 1e-16
+    np.testing.assert_allclose(v[4:], [1e300, -g * 1e300], rtol=3e-16)
 
 
 def test_forward_shape_errors():
