@@ -53,17 +53,23 @@ class ActivationSpec:
 
     @cached_property
     def _cdf_coefs(self) -> tuple:
-        """The smoothed derivative's kernel constants for t = min(|x|, 40 s):
-        (40 s, -1/(2 s^2), (1-gamma) s / sqrt(2 pi), P's coefficients, Q's
-        below its leading 1, (1-gamma)/2, gamma + (1-gamma)/2). P and Q are
+        """The smoothed kernel's constants for t = min(|x|, 40 s): (40 s,
+        -1/(2 s^2), (1-gamma) s / sqrt(2 pi), P's coefficients, Q's below its
+        leading 1, (1-gamma)/2, gamma + (1-gamma)/2, shift). P and Q are
         Hart's in t = s z, highest power first, scaled so that Q is monic and
-        e * P(t) / Q(t) = (1-gamma) Phi(-z) for e = (1-gamma) s phi(z)."""
+        e * P(t) / Q(t) = (1-gamma) Phi(-z) for e = (1-gamma) s phi(z).
+
+        Each constant is a 0-d float64 array, not a Python float: a ufunc
+        converts a float operand on every call, which costs about 0.25 us
+        (np.add of 512 entries: 785 ns with a float, 547 ns with a 0-d
+        array), and a nonlinear layer's act_grad and act_apply have 20 such
+        operands."""
         s, lead = self.kernel_sd, _HART_Q[-1]
         p = [c * s ** (6 - k) * _SQRT_2PI / lead for k, c in enumerate(_HART_P)][::-1]
         q = [c * s ** (7 - k) / lead for k, c in enumerate(_HART_Q[:-1])][::-1]
-        half = 0.5 * (1.0 - self.gamma)
-        return (_Z_MAX * s, -0.5 / (s * s), (1.0 - self.gamma) * s / _SQRT_2PI,
-                p, q, half, self.gamma + half)
+        half, f = 0.5 * (1.0 - self.gamma), np.array
+        return (f(_Z_MAX * s), f(-0.5 / (s * s)), f((1.0 - self.gamma) * s / _SQRT_2PI),
+                tuple(map(f, p)), tuple(map(f, q)), f(half), f(self.gamma + half), f(self.shift))
 
 
 def act_apply(spec: ActivationSpec, x, dact=None, scratch=None):
@@ -79,52 +85,56 @@ def act_apply(spec: ActivationSpec, x, dact=None, scratch=None):
     """
     if scratch is None:
         x = np.array(x, dtype=np.float64)
-        scratch = np.empty((2,) + x.shape)
+        scratch = (np.empty_like(x), np.empty_like(x))
         dact = None
     if spec.kind == "relu":
         return np.maximum(x, 0.0, out=x)
     if spec.kind == "leaky_relu":
-        return np.maximum(np.multiply(x, spec.gamma, out=scratch[0, ...]), x, out=x)
+        return np.maximum(np.multiply(x, spec.gamma, scratch[0]), x, out=x)
     if dact is None:
         dact = act_grad(spec, x, None, scratch)
-    np.multiply(x, dact, out=x)
-    np.add(x, scratch[0, ...], out=x)
-    return np.subtract(x, spec.shift, out=x)
+    np.multiply(x, dact, x)
+    np.add(x, scratch[0], x)
+    return np.subtract(x, spec._cdf_coefs[-1], x)
 
 
 def act_grad(spec: ActivationSpec, x, out=None, work=None):
     """Elementwise activation derivative (relu derivative at 0 is 0), into
-    `out` if given. The smoothed one, gamma + (1 - gamma) Phi(x / s), uses
-    `work`, an array of shape (2,) + x.shape, and leaves
-    e = (1 - gamma) s phi(x / s) in work[0] for act_apply."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x) if out is None else out
-    if spec.kind == "relu":
-        out[...] = x > 0.0
-    elif spec.kind == "leaky_relu":
-        out[...] = np.where(x >= 0.0, 1.0, spec.gamma)
+    `out` if given, a float64 array of x's shape, with no array allocated.
+    The smoothed one, gamma + (1 - gamma) Phi(x / s), uses `work`, a pair
+    of float64 arrays of x's shape, and leaves e = (1 - gamma) s phi(x / s)
+    in work[0] for act_apply."""
+    if out is None:
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty_like(x)
+    if spec.kind == "relu":  # 1 where x > 0, else 0 (NaN too)
+        np.fmax(np.heaviside(x, 0.0, out), 0.0, out)
+    elif spec.kind == "leaky_relu":  # 1 where x >= 0, else gamma (NaN too)
+        np.fmax(np.heaviside(x, 1.0, out), spec.gamma, out)
     else:
-        _smoothed_grad(spec, x, out, np.empty((2,) + x.shape) if work is None else work)
+        _smoothed_grad(spec, x, out, (np.empty_like(x), np.empty_like(x)) if work is None
+                       else work)
     return out
 
 
 def _smoothed_grad(spec: ActivationSpec, x, out, work) -> None:
     """gamma + (1-gamma)/2 + copysign((1-gamma)/2 - (1-gamma) Phi(-z), x) for
-    z = min(|x| / s, 40), with Phi(-z) by two Horner loops in t = s z."""
-    cap, k, c, p, q, half, mid = spec._cdf_coefs
+    z = min(|x| / s, 40), with Phi(-z) by two Horner loops in t = s z. Every
+    ufunc but np.minimum (where it is deprecated) takes `out` positionally."""
+    cap, k, c, p, q, half, mid, _ = spec._cdf_coefs
     mul, add = np.multiply, np.add
-    e, t = work[0, ...], work[1, ...]
-    np.minimum(np.abs(x, out=t), cap, out=t)
-    add(mul(t, p[0], out=out), p[1], out=out)
+    e, t = work
+    np.minimum(np.abs(x, t), cap, out=t)
+    add(mul(t, p[0], out), p[1], out)
     for a in p[2:]:
-        add(mul(out, t, out=out), a, out=out)
-    add(t, q[0], out=e)
+        add(mul(out, t, out), a, out)
+    add(t, q[0], e)
     for a in q[1:]:
-        add(mul(e, t, out=e), a, out=e)
-    np.divide(out, e, out=out)  # P / Q
-    np.exp(mul(np.square(t, out=e), k, out=e), out=e)
-    mul(mul(e, c, out=e), out, out=out)  # (1 - gamma) Phi(-z)
-    add(np.copysign(np.subtract(half, out, out=out), x, out=out), mid, out=out)
+        add(mul(e, t, e), a, e)
+    np.divide(out, e, out)  # P / Q
+    np.exp(mul(np.square(t, e), k, e), e)
+    mul(mul(e, c, e), out, out)  # (1 - gamma) Phi(-z)
+    add(np.copysign(np.subtract(half, out, out), x, out), mid, out)
 
 
 def check_activation_bounds(spec: ActivationSpec, lo: float = -50.0, hi: float = 50.0,
@@ -212,9 +222,19 @@ class ParamSet:
 
 @dataclass
 class ForwardTrace:
+    """The forward quantities of a state. z[l] is layer l's output (Z_0 the
+    input); layer l reads ins[l-1], the rows of z[l-1] of its members (all of
+    z[l-1] without a member axis), and backprop reads ins_t[l-1], their
+    transposes: views of z built once, with the trace."""
     z: list       # Z_0 .. Z_L
     dact: list    # act_grad at the preactivations W_l Z_{l-1} of the l1 nonlinear layers
-    scratch: list | None = None  # per nonlinear layer: caller-given (2,) + shape work, or None
+    scratch: list | None = None  # per nonlinear layer: a pair of work arrays of its shape
+    ins: list = field(init=False)
+    ins_t: list = field(init=False)
+
+    def __post_init__(self):
+        self.ins = [lo[:len(hi)] if lo.ndim == 3 else lo for lo, hi in zip(self.z, self.z[1:])]
+        self.ins_t = [a.swapaxes(-1, -2) for a in self.ins]
 
 
 def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
@@ -225,24 +245,25 @@ def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
 
     Weights may carry a leading member axis, (B_l, n_l, n_{l-1}) for layer l,
     which reads the first B_l members of the layer below. `out` is a trace of
-    caller-given buffers: z[l] is then written over the preactivation, and
-    nothing is checked or allocated.
+    caller-given buffers, z[0] being x, with the bound views of its inputs:
+    z[l] is written over the preactivation, and nothing is checked or
+    allocated. Without it, x, a (d, N) array, and the weights are checked
+    and such a trace is allocated.
     """
     if out is None:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != cfg.input_dim:
             raise ValueError(f"input has {x.shape[0]} rows, network expects {cfg.input_dim}")
         params.check_shapes(cfg)
-        out = ForwardTrace([x] + [None] * cfg.depth, [None] * cfg.l1, [None] * cfg.l1)
-    cur = x
-    for layer, w in enumerate(params.weights, start=1):
-        pre = np.matmul(w, cur[:len(w)] if cur.ndim == 3 else cur, out=out.z[layer])
-        if layer <= cfg.l1:
-            work = out.scratch[layer - 1]
-            work = np.empty((2,) + pre.shape) if work is None else work
-            d = out.dact[layer - 1] = act_grad(cfg.activation, pre, out.dact[layer - 1], work)
-            pre = act_apply(cfg.activation, pre, d, work)
-        out.z[layer] = cur = pre
+        z = [x] + [np.empty((n, x.shape[1])) for n in cfg.widths]
+        out = ForwardTrace(z, [np.empty_like(a) for a in z[1:cfg.l1 + 1]],
+                           [(np.empty_like(a), np.empty_like(a)) for a in z[1:cfg.l1 + 1]])
+    act = cfg.activation
+    for layer, w in enumerate(params.weights):
+        pre = np.matmul(w, out.ins[layer], out.z[layer + 1])
+        if layer < cfg.l1:
+            work = out.scratch[layer]
+            act_apply(act, pre, act_grad(act, pre, out.dact[layer], work), work)
     return out
 
 
@@ -275,17 +296,15 @@ def backprop(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     buffered = out is not None
     grads = out if buffered else [None] * cfg.depth
     delta = cotangent
-    for layer in range(cfg.depth, 0, -1):
-        w, below = params.weights[layer - 1], trace.z[layer - 1]
-        if below.ndim == 3:
-            below = below[:len(w)]
-        if layer <= cfg.l1:
-            delta = np.multiply(delta, trace.dact[layer - 1], out=delta if buffered else None)
-        grads[layer - 1] = np.matmul(delta, below.swapaxes(-1, -2), out=grads[layer - 1])
-        if layer > 1:
-            delta = np.matmul(w.swapaxes(-1, -2), delta, out=below if buffered else None)
+    for layer in range(cfg.depth - 1, -1, -1):
+        if layer < cfg.l1:
+            delta = np.multiply(delta, trace.dact[layer], delta if buffered else None)
+        grads[layer] = np.matmul(delta, trace.ins_t[layer], grads[layer])
+        if layer > 0:
+            delta = np.matmul(params.weights[layer].swapaxes(-1, -2), delta,
+                              trace.ins[layer] if buffered else None)
             if buffered:
-                delta = trace.z[layer - 1]
+                delta = trace.z[layer]
     return ParamSet(grads)
 
 

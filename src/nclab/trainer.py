@@ -136,7 +136,7 @@ class Workspace:
         z = [x] + [np.empty(shape[:2] + (x.shape[1],)) for shape in shapes]
         scratch = np.empty((2, max([a.size for a in z[1:cfg.l1 + 1]], default=0)))  # shared
         self.trace = ForwardTrace(z, [np.empty_like(a) for a in z[1:cfg.l1 + 1]],
-                                  [scratch[:, :a.size].reshape((2,) + a.shape)
+                                  [tuple(scratch[:, :a.size].reshape((2,) + a.shape))
                                    for a in z[1:cfg.l1 + 1]])
         self.resid = [z[d][b] for b, d in enumerate(self.depths)]  # each member's output
         with np.errstate(over="ignore", invalid="ignore"):
@@ -162,26 +162,24 @@ def gd_step(ws: Workspace, eta: float, lam: float) -> dict:
     new = ws.flat[1 - ws.now]
     with np.errstate(over="ignore", invalid="ignore"):
         for b, resid in enumerate(ws.resid):  # Z_L - Y, backprop's cotangent
-            np.subtract(resid, ws.y, out=resid)
+            np.subtract(resid, ws.y, resid)
             try:
                 _test_loss(_c0(resid))
             except LossDiverged as exc:
                 failed[b] = exc
         backprop(ws.cfg, ws.state, ws.trace, ws.trace.z[-1], ws.grads)
         if lam != 0.0:
-            np.add(ws.g, np.multiply(ws.flat[ws.now], lam, out=new), out=ws.g)
-        total = ws.g.sum()
-    if not math.isfinite(total):
-        for b in range(len(ws.depths)):
-            for layer, gw in enumerate(ws.member(b, ws.grads).weights, start=1):
-                if b not in failed and not np.all(np.isfinite(gw)):
-                    failed[b] = FloatingPointError(f"non-finite gradient at layer {layer}")
-    for b in failed:
-        for gw in ws.member(b, ws.grads).weights:
-            gw[...] = 0.0
-    np.subtract(ws.flat[ws.now], np.multiply(ws.g, eta, out=ws.g), out=new)
-    ws.now = 1 - ws.now
-    with np.errstate(over="ignore", invalid="ignore"):
+            np.add(ws.g, np.multiply(ws.flat[ws.now], lam, new), ws.g)
+        if not math.isfinite(ws.g.sum()):
+            for b in range(len(ws.depths)):
+                for layer, gw in enumerate(ws.member(b, ws.grads).weights, start=1):
+                    if b not in failed and not np.all(np.isfinite(gw)):
+                        failed[b] = FloatingPointError(f"non-finite gradient at layer {layer}")
+        for b in failed:
+            for gw in ws.member(b, ws.grads).weights:
+                gw[...] = 0.0
+        np.subtract(ws.flat[ws.now], np.multiply(ws.g, eta, ws.g), new)
+        ws.now = 1 - ws.now
         forward(ws.cfg, ws.state, ws.x, ws.trace)
     return failed
 
@@ -205,10 +203,16 @@ def _observe(run: _Run, ws: Workspace, b: int, idx, step, first_layer) -> None:
     run.last_healthy = params
 
 
+def _drop_at(train_cfg: TrainConfig) -> float:
+    """The first GD step at the dropped step size (inf: none is)."""
+    if train_cfg.lr_drop_fraction < 1.0:
+        return math.ceil(train_cfg.lr_drop_fraction * train_cfg.steps)
+    return math.inf
+
+
 def effective_eta(train_cfg: TrainConfig, step: int) -> float:
     """Step size at GD step `step`; drops at lr_drop_fraction of the run."""
-    drop_at = math.ceil(train_cfg.lr_drop_fraction * train_cfg.steps)
-    if train_cfg.lr_drop_fraction < 1.0 and step >= drop_at:
+    if step >= _drop_at(train_cfg):
         return train_cfg.eta / train_cfg.lr_drop_factor
     return train_cfg.eta
 
@@ -292,6 +296,7 @@ def _run_lockstep(members: list, x, y, idx, first_layer) -> list:
     ws = (Workspace([run.cfg for run in active], x, y, [run.theta0 for run in active])
           if active else None)
     train_cfg = members[0][1]
+    eta, drop_at = train_cfg.eta, _drop_at(train_cfg)
     for k in range(train_cfg.steps + 1):  # state k, then the update to state k + 1
         if k % train_cfg.record_every == 0 or k == train_cfg.steps:
             for b, run in enumerate(active):
@@ -302,9 +307,13 @@ def _run_lockstep(members: list, x, y, idx, first_layer) -> list:
             ws, active = _leave(ws, active)
         if k == train_cfg.steps or not active:
             break
-        for b, exc in gd_step(ws, effective_eta(train_cfg, k), train_cfg.lam).items():
-            active[b].stop(k, exc)
-        ws, active = _leave(ws, active)
+        if k == drop_at:
+            eta = effective_eta(train_cfg, k)
+        failed = gd_step(ws, eta, train_cfg.lam)
+        if failed:
+            for b, exc in failed.items():
+                active[b].stop(k, exc)
+            ws, active = _leave(ws, active)
     for run in active:
         run.result = (run.last_healthy, run.traj)
     return [run.result for run in runs]

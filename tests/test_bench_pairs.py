@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,35 @@ def test_regression_and_unresolved_verdicts(lower_is_better):
     wide = [0.5, 1.0, 1.5, 2.0]
     c = bench_pairs.compare(wide, [1.0, 1.1, 1.2, 1.3], 0.25, lower_is_better)
     assert c["verdict"] == "unresolved (spread wider than bound)"
+
+
+def test_both_sides_run_from_copies_without_cached_bytecode(tmp_path, monkeypatch):
+    # the change is copied as git sees the working tree, so neither side
+    # starts with bytecode that the other has to compile
+    repo = tmp_path / "repo"
+    (repo / "src" / "__pycache__").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "src" / "kept.py").write_text("a = 1\n")
+    (repo / "src" / "gone.py").write_text("b = 1\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-qm", "parent")
+    (repo / "src" / "kept.py").write_text("a = 2\n")
+    (repo / "src" / "gone.py").unlink()
+    (repo / "src" / "new.py").write_text("c = 3\n")
+    (repo / "src" / "__pycache__" / "kept.cpython-311.pyc").write_bytes(b"cached")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    bench_pairs.export("HEAD", tmp_path / "parent")
+    bench_pairs.export_worktree(tmp_path / "change")
+
+    def files(tree):
+        return sorted(p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_file())
+
+    assert files(tmp_path / "parent") == [".gitignore", "src/gone.py", "src/kept.py"]
+    assert files(tmp_path / "change") == [".gitignore", "src/kept.py", "src/new.py"]
+    assert (tmp_path / "change" / "src" / "kept.py").read_text() == "a = 2\n"

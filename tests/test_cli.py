@@ -980,6 +980,25 @@ def test_lockstep_sweep_with_diverging_members_matches_members_alone(tmp_path, c
     assert steps == [4, 4, 4, 3, 3, 4, 14, None]
 
 
+def test_lockstep_sweep_keeps_a_converging_member_beside_diverging_ones(tmp_path, capsys):
+    # at eta 0.08 the seed-1 members leave the group at step 4 and the seed-0
+    # ones converge: c_0 falls at every record, so no rounding decides it
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"]["eta"] = 0.08
+    assert _member_dirs_match_members_alone(tmp_path, capsys, cfg, "linear_depth",
+                                            [1, 2], [0, 1]) == cli.EXIT_FAILED
+    resolved = cli.resolve_config(cfg)
+    ds = cli.build_dataset(resolved)
+    for v in (1, 2):
+        for s in (0, 1):
+            report = json.loads((tmp_path / "sweep" / f"value_{v}_seed_{s}" /
+                                 "report.json").read_text())["train"]
+            assert report.get("divergence", {}).get("step") == (None, 4)[s]
+        net, tcfg = cli.build_run(cli.sweep_member_config(resolved, "linear_depth", v, 0), ds)
+        c0 = [r.c_0 for r in trainer.train(net, tcfg, ds.x, ds.y, ds.idx)[1].records]
+        assert len(c0) == 5 and all(a > b for a, b in zip(c0, c0[1:])) and c0[-1] < 0.05
+
+
 def test_nonlinear_depth_sweep_groups_each_value(tmp_path, capsys, monkeypatch):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["train"]["steps"] = 60

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from nclab.trainer import (InitSpec, TrainConfig, effective_eta, gd_step,
                            init_params, lockstep_groups, train)
 
 SMOOTH = ActivationSpec("smoothed_leaky_relu", gamma=0.3, beta=2.0)
+ACTIVATIONS = {"smoothed_leaky_relu": SMOOTH, "leaky_relu": ActivationSpec("leaky_relu", gamma=0.2),
+               "relu": ActivationSpec("relu")}
 
 
 def small_problem(seed=0):
@@ -247,9 +251,12 @@ def _serial_reference(cfg, tcfg, x, y):
     return params
 
 
-def test_lockstep_members_match_the_serial_reference():
+@pytest.mark.parametrize("kind", sorted(ACTIVATIONS))
+@pytest.mark.parametrize("l1", [0, 1, 2])
+def test_lockstep_members_match_the_serial_reference(l1, kind):
+    # zero, one and two nonlinear layers under a member axis
     _, x, y, idx = small_problem()
-    members = [(NetworkConfig(3, (6,) + (2,) * v, 1, v, SMOOTH),
+    members = [(NetworkConfig(3, (6,) * l1 + (2,) * v, l1, v, ACTIVATIONS[kind]),
                 TrainConfig(eta=0.05, lam=0.01, steps=60, record_every=25,
                             lr_drop_fraction=0.5, seed=s))
                for v in (1, 2, 3) for s in (0, 1)]
@@ -262,6 +269,32 @@ def test_lockstep_members_match_the_serial_reference():
             np.testing.assert_array_equal(w, ref)
         alone = train(cfg, tcfg, x, y, idx)[0]
         assert params.dist(alone) == 0.0
+
+
+@pytest.mark.parametrize("kind", sorted(ACTIVATIONS))
+@pytest.mark.parametrize("lockstep", [False, True])
+def test_warm_gd_steps_allocate_no_array_memory(kind, lockstep):
+    # a temporary of the smallest nonlinear layer, 128 x 256 entries, takes
+    # 32 KB as bools and 256 KB as floats; Python objects alone raise the
+    # traced peak by under 3 KB
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((8, 256))
+    y = np.zeros((4, 256))
+    y[np.arange(256) % 4, np.arange(256)] = 1.0
+    cfgs = [NetworkConfig(8, (128, 128, 4, 4)[:depth], 2, depth - 2, ACTIVATIONS[kind])
+            for depth in ((4, 3) if lockstep else (4,))]
+    ws = trainer.Workspace(cfgs, x, y, [init_params(c, InitSpec(), seed=0) for c in cfgs])
+    for _ in range(3):
+        assert gd_step(ws, 1e-4, 0.1) == {}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            gd_step(ws, 1e-4, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 8192
 
 
 def test_lockstep_groups_need_nesting_layers_and_equal_settings():

@@ -3,9 +3,13 @@
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_6.json \\
         --workloads verify_full,wide --seed0 1600
 
-The change is this working tree; the parent is the commit `--parent`,
-exported with `git archive` into a scratch directory (`--workdir`, default a
-new temporary directory, deleted afterwards). Pair i of PAIRS runs
+The change is this working tree and the parent the commit `--parent`. Each
+runs from a copy in a scratch directory (`--workdir`, default a new
+temporary directory, deleted afterwards): the parent exported with `git
+archive`, the change as the files git tracks or would add. Neither copy has
+cached bytecode, so both sides start from the same bytecode state; in the
+working tree itself the change would load whatever `__pycache__` holds
+(compiling all of src/ costs about 54 ms of a 0.25-0.30 s start). Pair i of PAIRS runs
 `perfbench/run.py --workload W --seed seed0+i --seconds S --trace 0` once in
 each tree, the parent first when i is even; S is BENCHMARK.json's
 `run_seconds`. Each side runs its own copy of perfbench/run.py; this script
@@ -58,6 +62,18 @@ def export(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest, filter="data")
     return sha
+
+
+def export_worktree(dest: Path) -> None:
+    """Copy into `dest` the working tree's files that git tracks or would add,
+    as they are on disk: ignored files such as `__pycache__` stay behind."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=ROOT, check=True,
+                           capture_output=True).stdout.decode().split("\0")
+    for name in filter(None, names):
+        if (ROOT / name).is_file():  # a tracked file deleted on disk is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -135,9 +151,9 @@ def main() -> int:
     workloads = args.workloads.split(",")
     work = Path(tempfile.mkdtemp(dir=args.workdir, prefix="bench_pairs-"))
     try:
-        parent_tree = work / "parent"
-        sha = export(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {"parent": work / "parent", "change": work / "change"}
+        sha = export(args.parent, trees["parent"])
+        export_worktree(trees["change"])
         out = {"what": (f"perfbench/run.py --seconds {seconds:g} --trace 0, "
                         "alternating parent/change pairs (even pair index: parent "
                         f"first), seeds {args.seed0}+i (verify_full ignores the "
