@@ -25,9 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds as bounds_mod
 from . import data as data_mod
-from . import densemat, metrics, ntk
+from . import densemat, metrics
 from .network import ActivationSpec, NetworkConfig, ParamSet, forward, loss
 from .trainer import InitSpec, TrainConfig, lockstep_groups, train
 
@@ -404,6 +403,7 @@ def _train_into(cfg: dict, ds, out: Path, first_layer: int | None = None,
 
 def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     """Every applicable bound on a finished run, with premise flags."""
+    from . import bounds as bounds_mod, ntk  # here, so that train and sweep never load them
     if net.depth < 2:
         raise ConfigError("bounds need a network with at least two layers")
     rank_tol = cfg.get("bounds", {}).get("rank_tol", densemat.DEFAULT_RANK_TOL)

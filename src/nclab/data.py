@@ -1,22 +1,18 @@
 """Dataset construction: synthetic class-structured Gaussians, one-hot labels,
-and a loader for the big-endian IDX image/label format (gzip accepted).
+and a loader for unsigned-byte IDX image/label files (gzip accepted).
 Columns are always grouped contiguously by class.
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .metrics import ClassIndex
-
-IDX_MAGIC_IMAGES = 0x00000803
-IDX_MAGIC_LABELS = 0x00000801
 
 
 class IdxFormatError(ValueError):
@@ -97,42 +93,30 @@ def synth_gaussian(d: int, k: int, n_per_class: int, class_sep: float = 4.0,
                          min_col_norm_one)
 
 
-def _open_maybe_gzip(path: Path):
+def read_idx(path) -> np.ndarray:
+    """The uint8 array of an unsigned-byte IDX file, gzip or plain, shaped by
+    its own header: two zero bytes, the type byte 0x08, the number of
+    dimensions, then each size as a big-endian uint32."""
+    import gzip  # here, so that commands on synthetic data never load it
     with open(path, "rb") as f:
-        head = f.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise IdxFormatError(f"truncated IDX file while reading {what}")
-    return buf
-
-
-def read_idx_images(path) -> np.ndarray:
-    """Returns an array of shape (count, rows, cols) of uint8 pixels."""
-    with _open_maybe_gzip(Path(path)) as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "header"))
-        if magic != IDX_MAGIC_IMAGES:
-            raise IdxFormatError(f"bad image magic 0x{magic:08x}")
-        raw = _read_exact(f, count * rows * cols, "pixel data")
-        if f.read(1):
-            raise IdxFormatError("trailing bytes after pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-
-
-def read_idx_labels(path) -> np.ndarray:
-    with _open_maybe_gzip(Path(path)) as f:
-        magic, count = struct.unpack(">II", _read_exact(f, 8, "header"))
-        if magic != IDX_MAGIC_LABELS:
-            raise IdxFormatError(f"bad label magic 0x{magic:08x}")
-        raw = _read_exact(f, count, "label data")
-        if f.read(1):
-            raise IdxFormatError("trailing bytes after label data")
-    return np.frombuffer(raw, dtype=np.uint8)
+        gzipped = f.read(2) == b"\x1f\x8b"
+    with (gzip.open if gzipped else open)(path, "rb") as f:
+        try:
+            raw = f.read()
+        except EOFError as exc:  # a gzip stream cut short
+            raise IdxFormatError(f"truncated IDX file: {exc}") from exc
+    if len(raw) >= 4 and raw[:3] != b"\x00\x00\x08":
+        raise IdxFormatError(f"bad magic 0x{raw[:4].hex()}: not an unsigned-byte IDX file")
+    start = 4 + 4 * raw[3] if len(raw) >= 4 else 4
+    if len(raw) < start:
+        raise IdxFormatError("truncated IDX file while reading the header")
+    shape = struct.unpack(f">{raw[3]}I", raw[4:start])
+    extra = len(raw) - start - math.prod(shape)
+    if extra < 0:
+        raise IdxFormatError("truncated IDX file while reading the data")
+    if extra > 0:
+        raise IdxFormatError("trailing bytes after the data")
+    return np.frombuffer(raw, dtype=np.uint8, offset=start).reshape(shape)
 
 
 def load_idx(images_path, labels_path, subset: int | None = None,
@@ -140,30 +124,24 @@ def load_idx(images_path, labels_path, subset: int | None = None,
     """Flattened [0,1]-scaled images regrouped by class with one-hot labels.
 
     `subset` keeps the first n samples per class in file order; `classes`
-    restricts (and reindexes) the label set.
+    restricts the label set and numbers it in its own order (no duplicates).
     """
-    images = read_idx_images(images_path)
-    labels = read_idx_labels(labels_path)
+    images, labels = read_idx(images_path), read_idx(labels_path)
+    if images.ndim != 3 or labels.ndim != 1:
+        raise IdxFormatError(f"need 3-D images and 1-D labels, got {images.ndim}-D "
+                             f"and {labels.ndim}-D")
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]}")
     if classes is None:
-        classes = tuple(sorted(np.unique(labels).tolist()))
-    remap = {cls: i for i, cls in enumerate(classes)}
-    keep_cols = []
-    new_labels = []
-    taken = {cls: 0 for cls in classes}
-    for i, lab in enumerate(labels.tolist()):
-        if lab not in remap:
-            continue
-        if subset is not None and taken[lab] >= subset:
-            continue
-        taken[lab] += 1
-        keep_cols.append(i)
-        new_labels.append(remap[lab])
-    if subset is not None:
-        short = [cls for cls in classes if taken[cls] < subset]
-        if short:
-            raise ValueError(f"not enough samples for classes {short}")
-    x = images[keep_cols].reshape(len(keep_cols), -1).T.astype(np.float64) / 255.0
-    return _make_dataset(x, np.array(new_labels, dtype=np.int64), len(classes))
+        classes = tuple(np.unique(labels).tolist())
+    if len(set(classes)) != len(classes):
+        raise ValueError(f"duplicate classes in {list(classes)}")
+    cols = [np.flatnonzero(labels == c)[:subset] for c in classes]
+    short = [c for c, col in zip(classes, cols) if col.size < (subset or 0)]
+    if short:
+        raise ValueError(f"not enough samples for classes {short}")
+    keep = np.concatenate(cols)
+    x = images[keep].reshape(keep.size, -1).T.astype(np.float64) / 255.0
+    return _make_dataset(x, np.repeat(np.arange(len(classes)), [c.size for c in cols]),
+                         len(classes))

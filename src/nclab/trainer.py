@@ -31,8 +31,8 @@ class InitSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
-        if any(s < 0 for s in self.scales):
-            raise ValueError("init scales must be non-negative")
+        if not all(math.isfinite(s) and s >= 0 for s in self.scales):
+            raise ValueError("init scales must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("steps must be >= 0 and record_every >= 1")
         if not 0.0 < self.lr_drop_fraction <= 1.0:
             raise ValueError("lr_drop_fraction must lie in (0, 1]")
+        if not (math.isfinite(self.lr_drop_factor) and self.lr_drop_factor > 0):
+            raise ValueError("lr_drop_factor must be positive and finite")
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +68,50 @@ def test_both_sides_run_from_copies_without_cached_bytecode(tmp_path, monkeypatc
     assert files(tmp_path / "parent") == [".gitignore", "src/gone.py", "src/kept.py"]
     assert files(tmp_path / "change") == [".gitignore", "src/kept.py", "src/new.py"]
     assert (tmp_path / "change" / "src" / "kept.py").read_text() == "a = 2\n"
+
+
+def _result(value, correct=True, failed=0):
+    metrics = {"a.s": value, "b.calls": 2 * value, "time_to_verdict_s": value,
+               "setup_s": value, "peak_rss_mb": value}
+    return {"metrics": {k: {"value": v} for k, v in metrics.items()},
+            "correct": correct, "failed": failed, "attempted": 4, "environment": None}
+
+
+def test_traced_runs_keep_every_sample_and_their_median():
+    runs = {"parent": [_result(3.0), _result(1.0), _result(2.0)],
+            "change": [_result(0.5), _result(0.7, correct=False, failed=1), _result(0.6)]}
+    entry = bench_pairs.traced_entry(runs, [7, 8, 9])
+    assert entry["seeds"] == [7, 8, 9]
+    assert entry["parent"]["metrics"]["a.s"] == {"median": 2.0, "samples": [3.0, 1.0, 2.0]}
+    assert entry["parent"]["metrics"]["b.calls"]["median"] == 4.0
+    assert entry["change"]["metrics"]["a.s"] == {"median": 0.6, "samples": [0.5, 0.7, 0.6]}
+    assert (entry["parent"]["correct"], entry["parent"]["failed"]) == (True, 0)
+    assert (entry["change"]["correct"], entry["change"]["failed"]) == (False, 1)
+
+
+def test_trace_seed_alternates_three_traced_runs_per_side(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_run_bench(tree, workload, seed, seconds, trace):
+        calls.append((tree.name, workload, seed, trace))
+        return _result(1.0 if tree.name == "parent" else 0.5)
+
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: "abc123")
+    monkeypatch.setattr(bench_pairs, "export_worktree", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "HEAD", "--out", str(out),
+                                      "--workloads", "wide", "--seed0", "10",
+                                      "--trace-seed", "40", "--workdir", str(tmp_path)])
+    assert bench_pairs.main() == 0
+    traced = [c for c in calls if c[3] == 1]
+    assert traced == [("parent", "wide", 40, 1), ("change", "wide", 40, 1),
+                      ("change", "wide", 41, 1), ("parent", "wide", 41, 1),
+                      ("parent", "wide", 42, 1), ("change", "wide", 42, 1)]
+    written = json.loads(out.read_text())["traced"]["wide"]
+    assert written["seeds"] == [40, 41, 42]
+    assert written["change"]["metrics"]["a.s"] == {"median": 0.5, "samples": [0.5] * 3}
+    progress = capsys.readouterr().out.splitlines()
+    assert progress[0] == ("wide pair 0: time_to_verdict_s parent 1.000 change 0.500, "
+                           "setup_s parent 1.000 change 0.500")

@@ -82,6 +82,22 @@ def test_nclab_imports_without_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_train_and_sweep_load_neither_bounds_nor_verify_nor_gzip(tmp_path):
+    # bounds and ntk are imported by evaluate_bounds, gzip by data.read_idx
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"].update(steps=3, record_every=1)
+    proc = _fresh_python(
+        "import sys; from nclab.cli import main; cfg, out = sys.argv[1:]\n"
+        "codes = [main(['train', '--config', cfg, '--out', out + '/run']),"
+        " main(['sweep', '--config', cfg, '--axis', 'linear_depth', '--values', '1,2',"
+        " '--seeds', '0', '--out', out + '/sweep'])]\n"
+        "print(codes, [m for m in ('nclab.bounds', 'nclab.ntk', 'nclab.verify', 'gzip')"
+        " if m in sys.modules])",
+        str(write_config(tmp_path, cfg)), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
 DROP = object()  # remove the key instead of setting it
 
 
@@ -598,31 +614,52 @@ def test_sweep_degenerate_row_matches_standalone_train(tmp_path):
     assert float(row["nc2_last"]) == pytest.approx(res["nc2_last"], rel=1e-12)
 
 
-def test_idx_config_uses_data_dir_env(tmp_path, monkeypatch):
-    rng = np.random.default_rng(0)
-    images = rng.integers(0, 256, size=(9, 2, 2), dtype=np.uint8)
-    labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2], dtype=np.uint8)
+IDX_IMAGES = struct.pack(">IIII", 0x00000803, 9, 2, 2) + np.random.default_rng(0).integers(
+    0, 256, size=(9, 2, 2), dtype=np.uint8).tobytes()
+IDX_LABELS = struct.pack(">II", 0x00000801, 9) + bytes([0, 1, 2] * 3)
+IDX_CONFIG = {
+    "schema_version": 1,
+    "network": {"widths": [4, 3], "l1": 1,
+                "activation": {"kind": "smoothed_leaky_relu",
+                               "gamma": 0.3, "beta": 2.0}},
+    "train": {"eta": 0.05, "lam": 0.01, "steps": 20, "seed": 0},
+    "data": {"kind": "idx", "images": "imgs.idx", "labels": "labs.idx"},
+}
+
+
+def _idx_train(tmp_path, monkeypatch, images=IDX_IMAGES, labels=IDX_LABELS, **data_cfg):
+    """`nclab train` on IDX files in a store named by $NCLAB_DATA_DIR."""
     (tmp_path / "store").mkdir()
-    ip = tmp_path / "store" / "imgs.idx"
-    lp = tmp_path / "store" / "labs.idx"
-    ip.write_bytes(struct.pack(">IIII", data.IDX_MAGIC_IMAGES, 9, 2, 2)
-                   + images.tobytes())
-    lp.write_bytes(struct.pack(">II", data.IDX_MAGIC_LABELS, 9)
-                   + labels.tobytes())
+    (tmp_path / "store" / "imgs.idx").write_bytes(images)
+    (tmp_path / "store" / "labs.idx").write_bytes(labels)
     monkeypatch.setenv("NCLAB_DATA_DIR", str(tmp_path / "store"))
-    cfg = {
-        "schema_version": 1,
-        "network": {"widths": [4, 3], "l1": 1,
-                    "activation": {"kind": "smoothed_leaky_relu",
-                                   "gamma": 0.3, "beta": 2.0}},
-        "train": {"eta": 0.05, "lam": 0.01, "steps": 20, "seed": 0},
-        "data": {"kind": "idx", "images": "imgs.idx", "labels": "labs.idx"},
-    }
-    out = tmp_path / "run"
-    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
-                     "--out", str(out)]) == 0
-    resolved = json.loads((out / "config.resolved.json").read_text())
+    cfg = json.loads(json.dumps(IDX_CONFIG))
+    cfg["data"].update(data_cfg)
+    return cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "run")])
+
+
+def test_idx_config_uses_data_dir_env(tmp_path, monkeypatch):
+    assert _idx_train(tmp_path, monkeypatch) == 0
+    resolved = json.loads((tmp_path / "run" / "config.resolved.json").read_text())
     assert resolved["config"]["data"]["kind"] == "idx"
+
+
+@pytest.mark.parametrize("edit, word", [
+    ({"images": b"\x00\x00\x09" + IDX_IMAGES[3:]}, "bad magic"),
+    ({"images": IDX_IMAGES[:-1]}, "truncated"),
+    ({"labels": IDX_LABELS[:6]}, "truncated"),
+    ({"images": IDX_IMAGES + b"\x00"}, "trailing"),
+    ({"labels": struct.pack(">II", 0x00000801, 8) + IDX_LABELS[8:-1]}, "label count"),
+    ({"images": IDX_LABELS, "labels": IDX_IMAGES}, "3-D images and 1-D labels"),
+    ({"classes": [0, 1, 0]}, "duplicate classes"),
+], ids=["bad_magic", "truncated", "truncated_header", "trailing", "label_count",
+        "swapped", "duplicate_classes"])
+def test_idx_data_errors_exit_2(tmp_path, monkeypatch, capsys, edit, word):
+    assert _idx_train(tmp_path, monkeypatch, **edit) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: cannot load idx data: "), err
+    assert word in err[0]
 
 
 def test_class_count_mismatch_is_config_error(tmp_path, capsys):

@@ -89,17 +89,11 @@ def test_synth_validation():
 # IDX loader
 # ---------------------------------------------------------------------------
 
-def write_idx_images(path, images):
-    images = np.asarray(images, dtype=np.uint8)
-    n, r, c = images.shape
-    path.write_bytes(struct.pack(">IIII", data.IDX_MAGIC_IMAGES, n, r, c)
-                     + images.tobytes())
-
-
-def write_idx_labels(path, labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    path.write_bytes(struct.pack(">II", data.IDX_MAGIC_LABELS, labels.size)
-                     + labels.tobytes())
+def write_idx(path, array):
+    # header-driven, as the format is: 0x0000, type 0x08, ndim, then the sizes
+    array = np.asarray(array, dtype=np.uint8)
+    path.write_bytes(struct.pack(f">HBB{array.ndim}I", 0, 0x08, array.ndim, *array.shape)
+                     + array.tobytes())
 
 
 def reference_parse_images(path):
@@ -110,30 +104,63 @@ def reference_parse_images(path):
     return np.array(list(raw[16:]), dtype=np.uint8).reshape(n, r, c)
 
 
+def reference_load_idx(images, labels, subset=None, classes=None):
+    # the per-sample selection in file order, regrouped by _make_dataset
+    if classes is None:
+        classes = tuple(sorted(set(labels.tolist())))
+    remap = {cls: i for i, cls in enumerate(classes)}
+    taken = {cls: 0 for cls in classes}
+    keep, new_labels = [], []
+    for i, lab in enumerate(labels.tolist()):
+        if lab in remap and (subset is None or taken[lab] < subset):
+            taken[lab] += 1
+            keep.append(i)
+            new_labels.append(remap[lab])
+    x = images[keep].reshape(len(keep), -1).T.astype(np.float64) / 255.0
+    return data._make_dataset(x, np.array(new_labels, dtype=np.int64), len(classes))
+
+
+def assert_same_dataset(a, b):
+    assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+    assert a.x.shape == b.x.shape and a.y.shape == b.y.shape
+    assert a.idx.class_counts == b.idx.class_counts
+    assert a.b == b.b
+    assert a.fingerprint() == b.fingerprint()
+
+
 @pytest.fixture
 def idx_pair(tmp_path):
     rng = np.random.default_rng(3)
     images = rng.integers(0, 256, size=(10, 3, 2), dtype=np.uint8)
     labels = np.array([0, 1, 0, 2, 1, 2, 0, 1, 2, 0], dtype=np.uint8)
     ip, lp = tmp_path / "imgs.idx", tmp_path / "labs.idx"
-    write_idx_images(ip, images)
-    write_idx_labels(lp, labels)
+    write_idx(ip, images)
+    write_idx(lp, labels)
     return ip, lp, images, labels
 
 
 def test_read_idx_round_trip(idx_pair):
     ip, lp, images, labels = idx_pair
-    np.testing.assert_array_equal(data.read_idx_images(ip), images)
-    np.testing.assert_array_equal(data.read_idx_labels(lp), labels)
-    np.testing.assert_array_equal(data.read_idx_images(ip),
+    np.testing.assert_array_equal(data.read_idx(ip), images)
+    np.testing.assert_array_equal(data.read_idx(lp), labels)
+    np.testing.assert_array_equal(data.read_idx(ip),
                                   reference_parse_images(ip))
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (4, 5), (2, 3, 4, 5), (0, 28, 28)])
+def test_read_idx_takes_its_shape_from_the_header(tmp_path, shape):
+    a = np.random.default_rng(1).integers(0, 256, size=shape, dtype=np.uint8)
+    write_idx(tmp_path / "a.idx", a)
+    got = data.read_idx(tmp_path / "a.idx")
+    assert got.dtype == np.uint8 and got.shape == shape
+    np.testing.assert_array_equal(got, a)
 
 
 def test_read_idx_gzip(tmp_path, idx_pair):
     ip, lp, images, labels = idx_pair
     gp = tmp_path / "imgs.idx.gz"
     gp.write_bytes(gzip.compress(ip.read_bytes()))
-    np.testing.assert_array_equal(data.read_idx_images(gp), images)
+    np.testing.assert_array_equal(data.read_idx(gp), images)
 
 
 def test_idx_error_cases(tmp_path, idx_pair):
@@ -141,19 +168,38 @@ def test_idx_error_cases(tmp_path, idx_pair):
     bad_magic = tmp_path / "bad_magic.idx"
     bad_magic.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 1, 1) + b"\x00")
     with pytest.raises(data.IdxFormatError, match="magic"):
-        data.read_idx_images(bad_magic)
+        data.read_idx(bad_magic)
     truncated = tmp_path / "trunc.idx"
     truncated.write_bytes(ip.read_bytes()[:-3])
     with pytest.raises(data.IdxFormatError, match="truncated"):
-        data.read_idx_images(truncated)
+        data.read_idx(truncated)
     trailing = tmp_path / "trail.idx"
     trailing.write_bytes(ip.read_bytes() + b"\x00")
     with pytest.raises(data.IdxFormatError, match="trailing"):
-        data.read_idx_images(trailing)
+        data.read_idx(trailing)
     short_labels = tmp_path / "short_labs.idx"
-    write_idx_labels(short_labels, labels[:4])
+    write_idx(short_labels, labels[:4])
     with pytest.raises(data.IdxFormatError, match="count"):
         data.load_idx(ip, short_labels)
+    # a header cut short, before or after the magic
+    for head in [b"", b"\x00\x00", b"\x00\x00\x08\x03\x00\x00\x00\x0a",
+                 b"\x00\x00\x08\x01\x00"]:
+        truncated.write_bytes(head)
+        with pytest.raises(data.IdxFormatError, match="truncated"):
+            data.read_idx(truncated)
+    # signed bytes (0x09), floats (0x0D) and a non-zero lead are not unsigned-byte IDX
+    for magic in [0x00000903, 0x00000D03, 0x01000803]:
+        bad_magic.write_bytes(struct.pack(">IIII", magic, 1, 1, 1) + b"\x00")
+        with pytest.raises(data.IdxFormatError, match="magic"):
+            data.read_idx(bad_magic)
+    cut_gzip = tmp_path / "cut.idx.gz"
+    cut_gzip.write_bytes(gzip.compress(ip.read_bytes())[:-10])
+    with pytest.raises(data.IdxFormatError, match="truncated"):
+        data.read_idx(cut_gzip)
+    with pytest.raises(data.IdxFormatError, match="3-D images and 1-D labels"):
+        data.load_idx(lp, ip)  # swapped
+    with pytest.raises(ValueError, match="duplicate"):
+        data.load_idx(ip, lp, classes=(0, 2, 0))
 
 
 def test_load_idx_groups_by_class(idx_pair):
@@ -179,6 +225,29 @@ def test_load_idx_subset_and_classes(idx_pair):
     np.testing.assert_allclose(ds.x, expected, atol=1e-15)
     with pytest.raises(ValueError, match="not enough"):
         data.load_idx(ip, lp, subset=5)
+
+
+@pytest.mark.parametrize("subset, classes", [(None, None), (2, (2, 0)), (3, None),
+                                             (None, (1,)), (1, (2, 1, 0))])
+def test_load_idx_matches_the_per_sample_selection(tmp_path, idx_pair, subset, classes):
+    ip, lp, images, labels = idx_pair
+    want = reference_load_idx(images, labels, subset, classes)
+    assert_same_dataset(data.load_idx(ip, lp, subset, classes), want)
+    gp = tmp_path / "labs.idx.gz"
+    gp.write_bytes(gzip.compress(lp.read_bytes()))
+    assert_same_dataset(data.load_idx(ip, gp, subset, classes), want)
+
+
+def test_load_idx_matches_the_per_sample_selection_at_scale(tmp_path):
+    rng = np.random.default_rng(7)
+    images = rng.integers(0, 256, size=(3000, 6, 5), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=3000).astype(np.uint8)
+    write_idx(tmp_path / "i.idx", images)
+    write_idx(tmp_path / "l.idx", labels)
+    for subset, classes in [(100, None), (37, (9, 3, 4)), (None, (5, 0))]:
+        assert_same_dataset(
+            data.load_idx(tmp_path / "i.idx", tmp_path / "l.idx", subset, classes),
+            reference_load_idx(images, labels, subset, classes))
 
 
 def test_dataset_validation():

@@ -1,6 +1,6 @@
 """The traced benchmark's coverage pins, on short runs: every per-layer
 metric that `perfbench/run.py` lists in `EXERCISED` for `pyramidal`,
-`depth_sweep` and `verify_full` must be non-zero, or the traced run counts a
+`wide`, `depth_sweep` and `verify_full` must be non-zero, or the traced run counts a
 `coverage` failure. `cli.artifact_bytes` is left out: `run.py` computes it
 from the artifacts, not from spans. The set-up probe, which every benchmark
 run starts with, must run too. Reads `perfbench/` and changes nothing there.
@@ -51,9 +51,19 @@ def _traced(bench, tmp_path, workload, commands) -> dict:
     return {n: m[n] for n in names}
 
 
+def _train_and_bounds(cfg):
+    return [["train", "--config", "config.json", "--out", "run"], ["bounds", "--run", "run"]]
+
+
 def test_pyramidal_train_and_bounds_exercise_every_pinned_metric(bench, tmp_path):
-    m = _traced(bench, tmp_path, "pyramidal", lambda cfg: [
-        ["train", "--config", "config.json", "--out", "run"], ["bounds", "--run", "run"]])
+    m = _traced(bench, tmp_path, "pyramidal", _train_and_bounds)
+    assert sorted(n for n, v in m.items() if not v) == []
+
+
+def test_wide_train_and_bounds_exercise_every_pinned_metric(bench, tmp_path):
+    # also the SVDs over more than 64 columns, and the spans of bounds and ntk,
+    # which cli imports only when it evaluates the bounds
+    m = _traced(bench, tmp_path, "wide", _train_and_bounds)
     assert sorted(n for n, v in m.items() if not v) == []
 
 

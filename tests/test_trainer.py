@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -227,6 +228,10 @@ def test_init_schemes():
         init_params(cfg, InitSpec(scales=(1.0,)), seed=0)
     with pytest.raises(ValueError):
         InitSpec(scales=(-1.0, 1.0, 1.0))
+    # a NaN scale would fail `scale > 0` and build an all-zero layer
+    for scale in [math.nan, math.inf]:
+        with pytest.raises(ValueError, match="init scales"):
+            InitSpec(scales=(1.0, scale, 1.0))
 
 
 def test_train_config_validation():
@@ -238,6 +243,10 @@ def test_train_config_validation():
         TrainConfig(eta=0.1, lam=0.0, steps=-1)
     with pytest.raises(ValueError):
         TrainConfig(eta=0.1, lam=0.0, steps=1, lr_drop_fraction=0.0)
+    # effective_eta divides by it: -10 climbs the loss, 0 divides by zero, inf freezes
+    for factor in [-10.0, 0.0, math.inf, math.nan]:
+        with pytest.raises(ValueError, match="lr_drop_factor"):
+            TrainConfig(eta=0.1, lam=0.0, steps=10, lr_drop_factor=factor)
 
 
 def _serial_reference(cfg, tcfg, x, y):

@@ -28,9 +28,11 @@ samples, medians and quartiles, the pair wins, and a verdict:
   exceeds the bound and not every change run beats every parent run;
 - "no regression beyond bound" otherwise.
 
-`--trace-seed N` also runs each workload once per side with `--trace 1` and
-stores its per-layer metrics. The file is rewritten after every pair, so an
-interrupted run leaves the pairs it finished.
+`--trace-seed N` also runs each workload TRACE_RUNS times per side with
+`--trace 1`, at seeds N, N+1, ..., alternating which side goes first as the
+pairs do, and stores each per-layer metric's samples and median: one traced
+run can read the opposite of the pairs. The file is rewritten after every
+pair, so an interrupted run leaves the pairs it finished.
 """
 
 from __future__ import annotations
@@ -50,7 +52,13 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+TRACE_RUNS = 3
 GAIN_WIN_SHARE = 0.9
+
+
+def sides(i: int) -> tuple:
+    """The order in which the sides run for pair (or traced seed) `i`."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
 def export(rev: str, dest: Path) -> str:
@@ -136,6 +144,19 @@ def workload_entry(runs: dict, seeds: list, metrics: list) -> dict:
     return entry
 
 
+def traced_entry(runs: dict, seeds: list) -> dict:
+    """runs[side] is the list of traced run.py results of that side, in seed
+    order: every per-layer metric's samples and their median."""
+    entry = {"seeds": seeds}
+    for side, rs in runs.items():
+        samples = {k: [r["metrics"][k]["value"] for r in rs] for k in rs[0]["metrics"]}
+        entry[side] = {"correct": all(r["correct"] for r in rs),
+                       "failed": sum(r["failed"] for r in rs),
+                       "metrics": {k: {"median": statistics.median(v), "samples": v}
+                                   for k, v in samples.items()}}
+    return entry
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="commit to compare against")
@@ -167,26 +188,27 @@ def main() -> int:
             seeds = []
             for i in range(PAIRS):
                 seed = args.seed0 + i
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
+                for side in sides(i):
                     runs[side].append(run_bench(trees[side], w, seed, seconds, 0))
                 seeds.append(seed)
                 out["workloads"][w] = workload_entry(runs, seeds, metrics)
                 args.out.write_text(json.dumps(out, indent=1) + "\n")
-                last = {side: rs[-1]["metrics"]["time_to_verdict_s"]["value"]
-                        for side, rs in runs.items()}
-                print(f"{w} pair {i}: time_to_verdict_s parent {last['parent']:.3f} "
-                      f"change {last['change']:.3f}", flush=True)
+                print(f"{w} pair {i}: " + ", ".join(
+                    f"{m} parent {runs['parent'][-1]['metrics'][m]['value']:.3f} "
+                    f"change {runs['change'][-1]['metrics'][m]['value']:.3f}"
+                    for m in ("time_to_verdict_s", "setup_s")), flush=True)
         if args.trace_seed is not None:
-            out["traced"] = {"what": f"perfbench/run.py --seed {args.trace_seed} "
-                                     "--seconds 1 --trace 1, one run per side"}
+            seeds = [args.trace_seed + j for j in range(TRACE_RUNS)]
+            out["traced"] = {"what": (f"perfbench/run.py --seed S --seconds 1 --trace 1 "
+                                      f"for S in {seeds}, one run per side per seed "
+                                      "(even seed index: parent first); each metric "
+                                      "holds its samples in seed order and their median")}
             for w in workloads:
-                out["traced"][w] = {}
-                for side in ("parent", "change"):
-                    r = run_bench(trees[side], w, args.trace_seed, 1, 1)
-                    out["traced"][w][side] = {
-                        "correct": r["correct"], "failed": r["failed"],
-                        "metrics": {k: v["value"] for k, v in r["metrics"].items()}}
+                runs = {"parent": [], "change": []}
+                for j, seed in enumerate(seeds):
+                    for side in sides(j):
+                        runs[side].append(run_bench(trees[side], w, seed, 1, 1))
+                out["traced"][w] = traced_entry(runs, seeds)
                 args.out.write_text(json.dumps(out, indent=1) + "\n")
     finally:
         shutil.rmtree(work, ignore_errors=True)
