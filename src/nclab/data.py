@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ class Dataset:
     y: np.ndarray          # K x N one-hot
     idx: ClassIndex
     b: float               # max column 2-norm of x
+    _sha256: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.x.shape[1] != self.y.shape[1] or self.x.shape[1] != self.idx.total:
@@ -34,13 +35,16 @@ class Dataset:
             raise ValueError("labels must be one-hot columns")
 
     def fingerprint(self) -> str:
-        """SHA-256 over the shapes and float64 bytes of x and y."""
+        """SHA-256 over the shapes and C-order float64 bytes of x and y, taken once."""
+        if self._sha256 is not None:
+            return self._sha256
         h = hashlib.sha256()
         for a in (self.x, self.y):
-            a = np.ascontiguousarray(a, dtype=np.float64)
             h.update(repr(a.shape).encode())
-            h.update(a.tobytes())
-        return h.hexdigest()
+            for row in a:  # not a whole C-order copy of an F-ordered x
+                h.update(np.ascontiguousarray(row, dtype=np.float64))
+        self._sha256 = h.hexdigest()
+        return self._sha256
 
 
 def one_hot(labels, k: int) -> np.ndarray:
@@ -54,16 +58,15 @@ def one_hot(labels, k: int) -> np.ndarray:
 
 def _make_dataset(x: np.ndarray, labels: np.ndarray, k: int,
                   min_col_norm_one: bool = False) -> Dataset:
-    order = np.argsort(labels, kind="stable")
-    x = x[:, order]
-    labels = labels[order]
     counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
         raise ValueError("every class needs at least one sample")
-    col_norms = np.linalg.norm(x, axis=0)
-    b = float(col_norms.max())
+    # F-ordered columns are contiguous: norms of 256-column blocks match one call bit for bit
+    step = 256 if x.flags.f_contiguous else max(x.shape[1], 1)
+    b = float(np.concatenate([np.linalg.norm(x[:, j:j + step], axis=0)
+                              for j in range(0, x.shape[1], step)]).max())
     if min_col_norm_one and 0.0 < b < 1.0:
-        x = x / b
+        x /= b  # x is the caller's new array, grouped by class like `labels`
         b = 1.0
     return Dataset(x=x, y=one_hot(labels, k), idx=ClassIndex(tuple(counts)), b=b)
 
@@ -83,14 +86,10 @@ def synth_gaussian(d: int, k: int, n_per_class: int, class_sep: float = 4.0,
     for c in range(k):
         v = g[:, c] - q[:, :c] @ (q[:, :c].T @ g[:, c])
         q[:, c] = v / np.linalg.norm(v)
-    cols = []
-    labels = []
-    for c in range(k):
-        center = class_sep * q[:, c]
-        cols.append(center[:, None] + noise * rng.standard_normal((d, n_per_class)))
-        labels.extend([c] * n_per_class)
-    return _make_dataset(np.concatenate(cols, axis=1), np.array(labels), k,
-                         min_col_norm_one)
+    x = np.empty((d, k * n_per_class), order="F")
+    for c, block in enumerate(np.hsplit(x, k)):
+        block[:] = class_sep * q[:, [c]] + noise * rng.standard_normal((d, n_per_class))
+    return _make_dataset(x, np.repeat(np.arange(k), n_per_class), k, min_col_norm_one)
 
 
 def read_idx(path) -> np.ndarray:
@@ -142,6 +141,6 @@ def load_idx(images_path, labels_path, subset: int | None = None,
     if short:
         raise ValueError(f"not enough samples for classes {short}")
     keep = np.concatenate(cols)
-    x = images[keep].reshape(keep.size, -1).T.astype(np.float64) / 255.0
+    x = (images[keep].reshape(keep.size, -1) / 255.0).T  # F-ordered, as x always is
     return _make_dataset(x, np.repeat(np.arange(len(classes)), [c.size for c in cols]),
                          len(classes))

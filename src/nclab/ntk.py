@@ -49,9 +49,10 @@ def pushforward(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     """Directional derivative of the network output along a parameter tangent,
     carried through the recorded trace: dU_l = dW_l Z_{l-1} + W_l dZ_{l-1},
     and dZ_l = sigma'(U_l) * dU_l on the nonlinear layers."""
-    dz = np.zeros_like(trace.z[0])
+    dz = tangent.weights[0] @ trace.z[0]  # the input does not move: dU_1 = dW_1 Z_0
     for layer in range(1, cfg.depth + 1):
-        dz = tangent.weights[layer - 1] @ trace.z[layer - 1] + params.weights[layer - 1] @ dz
+        if layer > 1:
+            dz = tangent.weights[layer - 1] @ trace.z[layer - 1] + params.weights[layer - 1] @ dz
         if layer <= cfg.l1:
             dz = trace.dact[layer - 1] * dz
     return dz

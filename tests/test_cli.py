@@ -502,6 +502,22 @@ def test_sweep_traces_each_state_once_per_lockstep_group(tmp_path, monkeypatch, 
     assert len(calls) == groups * 11
 
 
+def test_sweep_hashes_its_data_once(tmp_path, monkeypatch):
+    made = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: made.append(1) or real(*a))
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"].update(steps=5, record_every=5)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                     "--axis", "linear_depth", "--values", "1,2,3", "--seeds", "0",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert len(made) == 1  # three members, one dataset
+    digests = {json.loads((out / f"value_{v}_seed_0" / "report.json").read_text())
+               ["train"]["data_sha256"] for v in (1, 2, 3)}
+    assert digests == {cli.build_dataset(cli.resolve_config(cfg)).fingerprint()}
+
+
 @pytest.mark.parametrize("l1", [1, 2])  # l2 = 2 and l2 = 1
 def test_means_grams_are_the_final_class_mean_grams(tmp_path, l1):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -643,6 +659,17 @@ def test_idx_config_uses_data_dir_env(tmp_path, monkeypatch):
     assert _idx_train(tmp_path, monkeypatch) == 0
     resolved = json.loads((tmp_path / "run" / "config.resolved.json").read_text())
     assert resolved["config"]["data"]["kind"] == "idx"
+
+
+def test_bounds_rebuilds_and_checks_idx_data(tmp_path, monkeypatch, capsys):
+    assert _idx_train(tmp_path, monkeypatch) == cli.EXIT_OK
+    assert cli.main(["bounds", "--run", str(tmp_path / "run")]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["bounds"]["ntk"]["theta_opnorm"] > 0
+    # other files under the same names are not the data the run saw
+    (tmp_path / "store" / "imgs.idx").write_bytes(IDX_IMAGES[:-1] + bytes([IDX_IMAGES[-1] ^ 1]))
+    assert cli.main(["bounds", "--run", str(tmp_path / "run")]) == cli.EXIT_CONFIG
+    assert "SHA-256 mismatch" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit, word", [

@@ -1,6 +1,8 @@
 import gzip
+import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,7 +107,7 @@ def reference_parse_images(path):
 
 
 def reference_load_idx(images, labels, subset=None, classes=None):
-    # the per-sample selection in file order, regrouped by _make_dataset
+    # the per-sample selection in file order, then a stable regrouping by class
     if classes is None:
         classes = tuple(sorted(set(labels.tolist())))
     remap = {cls: i for i, cls in enumerate(classes)}
@@ -117,11 +119,14 @@ def reference_load_idx(images, labels, subset=None, classes=None):
             keep.append(i)
             new_labels.append(remap[lab])
     x = images[keep].reshape(len(keep), -1).T.astype(np.float64) / 255.0
-    return data._make_dataset(x, np.array(new_labels, dtype=np.int64), len(classes))
+    new_labels = np.array(new_labels, dtype=np.int64)
+    order = np.argsort(new_labels, kind="stable")
+    return data._make_dataset(x[:, order], new_labels[order], len(classes))
 
 
 def assert_same_dataset(a, b):
     assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+    assert a.x.flags.f_contiguous and b.x.flags.f_contiguous
     assert a.x.shape == b.x.shape and a.y.shape == b.y.shape
     assert a.idx.class_counts == b.idx.class_counts
     assert a.b == b.b
@@ -259,3 +264,84 @@ def test_dataset_validation():
     bad_y[0, 0] = 0.5
     with pytest.raises(ValueError):
         data.Dataset(x=x, y=bad_y, idx=metrics.ClassIndex((2, 1)), b=0.0)
+
+
+# ---------------------------------------------------------------------------
+# stored identities and the cost of building them
+# ---------------------------------------------------------------------------
+
+# Stored runs carry these digests (`data_sha256`), and `nclab bounds` refuses
+# data whose digest differs, so a change of hashing or memory order shows here.
+PYRAMIDAL_SHA256 = "703783c103dd37f9ded6805bcde7e239fc2df3d2dfd509d9197b6838e777c099"
+IDX_FIXTURE_SHA256 = {
+    (None, None): "0c6a2596f669862bbab5c98259453dbefd6eb600ab6ec1d547950e1d730e1f59",
+    (2, (2, 0)): "cfbb73150af27e871a36ebe5d953b01dfc796680e320a65375ce4419153678ba",
+}
+
+
+def test_golden_digest_of_the_pyramidal_benchmark_data():
+    # perfbench's `pyramidal` workload at data seed 0
+    ds = data.synth_gaussian(d=16, k=4, n_per_class=8, class_sep=1.0, noise=0.1,
+                             seed=0, min_col_norm_one=True)
+    assert ds.x.flags.f_contiguous
+    assert ds.b == 1.3798087975594855
+    assert ds.fingerprint() == PYRAMIDAL_SHA256
+
+
+@pytest.mark.parametrize("subset, classes", list(IDX_FIXTURE_SHA256))
+def test_golden_digest_of_the_idx_fixture(tmp_path, idx_pair, subset, classes):
+    ip, lp, images, labels = idx_pair
+    gp = tmp_path / "imgs.idx.gz"
+    gp.write_bytes(gzip.compress(ip.read_bytes()))
+    for path in (ip, gp):
+        ds = data.load_idx(path, lp, subset, classes)
+        assert ds.x.flags.f_contiguous
+        assert ds.fingerprint() == IDX_FIXTURE_SHA256[subset, classes]
+
+
+def test_fingerprint_is_over_the_c_order_bytes_and_taken_once(monkeypatch):
+    ds = data.synth_gaussian(d=5, k=2, n_per_class=3, seed=4)
+    h = hashlib.sha256()
+    for a in (ds.x, ds.y):
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    made = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda: made.append(1) or real())
+    assert ds.fingerprint() == h.hexdigest() == ds.fingerprint()
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_b_is_the_max_column_norm_bit_for_bit(n, order):
+    # n = 257 and 513 leave a last block of one column; every column in turn
+    # is made the longest, so b pins that column's norm
+    rng = np.random.default_rng(n)
+    base = rng.standard_normal((37, n)) * rng.uniform(0.5, 1.0, n)
+    for j in sorted({0, n // 2, min(255, n - 1), min(256, n - 1), n - 1}):
+        x = np.array(base, order=order)
+        x[:, j] *= 3.0
+        want = np.linalg.norm(x, axis=0)
+        got = data._make_dataset(x, np.zeros(n, dtype=np.int64), 1).b
+        assert got == want.max() == want[j]
+
+
+def test_load_idx_and_fingerprint_hold_one_float64_copy_of_x(tmp_path):
+    # beside x, only the uint8 file and its selection (0.25 x.nbytes) and one
+    # column-norm block (256/N of x.nbytes) are alive at a time
+    rng = np.random.default_rng(5)
+    write_idx(tmp_path / "i.idx", rng.integers(0, 256, size=(3000, 28, 28), dtype=np.uint8))
+    write_idx(tmp_path / "l.idx", rng.integers(0, 10, size=3000, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        ds = data.load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ds.fingerprint()
+        hash_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert load_peak <= 1.5 * ds.x.nbytes, load_peak / ds.x.nbytes
+    assert hash_peak <= ds.x.nbytes / 16, hash_peak / ds.x.nbytes
