@@ -189,6 +189,8 @@ def init_spectra(cfg: NetworkConfig, params0: ParamSet, x: np.ndarray) -> Thm2Sc
     at initialization, with the local PL constant and ball radius."""
     if cfg.depth < 3:
         raise ValueError("the GD schedule machinery needs depth >= 3")
+    if cfg.l1 < 1:
+        raise ValueError("the GD schedule needs l1 >= 1: lambda_F is sigma_min(sigma(W_1 X))")
     gamma = cfg.activation.gamma
     if gamma is None:
         raise ValueError("activation must have a gamma slope parameter")

@@ -427,7 +427,8 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     except (bounds_mod.VacuousBound, ValueError):
         pass
 
-    nrep = ntk.ntk_opnorm(net, params, ds.x, trace=trace)
+    nrep = ntk.ntk_opnorm(net, params, trace)
+    del trace  # the final state's layer outputs; init_spectra and loss read theta_0 next
     out["ntk"] = {"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
                   "residual": nrep.residual, "converged": nrep.converged}
     out["reports"]["ntk_lower"] = asdict(bounds_mod.bound_report(

@@ -45,7 +45,9 @@ stable sort.
 
 op_norm needs sigma_1 alone and calls svd(a, compute_uv=False,
 top_only=True), which runs no Jacobi sweep. It squares the smaller Gram
-matrix G = B^T B repeatedly, renormalized to trace 1 each time: with
+matrix G = B^T B of the input itself (no copy: B is a transposed view of a
+wide input, and G is scaled exactly by 4^-e while |e| <= GRAM_MAX_EXP)
+repeatedly, renormalized to trace 1 each time: with
 t_k = tr G_{k-1}^2, ln sigma_1 lies in a bracket of width
 -ln t_{k+1} / 2^(k+1), and the upper end is returned once the width is at
 most SIGMA1_BRACKET = 1e-13. Each squaring adds O(n eps) relative error to
@@ -75,9 +77,10 @@ EXTREMES_MIN_ENTRIES entries of B it runs no Jacobi sweep (the R route):
 
 - sigma_1 is op_norm's Gram squaring of B, bit for bit;
 - sigma_min = 1 / sigma_1(R^-1). R is the Householder triangular factor of
-  B, one numpy rank-1 update per column; X = R^-1 is formed row by row by
-  back substitution; sigma_1(X) is the same Gram squaring, on X scaled by a
-  power of two.
+  B, one numpy rank-1 update per column over the one scaled copy of B,
+  which is freed once R is formed; X = R^-1 is formed row by row by
+  back substitution; sigma_1(X) is the same Gram squaring, with X's Gram
+  scaled by a power of four.
 
 Accuracy: Householder QR is backward stable, so R is the exact factor of
 B + dB with ||dB|| = O(n eps) ||B||, which moves sigma_min by O(kappa eps)
@@ -145,6 +148,7 @@ SIGMA1_BRACKET = 1e-13  # width of the certified bracket on ln sigma_1
 MAX_SQUARINGS = 60  # a rank below 1e6 closes the bracket within 47
 EXTREMES_MIN_ENTRIES = SMALL_MAX_ENTRIES  # rows * cols above which extremes=True takes the R route
 SIGMA_MIN_FLOOR = 1e-8  # the R route hands sigma_min <= this * sigma_1 to Jacobi
+GRAM_MAX_EXP = 256  # sigma_1 scales the Gram of the input itself while |exp| <= this
 
 
 class SvdConvergenceError(RuntimeError):
@@ -315,8 +319,9 @@ def _round_robin_sweep(w: np.ndarray, rows: int) -> float:
     return worst
 
 
-def _top_singular_value(b: np.ndarray) -> float:
-    """sigma_1 of b by repeated squaring of the smaller Gram matrix.
+def _top_singular_value(b: np.ndarray, exp: int = 0) -> float:
+    """sigma_1 of b / 2^exp (rows >= cols) by repeated squaring of the Gram
+    matrix of b scaled by 4^-exp (of a scaled copy if |exp| > GRAM_MAX_EXP).
 
     G_0 = B^T B / tr, and G_{k+1} = G_k^2 / t_{k+1} with t_{k+1} = tr G_k^2
     = ||G_k||_F^2, so every G_k has trace 1 and lambda_1(G_k) lies in
@@ -327,7 +332,10 @@ def _top_singular_value(b: np.ndarray) -> float:
     relative error to lambda_1, and the 2^k-th root divides it by 2^k, so
     the total stays O(n eps).
     """
+    if abs(exp) > GRAM_MAX_EXP:
+        b, exp = np.ldexp(b, -exp, order="F"), 0
     g = b.T @ b
+    np.ldexp(g, -2 * exp, out=g)
     trace = float(np.trace(g))
     if trace == 0.0:
         return 0.0
@@ -338,7 +346,8 @@ def _top_singular_value(b: np.ndarray) -> float:
         width = -math.log(t) / 2.0 ** k
         if width <= SIGMA1_BRACKET:
             return math.exp(log_top / 2.0)
-        g = (g @ g) / t
+        g = g @ g
+        g /= t
         log_top += math.log(t) / 2.0 ** k
     raise SvdConvergenceError(width, MAX_SQUARINGS, squarings=True)
 
@@ -369,15 +378,14 @@ def _householder_r(b: np.ndarray) -> np.ndarray:
     return np.triu(b[:cols])
 
 
-def _smallest_singular_value(b: np.ndarray, top: float) -> float | None:
-    """sigma_min of b (rows >= cols, pre-scaled, sigma_1 = top) as
-    1 / sigma_1(R^-1), R from _householder_r, or None when it is not above
-    SIGMA_MIN_FLOOR * top or R^-1 overflows: the caller then sweeps.
+def _smallest_singular_value(r: np.ndarray, top: float) -> float | None:
+    """sigma_min of a pre-scaled matrix with sigma_1 = top and triangular
+    factor r (_householder_r), as 1 / sigma_1(R^-1), or None when it is not
+    above SIGMA_MIN_FLOOR * top or R^-1 overflows: the caller then sweeps.
 
     Every row of X = R^-1 is one back substitution; sigma_1(X) is taken by
-    the same Gram squaring as top, on X scaled by a power of two.
+    the same Gram squaring as top.
     """
-    r = _householder_r(b.copy(order="F"))
     n = r.shape[0]
     floor = SIGMA_MIN_FLOOR * top
     if float(np.min(np.abs(np.diagonal(r)))) <= floor:  # sigma_min <= min |r_kk|
@@ -389,10 +397,9 @@ def _smallest_singular_value(b: np.ndarray, top: float) -> float | None:
             np.divide(r[i, i + 1:] @ x[i + 1:, i + 1:], -r[i, i], out=x[i, i + 1:])
     if not np.all(np.isfinite(x)):
         return None
-    _, exp = math.frexp(float(np.max(np.abs(x))))
-    np.ldexp(x, -exp, out=x)
+    _, exp = math.frexp(max(float(x.max()), -float(x.min())))
     # rounding may lift a sigma_min tied with sigma_1 a few ulps above it
-    low = min(math.ldexp(1.0 / _top_singular_value(x), -exp), top)
+    low = min(math.ldexp(1.0 / _top_singular_value(x, exp), -exp), top)
     return low if low > floor else None
 
 
@@ -417,30 +424,28 @@ def svd(a, compute_uv: bool = True, top_only: bool = False,
     if top_only and extremes:
         raise ValueError("top_only=True and extremes=True exclude each other")
     a = as_matrix(a)
-    m, n = a.shape
-    transposed = m < n
-    b = np.array(a.T if transposed else a, dtype=np.float64, order="F")
-    rows, cols = b.shape
+    transposed = a.shape[0] < a.shape[1]
+    tall = a.T if transposed else a
+    rows, cols = tall.shape
     # scale the largest entry into [0.5, 1) by a power of two, which is exact:
     # the pair products app * aqq then neither under- nor overflow
-    _, exp = math.frexp(float(np.max(np.abs(b))))
-    np.ldexp(b, -exp, out=b)
+    _, exp = math.frexp(max(float(a.max()), -float(a.min())))  # no |a| temporary
     if top_only:
-        return SvdResult(u=None, s=np.ldexp([_top_singular_value(b)], exp), vt=None)
+        return SvdResult(u=None, s=np.ldexp([_top_singular_value(tall, exp)], exp), vt=None)
     if extremes and rows * cols > EXTREMES_MIN_ENTRIES:
-        top = _top_singular_value(b)
-        low = _smallest_singular_value(b, top)
+        top = _top_singular_value(tall, exp)
+        # R overwrites the one scaled copy, which is gone once R is formed
+        low = _smallest_singular_value(_householder_r(np.ldexp(tall, -exp, order="F")), top)
         if low is not None:
             return SvdResult(u=None, s=np.ldexp([top, low], exp), vt=None)
-    small = rows * cols <= SMALL_MAX_ENTRIES
+    small = rows * cols <= SMALL_MAX_ENTRIES  # the sweeps rotate B scaled by 2^-exp
     if small:
-        b_cols = b.T.tolist()
+        b_cols = np.ldexp(tall.T, -exp).tolist()
         v_cols = np.eye(cols).tolist() if compute_uv else None
         sweep = functools.partial(_cyclic_sweep, b_cols, v_cols)
     else:
         w = np.empty((cols, rows + (cols if compute_uv else 0)))
-        w[:, :rows] = b.T
-        b = w[:, :rows].T  # views the sweeps rotate
+        b = np.ldexp(tall.T, -exp, out=w[:, :rows]).T  # views the sweeps rotate
         if compute_uv:
             w[:, rows:] = np.eye(cols)
             v = w[:, rows:].T

@@ -1,8 +1,8 @@
 """Matrix-free neural tangent kernel: the NTK acts on K x N output probes as
 pushforward(pullback(.)), its operator norm comes from Lanczos, and a dense
 Jacobian assembly is available for problems small enough to cross-check.
-Both directions read one `network.forward` trace of the state; neither runs
-the network again.
+Both directions, `ntk_opnorm` and `dense_ntk` read the caller's
+`network.forward` trace of the state; none runs the network.
 
 `ntk_opnorm` runs Lanczos with full reorthogonalization from a seeded random
 probe. Its top Ritz value is a lower end of the largest eigenvalue by Cauchy
@@ -11,9 +11,10 @@ Wozniakowski 1992). The tridiagonal T_j is never handed to `densemat`: its
 top eigenvalue is bisected on the signs of the LDL^T pivots of sigma*I - T_j,
 which are all positive iff sigma lies above it, and two inverse iterations at
 that upper end give the eigenvector, all on Python floats in O(j) per pass.
-Lanczos stops when the Ritz residual beta_j*|s_j| is at most RITZ_TOL times
-the Ritz value, or at LANCZOS_MAX_BASIS vectors, unconverged; the report
-carries the true residual of the Ritz vector either way.
+The basis grows by one row per step. Lanczos stops when the Ritz residual
+beta_j*|s_j| is at most RITZ_TOL times the Ritz value, or at
+LANCZOS_MAX_BASIS vectors, unconverged; the report carries the true
+residual of the Ritz vector either way.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ForwardTrace, NetworkConfig, ParamSet, backprop, forward
+from .network import ForwardTrace, NetworkConfig, ParamSet, backprop
 
 RITZ_TOL = 1e-10
 LANCZOS_MAX_BASIS = 256  # Lanczos vectors of length K*N kept at most
@@ -56,11 +57,6 @@ def pushforward(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
         if layer <= cfg.l1:
             dz = trace.dact[layer - 1] * dz
     return dz
-
-
-def ntk_apply(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
-              probe: np.ndarray) -> np.ndarray:
-    return pushforward(cfg, params, trace, pullback(cfg, params, trace, probe))
 
 
 def ntk_quadratic_form(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
@@ -126,54 +122,51 @@ def _top_ritz(alpha: list, beta: list, lower: float) -> tuple:
     return math.ldexp(hi, exp), [vi / norm for vi in v]
 
 
-def ntk_opnorm(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
-               seed: int = 0, trace: ForwardTrace | None = None) -> NTKReport:
-    """Largest NTK eigenvalue by Lanczos on K x N probes (module docstring);
-    `trace`, if given, is forward(cfg, params, x) and is read instead of
-    running it again. `iterations` counts the NTK applications of the basis."""
-    if trace is None:
-        trace = forward(cfg, params, x)
+def ntk_opnorm(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
+               seed: int = 0) -> NTKReport:
+    """Largest NTK eigenvalue by Lanczos on K x N probes (module docstring),
+    read from `trace`, the state's forward(cfg, params, x). `iterations`
+    counts the NTK applications of the basis."""
+    def theta_of(probe):  # the NTK applied to a K x N probe
+        return pushforward(cfg, params, trace, pullback(cfg, params, trace, probe))
     k, n = trace.z[-1].shape
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(k * n)
     q /= np.linalg.norm(q)
-    basis = np.empty((min(k * n, LANCZOS_MAX_BASIS), k * n))
+    basis = np.empty((0, k * n))
     alpha, beta = [], []
     theta, s = 0.0, [1.0]
-    converged = False
-    for j in range(len(basis)):
+    for j in range(min(k * n, LANCZOS_MAX_BASIS)):
+        basis.resize((j + 1, k * n), refcheck=False)  # no view of basis is alive here
         basis[j] = q
-        w = ntk_apply(cfg, params, trace, q.reshape(k, n)).ravel()
+        w = theta_of(q.reshape(k, n)).ravel()
         alpha.append(float(q @ w))
         for _ in range(2):  # classical Gram-Schmidt against the whole basis, twice
-            w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
+            w -= basis.T @ (basis @ w)
         b = float(np.linalg.norm(w))
         theta, s = _top_ritz(alpha, beta, theta)
-        if b * abs(s[-1]) <= RITZ_TOL * theta:
-            converged = True
+        converged = b * abs(s[-1]) <= RITZ_TOL * theta
+        if converged:
             break
         beta.append(b)
         q = w / b
-    y = (np.asarray(s) @ basis[:len(alpha)]).reshape(k, n)
+    y = (np.asarray(s) @ basis).reshape(k, n)
     y /= np.linalg.norm(y)
-    residual = float(np.linalg.norm(ntk_apply(cfg, params, trace, y) - theta * y))
+    residual = float(np.linalg.norm(theta_of(y) - theta * y))
     return NTKReport(rho=theta, iterations=len(alpha), residual=residual,
                      converged=converged)
 
 
-def dense_jacobian(cfg: NetworkConfig, params: ParamSet, x: np.ndarray) -> np.ndarray:
-    """Full (K*N) x n_params Jacobian, one JVP per parameter entry.
+def dense_jacobian(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace) -> np.ndarray:
+    """Full (K*N) x n_params Jacobian of the traced state, one JVP per parameter entry.
 
     Guarded to small problems; intended for cross-checking the matrix-free path.
     """
-    x = np.asarray(x, dtype=float)
-    k = cfg.n_classes
-    n = x.shape[1]
+    kn = trace.z[-1].size
     n_params = sum(w.size for w in params.weights)
-    if n_params * k * n > DENSE_ASSEMBLY_LIMIT:
+    if n_params * kn > DENSE_ASSEMBLY_LIMIT:
         raise ValueError("problem too large for dense Jacobian assembly")
-    trace = forward(cfg, params, x)
-    cols = np.empty((k * n, n_params))
+    cols = np.empty((kn, n_params))
     j = 0
     for li, w in enumerate(params.weights):
         for flat in range(w.size):
@@ -184,7 +177,7 @@ def dense_jacobian(cfg: NetworkConfig, params: ParamSet, x: np.ndarray) -> np.nd
     return cols
 
 
-def dense_ntk(cfg: NetworkConfig, params: ParamSet, x: np.ndarray) -> np.ndarray:
-    m = dense_jacobian(cfg, params, x)
+def dense_ntk(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace) -> np.ndarray:
+    m = dense_jacobian(cfg, params, trace)
     return m @ m.T
 

@@ -263,8 +263,8 @@ def check_ntk_rayleigh(seed: int = 5, trials: int = 6) -> tuple:
     rng = np.random.default_rng(seed)
     for i in range(trials):
         cfg, params, x, _ = _random_net(rng)
-        rep = ntk.ntk_opnorm(cfg, params, x, seed=seed + i)
         trace = forward(cfg, params, x)
+        rep = ntk.ntk_opnorm(cfg, params, trace, seed=seed + i)
         for j in range(4):
             a = rng.standard_normal(trace.z[-1].shape)
             q = ntk.ntk_quadratic_form(cfg, params, trace, a)
@@ -294,10 +294,10 @@ def check_dense_ntk_agreement(seed: int = 6) -> tuple:
     cfg = NetworkConfig(input_dim=3, widths=(4, 2), l1=1, l2=1,
                         activation=SMOOTH)
     params = ParamSet([rng.standard_normal(cfg.layer_shape(layer)) for layer in range(1, 3)])
-    x = rng.standard_normal((3, 5))
-    dense = ntk.dense_ntk(cfg, params, x)
+    trace = forward(cfg, params, rng.standard_normal((3, 5)))
+    dense = ntk.dense_ntk(cfg, params, trace)
     top = densemat.op_norm(dense)
-    rep = ntk.ntk_opnorm(cfg, params, x, seed=seed)
+    rep = ntk.ntk_opnorm(cfg, params, trace, seed=seed)
     rel = abs(rep.rho - top) / max(top, 1e-300)
     if rel > 1e-6:
         return False, {"seed": seed, "lanczos": rep.rho, "dense": top, "rel": rel}

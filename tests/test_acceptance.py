@@ -164,9 +164,10 @@ def test_criterion_7_ntk_power_iteration_and_lower_bound(pyramidal_run):
     x = rng.standard_normal((3, 5))
     n_params = sum(w.size for w in params.weights)
     assert n_params * 2 * 5 <= 2000
-    theta = ntk.dense_ntk(cfg, params, x)
+    trace = forward(cfg, params, x)
+    theta = ntk.dense_ntk(cfg, params, trace)
     dense_top = float(np.linalg.eigvalsh(theta)[-1])
-    rep = ntk.ntk_opnorm(cfg, params, x)
+    rep = ntk.ntk_opnorm(cfg, params, trace)
     assert rep.converged
     assert abs(rep.rho - dense_top) <= 1e-6 * dense_top
 
@@ -178,7 +179,7 @@ def test_criterion_7_ntk_power_iteration_and_lower_bound(pyramidal_run):
     sK_y = densemat.svd(ds.y).s[net.n_classes - 1]
     lower = bounds.ntk_lower_bound(sK_y, mrep.eps1, net.n_classes, mrep.r,
                                    net.l2)
-    big = ntk.ntk_opnorm(net, params, ds.x)
+    big = ntk.ntk_opnorm(net, params, forward(net, params, ds.x))
     assert big.rho >= lower, f"rho {big.rho:.3e} < bound {lower:.3e}"
 
 

@@ -356,6 +356,14 @@ def test_init_spectra_requires_depth_and_gamma():
         bounds.init_spectra(shallow, params, rng.standard_normal((2, 3)))
 
 
+def test_init_spectra_refuses_a_linear_first_layer():
+    # lambda_F is sigma_min(sigma(W_1 X)), a matrix an l1 = 0 net never forms
+    cfg = NetworkConfig(input_dim=4, widths=(6, 4, 2), l1=0, l2=3, activation=SMOOTH)
+    rng = np.random.default_rng(2)
+    params = ParamSet([rng.standard_normal(cfg.layer_shape(i)) for i in (1, 2, 3)])
+    with pytest.raises(ValueError, match="l1 >= 1"):
+        bounds.init_spectra(cfg, params, rng.standard_normal((4, 6)))
+
 def test_assumption3_threshold_in_initial_loss():
     # lhs >= 8*gamma*sqrt((2/gamma)^L * c0) flips exactly at
     # c0* = (lhs / (8*gamma))^2 / (2/gamma)^L

@@ -436,7 +436,8 @@ def test_bounds_traces_the_final_state_once(tmp_path, monkeypatch):
         traced.append(_params_digest(params))
         return real(cfg, params, x)
 
-    for module in (cli, network, ntk):  # every module that calls forward in `bounds`
+    assert not hasattr(ntk, "forward")  # the NTK reads the trace it is given
+    for module in (cli, network):  # every module that calls forward in `bounds`
         monkeypatch.setattr(module, "forward", recording)
     assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
     final = cli.load_params(out / "params_final.npz")
@@ -915,6 +916,13 @@ def test_bounds_on_a_linear_only_head_reports_every_bound(tmp_path):
         else:
             assert rep["holds"] == "vacuous", name
 
+
+def test_bounds_on_a_linear_only_head_reports_the_schedule_error(tmp_path):
+    # depth 3, l1 = 0: no sigma(W_1 X) for lambda_F, and every other block stays
+    bounds_out = _linear_only_head_bounds(tmp_path)
+    assert set(bounds_out["schedule"]) == {"error"}
+    assert "l1 >= 1" in bounds_out["schedule"]["error"]
+    assert {"measured", "reports", "ntk"} <= set(bounds_out)
 
 def test_vacuous_weak_alignment_bound_is_reported_vacuous(tmp_path, capsys):
     # on this net the NC3 lower bound falls below -1, where every cosine lies

@@ -1,6 +1,7 @@
 import ast
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,55 @@ def test_op_norm_runs_no_jacobi_sweep(monkeypatch):
         assert abs(densemat.op_norm(a) - ref) <= 1e-12 * ref
     with pytest.raises(AssertionError):
         densemat.svd(np.eye(3), compute_uv=False)  # the patch does bite
+
+
+def _copy_then_scale_op_norm(a):
+    """sigma_1 by Gram squaring of a scaled F-ordered copy of the input,
+    written out: op_norm forms the Gram of the input itself and must agree
+    with this bit for bit."""
+    b = np.array(a.T if a.shape[0] < a.shape[1] else a, dtype=np.float64, order="F")
+    _, exp = math.frexp(float(np.max(np.abs(b))))
+    np.ldexp(b, -exp, out=b)
+    return float(np.ldexp([densemat._top_singular_value(b)], exp)[0])
+
+
+def _in_place_cases():
+    rng = np.random.default_rng(43)
+    cases = {}
+    for m, n in [(40, 12), (12, 40), (200, 64), (64, 200)]:
+        base = rng.standard_normal((m, n))
+        for label, factor in [("2^250", 2.0 ** 250), ("2^-250", 2.0 ** -250),
+                              ("2^260", 2.0 ** 260), ("2^-260", 2.0 ** -260),
+                              ("1e-170", 1e-170), ("1e+160", 1e+160)]:
+            cases[f"{m}x{n} x {label}"] = base * factor
+        mixed = base.copy()
+        mixed[rng.random((m, n)) < 0.5] *= 1e-170
+        mixed[:, :3] *= 1e-170  # whole columns whose Gram entries underflow
+        cases[f"{m}x{n} 1e-170 mixed with O(1)"] = mixed
+    return cases
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("name", sorted(_in_place_cases()))
+def test_op_norm_of_the_input_itself_is_bit_identical_to_a_scaled_copy(name, order):
+    # both sides of the 2^256 guard, C- and F-ordered, tall and wide
+    a = np.asarray(_in_place_cases()[name], order=order)
+    assert densemat.op_norm(a) == _copy_then_scale_op_norm(a)
+
+
+def test_op_norm_forms_the_gram_of_its_input_without_a_copy():
+    # an F-ordered 784 x 4000 x, as IDX images load; a scaled copy would add x.nbytes
+    x = np.asfortranarray(np.random.default_rng(47).random((784, 4000)))
+    gram = 784 * 784 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        densemat.op_norm(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the squaring holds G and G @ G; the finiteness mask is one byte an entry
+    assert peak <= 2 * gram + x.size + 65536
 
 
 def test_top_only_raises_when_squarings_run_out(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,20 @@ def test_negativity_leaky_relu():
     with pytest.raises(ValueError):
         metrics.negativity(np.zeros((2, 2)), np.zeros((2, 2)))
 
+
+def test_negativity_of_a_wide_layer_holds_one_layer_sized_temporary():
+    # A - sigma(A) is the one layer-sized temporary: each op_norm adds only
+    # 256 x 256 Grams and a finiteness mask, no scaled copy of its argument
+    pre = np.random.default_rng(53).standard_normal((256, 4000))
+    activated = act_apply(SMOOTH, pre)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        metrics.negativity(pre, activated)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * pre.nbytes
 
 def test_extract_thm1_inputs_on_hand_built_net():
     cfg = NetworkConfig(input_dim=2, widths=(2, 2), l1=0, l2=2,
