@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import densemat
-from .network import NetworkConfig, ParamSet, act_apply, gradient, partial_product
+from .network import ForwardTrace, NetworkConfig, ParamSet, gradient, partial_product
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -184,9 +184,9 @@ def _s_min(a: np.ndarray) -> float:
     return float(densemat.svd(a, compute_uv=False, extremes=True).s[1])
 
 
-def init_spectra(cfg: NetworkConfig, params0: ParamSet, x: np.ndarray) -> Thm2Schedule:
-    """Singular-value bookkeeping of the weights (and first post-activation)
-    at initialization, with the local PL constant and ball radius."""
+def init_spectra(cfg: NetworkConfig, params0: ParamSet, trace0: ForwardTrace) -> Thm2Schedule:
+    """Singular-value bookkeeping of the weights and of Z_1 = sigma(W_1 X) in
+    `trace0`, params0's trace, with the local PL constant and ball radius."""
     if cfg.depth < 3:
         raise ValueError("the GD schedule machinery needs depth >= 3")
     if cfg.l1 < 1:
@@ -203,7 +203,7 @@ def init_spectra(cfg: NetworkConfig, params0: ParamSet, x: np.ndarray) -> Thm2Sc
     lam_min_tail = min(sched.lambda_l[l] for l in range(3, cfg.depth + 1))
     for layer in range(1, cfg.depth + 1):
         sched.bar_lambda_l[layer] = op_norms[layer] + lam_min_tail
-    sched.lambda_f = _s_min(act_apply(cfg.activation, params0.weights[0] @ x))
+    sched.lambda_f = _s_min(trace0.z[1])
     sched.lambda_3_to_l = math.prod(sched.lambda_l[l] for l in range(3, cfg.depth + 1))
     L = cfg.depth
     sched.alpha = 2.0 ** (-(L - 3)) * gamma ** (L - 2) * sched.lambda_f * sched.lambda_3_to_l
@@ -456,6 +456,8 @@ def thm1_verdicts(cfg: NetworkConfig, params: ParamSet, rep, sK_y: float,
 # ---------------------------------------------------------------------------
 
 def ntk_lower_bound(sK_y: float, eps1: float, k: int, r: float, l2: int) -> float:
+    if l2 < 1:  # the floor is then 0, and an NTK norm is never negative
+        raise VacuousBound("no linear layer: the NTK floor is 0")
     return _sk_margin(eps1, sK_y) ** 2 * l2 / (k ** 2 * r ** 2)
 
 

@@ -428,7 +428,7 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
         pass
 
     nrep = ntk.ntk_opnorm(net, params, trace)
-    del trace  # the final state's layer outputs; init_spectra and loss read theta_0 next
+    del trace  # the final state's layer outputs, dropped before theta_0 is traced
     out["ntk"] = {"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
                   "residual": nrep.residual, "converged": nrep.converged}
     out["reports"]["ntk_lower"] = asdict(bounds_mod.bound_report(
@@ -439,11 +439,11 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     try:
         if params_init is None:
             raise ValueError("no params_init.npz: the run did not store its parameters")
-        sched = bounds_mod.init_spectra(net, params_init, ds.x)
-        c_lam0, c00 = loss(net, params_init, ds.x, ds.y, cfg["train"]["lam"])
+        trace0 = forward(net, params_init, ds.x)
+        c_lam0, c00 = loss(net, params_init, ds.x, ds.y, cfg["train"]["lam"], trace0)
         sched = bounds_mod.thm2_schedule(
-            sched, net, max(rep.eps1, 1e-6), max(rep.eps2, 1e-8), ds.b, x_op,
-            params_init.norm(), c00, c_lam0, k, n)
+            bounds_mod.init_spectra(net, params_init, trace0), net, max(rep.eps1, 1e-6),
+            max(rep.eps2, 1e-8), ds.b, x_op, params_init.norm(), c00, c_lam0, k, n)
         out["schedule"] = asdict(sched)
     except (ValueError, bounds_mod.VacuousBound) as exc:
         out["schedule"] = {"error": str(exc)}

@@ -228,7 +228,7 @@ class ForwardTrace:
     transposes: views of z built once, with the trace."""
     z: list       # Z_0 .. Z_L
     dact: list    # act_grad at the preactivations W_l Z_{l-1} of the l1 nonlinear layers
-    scratch: list | None = None  # per nonlinear layer: a pair of work arrays of its shape
+    scratch: list | None = None  # caller buffers only: per nonlinear layer, a work pair
     ins: list = field(init=False)
     ins_t: list = field(init=False)
 
@@ -247,8 +247,8 @@ def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
     which reads the first B_l members of the layer below. `out` is a trace of
     caller-given buffers, z[0] being x, with the bound views of its inputs:
     z[l] is written over the preactivation, and nothing is checked or
-    allocated. Without it, x, a (d, N) array, and the weights are checked
-    and such a trace is allocated.
+    allocated. Without it, x, a (d, N) array, and the weights are checked, z and
+    dact allocated, and a work pair made per nonlinear layer and dropped after it.
     """
     if out is None:
         x = np.asarray(x, dtype=np.float64)
@@ -256,14 +256,14 @@ def forward(cfg: NetworkConfig, params: ParamSet, x: np.ndarray,
             raise ValueError(f"input has {x.shape[0]} rows, network expects {cfg.input_dim}")
         params.check_shapes(cfg)
         z = [x] + [np.empty((n, x.shape[1])) for n in cfg.widths]
-        out = ForwardTrace(z, [np.empty_like(a) for a in z[1:cfg.l1 + 1]],
-                           [(np.empty_like(a), np.empty_like(a)) for a in z[1:cfg.l1 + 1]])
+        out = ForwardTrace(z, [np.empty_like(a) for a in z[1:cfg.l1 + 1]])
     act = cfg.activation
     for layer, w in enumerate(params.weights):
         pre = np.matmul(w, out.ins[layer], out.z[layer + 1])
         if layer < cfg.l1:
-            work = out.scratch[layer]
+            work = out.scratch[layer] if out.scratch else np.empty((2,) + pre.shape)
             act_apply(act, pre, act_grad(act, pre, out.dact[layer], work), work)
+            del work
     return out
 
 

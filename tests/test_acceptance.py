@@ -136,7 +136,7 @@ def test_criterion_6_shifted_pl_decay_and_exit_bound(pyramidal_run):
     net, ds = pyramidal_run["net"], pyramidal_run["ds"]
     traj, tcfg = pyramidal_run["traj"], pyramidal_run["tcfg"]
     params0 = traj.records[0].params
-    sched = bounds.init_spectra(net, params0, ds.x)
+    sched = bounds.init_spectra(net, params0, forward(net, params0, ds.x))
     from nclab.network import loss
     clam0, c00 = loss(net, params0, ds.x, ds.y, tcfg.lam)
     rep_metrics = metrics.measure(net, pyramidal_run["params"],

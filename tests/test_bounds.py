@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from nclab import bounds, cli, data, densemat, metrics
-from nclab.network import ActivationSpec, NetworkConfig, ParamSet, forward, loss
-from nclab.trainer import InitSpec, TrainConfig, train
+from nclab import bounds, cli, data, densemat, metrics, network
+from nclab.network import ActivationSpec, NetworkConfig, ParamSet, act_apply, forward, loss
+from nclab.trainer import InitSpec, TrainConfig, init_params, train
 from nclab.verify import make_balanced_chain, make_thm1_instance, check_thm1_instance
 
 SMOOTH = ActivationSpec("smoothed_leaky_relu", gamma=0.3, beta=2.0)
@@ -184,7 +184,7 @@ def test_singular_vectors_are_built_only_for_pinv(monkeypatch):
     params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
     rep = metrics.measure(cfg, params, forward(cfg, params, ds.x), ds.y, ds.idx)
     bounds.thm1_verdicts(cfg, params, rep, 2.0, 1.0, ds.x.shape[1])
-    bounds.init_spectra(cfg, params, ds.x)
+    bounds.init_spectra(cfg, params, forward(cfg, params, ds.x))
     out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
     assert "residual_to_pinv" in out["measured"] and "error" not in out["schedule"]
     # the one vector reader: thm1_verdicts' single SVD of W_L, which feeds the
@@ -210,7 +210,7 @@ def test_only_op_norm_asks_for_the_top_singular_value(monkeypatch):
     params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
     rep = metrics.measure(cfg, params, forward(cfg, params, ds.x), ds.y, ds.idx)
     bounds.thm1_verdicts(cfg, params, rep, 2.0, 1.0, ds.x.shape[1])
-    bounds.init_spectra(cfg, params, ds.x)
+    bounds.init_spectra(cfg, params, forward(cfg, params, ds.x))
     cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
     from_op_norm = [(uv, top) for name, uv, top in calls if name == "nclab.densemat.op_norm"]
     assert from_op_norm and all(top and not uv for uv, top in from_op_norm)
@@ -307,7 +307,7 @@ def schedule_net(seed=0, scale=1.0):
 
 def test_init_spectra_matches_direct_computation():
     cfg, params, x, _ = schedule_net()
-    sched = bounds.init_spectra(cfg, params, x)
+    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
     for layer in range(1, 5):
         ref = np.linalg.svd(params.weights[layer - 1], compute_uv=False)
         assert sched.lambda_l[layer] == pytest.approx(ref[-1], rel=1e-10)
@@ -337,7 +337,7 @@ def test_init_spectra_takes_one_svd_per_weight(monkeypatch):
         return real(a, compute_uv=compute_uv, extremes=extremes)
 
     monkeypatch.setattr(densemat, "svd", counting)
-    sched = bounds.init_spectra(cfg, params, x)
+    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
     assert len(calls) == cfg.depth + 1  # each weight, then the first features
     tail_min = min(sched.lambda_l[l] for l in range(3, cfg.depth + 1))
     for layer in range(1, cfg.depth + 1):
@@ -353,7 +353,8 @@ def test_init_spectra_requires_depth_and_gamma():
     params = ParamSet([rng.standard_normal(shallow.layer_shape(i))
                        for i in (1, 2)])
     with pytest.raises(ValueError, match="depth"):
-        bounds.init_spectra(shallow, params, rng.standard_normal((2, 3)))
+        bounds.init_spectra(shallow, params,
+                            forward(shallow, params, rng.standard_normal((2, 3))))
 
 
 def test_init_spectra_refuses_a_linear_first_layer():
@@ -362,13 +363,63 @@ def test_init_spectra_refuses_a_linear_first_layer():
     rng = np.random.default_rng(2)
     params = ParamSet([rng.standard_normal(cfg.layer_shape(i)) for i in (1, 2, 3)])
     with pytest.raises(ValueError, match="l1 >= 1"):
-        bounds.init_spectra(cfg, params, rng.standard_normal((4, 6)))
+        bounds.init_spectra(cfg, params, forward(cfg, params, rng.standard_normal((4, 6))))
+
+
+# perfbench's pyramidal and wide nets (Z_1 above the R route's 256 entries)
+# and a 6-wide net below it
+@pytest.mark.parametrize("widths, l1, d, k, n_per_class", [
+    ((64, 32, 16, 8, 4), 3, 16, 4, 8), ((256, 128, 64, 10, 10), 3, 64, 10, 20),
+    ((6, 4, 3), 1, 5, 3, 4)])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_lambda_f_from_the_trace_is_sigma_min_of_sigma_w1_x(widths, l1, d, k, n_per_class,
+                                                             order):
+    cfg = NetworkConfig(input_dim=d, widths=widths, l1=l1, l2=len(widths) - l1,
+                        activation=SMOOTH)
+    ds = data.synth_gaussian(d, k, n_per_class, class_sep=1.0, noise=0.1, seed=0)
+    x = np.asarray(ds.x, order=order)
+    params = init_params(cfg, InitSpec(), 1)
+    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
+    assert sched.lambda_f == bounds._s_min(act_apply(SMOOTH, params.weights[0] @ x))
+
+
+def test_bounds_trace_each_state_once(monkeypatch):
+    cfg = NetworkConfig(input_dim=6, widths=(8, 6, 5, 3), l1=2, l2=2, activation=SMOOTH)
+    ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
+    params0 = init_params(cfg, InitSpec(), 0)
+    params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=5), ds.x, ds.y, ds.idx)
+    traced, activated, losses = [], [], []
+    real_forward, real_act, real_loss = cli.forward, network.act_apply, cli.loss
+
+    def tracing(cfg_, params_, x, out=None):
+        traced.append(id(params_))
+        return real_forward(cfg_, params_, x, out)
+
+    def activating(*args):
+        activated.append(sys._getframe(1).f_code.co_name)
+        return real_act(*args)
+
+    def losing(*args, **kw):
+        losses.append(len(args) == 6 or "trace" in kw)
+        return real_loss(*args, **kw)
+
+    monkeypatch.setattr(cli, "forward", tracing)
+    monkeypatch.setattr(network, "forward", tracing)
+    monkeypatch.setattr(network, "act_apply", activating)
+    monkeypatch.setattr(bounds, "act_apply", activating, raising=False)
+    monkeypatch.setattr(cli, "loss", losing)
+    out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params0)
+    assert "error" not in out["schedule"]
+    assert traced == [id(params), id(params0)]
+    assert set(activated) == {"forward"} and len(activated) == 2 * cfg.l1
+    assert losses == [True]
+
 
 def test_assumption3_threshold_in_initial_loss():
     # lhs >= 8*gamma*sqrt((2/gamma)^L * c0) flips exactly at
     # c0* = (lhs / (8*gamma))^2 / (2/gamma)^L
     cfg, params, x, _ = schedule_net(seed=3)
-    sched = bounds.init_spectra(cfg, params, x)
+    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
     gamma, L = 0.3, cfg.depth
     lam_min_tail = min(sched.lambda_l[l] for l in range(3, L + 1))
     lhs = sched.lambda_f * sched.lambda_3_to_l * min(sched.lambda_f,
@@ -380,7 +431,7 @@ def test_assumption3_threshold_in_initial_loss():
 
 def test_thm2_schedule_caps_and_floor():
     cfg, params, x, y = schedule_net(seed=4, scale=3.0)
-    sched = bounds.init_spectra(cfg, params, x)
+    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
     clam0, c00 = loss(cfg, params, x, y, 0.01)
     eps1, eps2, b = 0.3, 1e-3, 1.4
     x_op = densemat.op_norm(x)
@@ -429,7 +480,7 @@ def test_thm2_schedule_caps_and_floor():
 
 def test_k_floor_first_phase_already_done():
     cfg, params, x, y = schedule_net(seed=5, scale=3.0)
-    sched = bounds.init_spectra(cfg, params, x)
+    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
     clam0, c00 = loss(cfg, params, x, y, 0.01)
     # huge lambda override makes 2*lam*m_lambda exceed the initial loss
     sched = bounds.thm2_schedule(sched, cfg, 0.3, 1e-3, 1.4,
@@ -490,6 +541,8 @@ def test_balanced_power_gap_exact_and_perturbed():
 def test_ntk_and_large_lr_bounds():
     assert bounds.ntk_lower_bound(2.5, 0.5, 4, 2.0, 3) == pytest.approx(
         (2.0) ** 2 * 3 / (16 * 4.0), rel=1e-12)
+    with pytest.raises(bounds.VacuousBound, match="no linear layer"):
+        bounds.ntk_lower_bound(2.5, 0.5, 4, 2.0, 0)  # a floor of 0 says nothing
     v = bounds.large_lr_kappa_bound(c_ntk=8.0, l2=3, m=2, k=4, r=2.0,
                                     sK_y=2.5, eps1=0.5)
     assert v == pytest.approx(math.sqrt(24.0) * 4 * 2 / (math.sqrt(2) * 2.0),

@@ -933,6 +933,24 @@ def test_vacuous_weak_alignment_bound_is_reported_vacuous(tmp_path, capsys):
     assert "evaluated 6 bounds, 3 hold" in capsys.readouterr().out
 
 
+def test_ntk_floor_of_a_net_without_linear_layers_is_vacuous(tmp_path, capsys):
+    # with L2 = 0 the floor margin^2 L2 / (K r)^2 is 0, which every NTK norm meets
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["network"].update({"widths": [8, 4, 3], "l1": 3})
+    cfg["train"]["steps"] = 50
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    bounds_out = json.loads((out / "report.json").read_text())["bounds"]
+    rep = bounds_out["reports"]["ntk_lower"]
+    assert rep["holds"] == "vacuous" and rep["value"] is None
+    assert rep["premises"] == {"eps1_small": True}
+    assert "no linear layer" in rep["detail"]["vacuous_reason"]
+    assert rep["measured"] == bounds_out["ntk"]["theta_opnorm"] > 0
+    assert "evaluated 6 bounds, 0 hold" in capsys.readouterr().out
+
+
 def test_bounds_reads_s_k_of_y_from_the_class_counts(tmp_path):
     # perfbench's `wide` config at 0 steps: 10 classes of 20 samples
     cfg = json.loads(json.dumps(BASE_CONFIG))

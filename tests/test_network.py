@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,25 @@ def test_forward_evaluates_one_normal_cdf_per_nonlinear_layer(monkeypatch):
     # the activation written through its derivative is the activation
     for w, below, z in zip(params.weights, trace.z, trace.z[1:cfg.l1 + 1]):
         np.testing.assert_allclose(z, act_apply(SMOOTH, w @ below), rtol=0, atol=0)
+
+
+def test_one_shot_forward_keeps_only_layer_outputs_and_dact():
+    # the work pairs of act_grad and act_apply are not part of the trace
+    cfg = NetworkConfig(input_dim=49, widths=(256, 64, 10, 10), l1=2, l2=2,
+                        activation=SMOOTH)
+    rng = np.random.default_rng(0)
+    params = ParamSet([rng.standard_normal(cfg.layer_shape(i)) / 8.0 for i in range(1, 5)])
+    x = np.asfortranarray(rng.random((49, 4000)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = forward(cfg, params, x)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.scratch is None
+    kept = sum(a.nbytes for a in trace.z[1:] + trace.dact)
+    assert kept <= retained <= kept + 64 * 1024
 
 
 def test_fused_activation_matches_the_mollified_form():
