@@ -31,18 +31,10 @@ class BoundReport:
     name: str
     value: float | None = None        # right-hand side of the bound
     measured: float | None = None     # measured counterpart
+    margin: float | None = None       # value - measured; measured - value if a lower bound
     premises: dict = field(default_factory=dict)
     holds: str = VACUOUS
     detail: dict = field(default_factory=dict)
-
-    def resolve(self, lower_bound: bool = False) -> "BoundReport":
-        """Set holds/violated/vacuous from premises and the comparison."""
-        if not all(self.premises.values()) or self.value is None or self.measured is None:
-            self.holds = VACUOUS
-            return self
-        ok = self.measured >= self.value if lower_bound else self.measured <= self.value
-        self.holds = HOLDS if ok else VIOLATED
-        return self
 
 
 @dataclass(frozen=True)
@@ -184,16 +176,22 @@ def _s_min(a: np.ndarray) -> float:
     return float(densemat.svd(a, compute_uv=False, extremes=True).s[1])
 
 
-def init_spectra(cfg: NetworkConfig, params0: ParamSet, trace0: ForwardTrace) -> Thm2Schedule:
-    """Singular-value bookkeeping of the weights and of Z_1 = sigma(W_1 X) in
-    `trace0`, params0's trace, with the local PL constant and ball radius."""
+def schedule_gamma(cfg: NetworkConfig) -> float:
+    """The activation's gamma on a net the GD schedule covers; ValueError on
+    any other, so that a caller can refuse one before tracing it."""
     if cfg.depth < 3:
         raise ValueError("the GD schedule machinery needs depth >= 3")
     if cfg.l1 < 1:
         raise ValueError("the GD schedule needs l1 >= 1: lambda_F is sigma_min(sigma(W_1 X))")
-    gamma = cfg.activation.gamma
-    if gamma is None:
+    if cfg.activation.gamma is None:
         raise ValueError("activation must have a gamma slope parameter")
+    return cfg.activation.gamma
+
+
+def init_spectra(cfg: NetworkConfig, params0: ParamSet, trace0: ForwardTrace) -> Thm2Schedule:
+    """Singular-value bookkeeping of the weights and of Z_1 = sigma(W_1 X) in
+    `trace0`, params0's trace, with the local PL constant and ball radius."""
+    gamma = schedule_gamma(cfg)
     sched = Thm2Schedule()
     op_norms = {}
     for layer in range(1, cfg.depth + 1):
@@ -294,6 +292,8 @@ def pl_check(cfg: NetworkConfig, x: np.ndarray, y: np.ndarray, trajectory,
              sched: Thm2Schedule, lam: float, eta: float) -> BoundReport:
     """Shifted-PL inequality, geometric decay and the first-phase exit bound,
     checked at recorded steps whose parameters stayed in the ball B(theta0, r0).
+    It reports no value, so it sets its label from the three checks itself:
+    `bound_report` would make it vacuous. `nclab bounds` does not run it.
     """
     rep = BoundReport(name="pl_decay")
     alpha, r0, m_lam = sched.alpha, sched.r0, sched.m_lambda
@@ -352,30 +352,38 @@ def balanced_power_gap(cfg: NetworkConfig, params: ParamSet, r: float,
                        eps2: float, op_norms: dict) -> BoundReport:
     """||(W_L W_L^T)^{L2} - W_{L:L1+1} W_{L:L1+1}^T||_op vs (L2^2/2) eps2 r^{2(L2-1)};
     `op_norms` maps each linear layer l to ||W_l||_op."""
-    rep = BoundReport(name="balanced_power_gap")
     l2 = cfg.l2
-    rep.premises["weights_bounded_by_r"] = all(
-        op_norms[l] <= r * (1 + 1e-12) for l in range(cfg.l1 + 1, cfg.depth + 1))
+    bounded = all(op_norms[l] <= r * (1 + 1e-12) for l in range(cfg.l1 + 1, cfg.depth + 1))
     w_l = params.weights[-1]
     prod = partial_product(cfg, params, cfg.depth, cfg.l1 + 1)
-    rep.measured = densemat.op_norm(np.linalg.matrix_power(w_l @ w_l.T, l2) - prod @ prod.T)
-    rep.value = 0.5 * l2 ** 2 * eps2 * r ** (2 * (l2 - 1))
-    return rep.resolve()
+    return bound_report(
+        "balanced_power_gap", {"weights_bounded_by_r": bounded},
+        lambda: 0.5 * l2 ** 2 * eps2 * r ** (2 * (l2 - 1)),
+        densemat.op_norm(np.linalg.matrix_power(w_l @ w_l.T, l2) - prod @ prod.T))
 
 
 def bound_report(name: str, premises: dict, rhs, measured: float | None,
                  lower: bool = False) -> BoundReport:
-    """Report for the bound value `rhs()` against `measured`; vacuous, with
-    the reason, when `rhs` raises or the measured value is undefined."""
-    rep = BoundReport(name=name, measured=measured, premises=dict(premises))
+    """Report for the bound value `rhs()` against `measured`, labelled by the
+    one rule: vacuous on a failed premise or a missing number (with the reason
+    when `rhs` raises or `measured` is None), else holds iff the margin is >= 0.
+    A callable premise is decided on the value, and left out without one."""
+    rep = BoundReport(name=name, measured=measured)
     try:
         rep.value = rhs()
     except (VacuousBound, ValueError) as exc:
         rep.detail["vacuous_reason"] = str(exc)
-        return rep
-    if measured is None:
+    rep.premises = {key: bool(p(rep.value)) if callable(p) else p
+                    for key, p in premises.items() if rep.value is not None or not callable(p)}
+    if rep.value is not None and measured is None:
         rep.detail["vacuous_reason"] = "measured value undefined on this state"
-    return rep.resolve(lower_bound=lower)
+    elif rep.value is not None:
+        hi, lo = (measured, rep.value) if lower else (rep.value, measured)
+        # equal infinities tie instead of giving NaN; a NaN input gives NaN, which fails
+        rep.margin = float(hi) - float(lo) if hi != lo else 0.0
+        if all(rep.premises.values()):
+            rep.holds = HOLDS if rep.margin >= 0 else VIOLATED
+    return rep
 
 
 @dataclass
@@ -436,12 +444,9 @@ def thm1_verdicts(cfg: NetworkConfig, params: ParamSet, rep, sK_y: float,
         "thm1_kappa", premises, lambda: thm1_kappa_rhs(inp), kappa_wl)
     out.reports["thm1_nc2"] = bound_report(
         "thm1_nc2", premises, lambda: thm1_nc2_rhs(inp, kappa()), nc2)
-    nc3_rep = bound_report(
-        "thm1_nc3", premises, lambda: thm1_nc3_rhs(inp, kappa()), nc3, lower=True)
-    if nc3_rep.value is not None:  # a cosine is >= -1, so a lower RHS says nothing
-        nc3_rep.premises["nontrivial"] = bool(nc3_rep.value >= -1.0)
-        nc3_rep.resolve(lower_bound=True)
-    out.reports["thm1_nc3"] = nc3_rep
+    out.reports["thm1_nc3"] = bound_report(  # a cosine is >= -1: a lower RHS says nothing
+        "thm1_nc3", {**premises, "nontrivial": lambda v: v >= -1.0},
+        lambda: thm1_nc3_rhs(inp, kappa()), nc3, lower=True)
     gap = balanced_power_gap(cfg, params, rep.r, rep.eps2, rep.op_norms)
     if kappa_wl is not None:
         gap.detail["kappa_w_l"] = kappa_wl
@@ -472,13 +477,9 @@ def large_lr_kappa_bound(c_ntk: float, l2: int, m: int, k: int, r: float,
 def scan_partial_product_kappa(cfg: NetworkConfig, params: ParamSet, m: int,
                                bound: float) -> BoundReport:
     """Find a layer l in {L1+1..L1+M} with cond(W_{L:l}) within the cap."""
-    rep = BoundReport(name="large_lr_kappa_scan", value=bound)
-    kappas = {}
-    for l in range(cfg.l1 + 1, cfg.l1 + m + 1):
-        kappas[l] = densemat.cond(partial_product(cfg, params, cfg.depth, l))
-    rep.detail["kappas"] = kappas
+    kappas = {l: densemat.cond(partial_product(cfg, params, cfg.depth, l))
+              for l in range(cfg.l1 + 1, cfg.l1 + m + 1)}
     best_l = min(kappas, key=kappas.get)
-    rep.measured = kappas[best_l]
-    rep.detail["layer"] = best_l
-    rep.premises["scanned"] = True
-    return rep.resolve()
+    rep = bound_report("large_lr_kappa_scan", {"scanned": True}, lambda: bound, kappas[best_l])
+    rep.detail.update(kappas=kappas, layer=best_l)
+    return rep

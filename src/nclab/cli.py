@@ -439,6 +439,7 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     try:
         if params_init is None:
             raise ValueError("no params_init.npz: the run did not store its parameters")
+        bounds_mod.schedule_gamma(net)  # refuses an uncovered net before theta_0 is traced
         trace0 = forward(net, params_init, ds.x)
         c_lam0, c00 = loss(net, params_init, ds.x, ds.y, cfg["train"]["lam"], trace0)
         sched = bounds_mod.thm2_schedule(
@@ -482,6 +483,13 @@ def cmd_bounds(run_dir) -> int:
     payload = evaluate_bounds(cfg, net, ds, params, params_init)
     report["bounds"] = payload
     write_json(report_path, report)
+    for name, r in payload["reports"].items():
+        line = f"{name}: {r['holds']}, margin {r['margin']!r}"
+        if r["holds"] == "vacuous":
+            failed = [key for key, ok in r["premises"].items() if not ok]
+            line += (f", failed premises: {', '.join(failed)}" if failed
+                     else f", {r['detail']['vacuous_reason']}")
+        print(line)
     n_holds = sum(1 for r in payload["reports"].values() if r["holds"] == "holds")
     print(f"evaluated {len(payload['reports'])} bounds, {n_holds} hold")
     return EXIT_OK

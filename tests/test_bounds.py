@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclab import bounds, cli, data, densemat, metrics, network
 from nclab.network import ActivationSpec, NetworkConfig, ParamSet, act_apply, forward, loss
@@ -566,15 +568,61 @@ def test_scan_partial_product_kappa():
 
 
 def test_bound_report_resolution_rules():
-    rep = bounds.BoundReport(name="x", value=1.0, measured=0.5,
-                             premises={"p": True})
-    assert rep.resolve().holds == bounds.HOLDS
-    rep = bounds.BoundReport(name="x", value=1.0, measured=2.0,
-                             premises={"p": True})
-    assert rep.resolve().holds == bounds.VIOLATED
-    rep = bounds.BoundReport(name="x", value=1.0, measured=0.5,
-                             premises={"p": False})
-    assert rep.resolve().holds == bounds.VACUOUS
-    rep = bounds.BoundReport(name="x", value=1.0, measured=2.0,
-                             premises={"p": True})
-    assert rep.resolve(lower_bound=True).holds == bounds.HOLDS
+    def report(value, measured, ok=True, lower=False):
+        return bounds.bound_report("x", {"p": ok}, lambda: value, measured, lower=lower)
+
+    assert (report(1.0, 0.5).holds, report(1.0, 0.5).margin) == (bounds.HOLDS, 0.5)
+    assert (report(1.0, 2.0).holds, report(1.0, 2.0).margin) == (bounds.VIOLATED, -1.0)
+    # a failed premise keeps the margin
+    assert (report(1.0, 0.5, ok=False).holds,
+            report(1.0, 0.5, ok=False).margin) == (bounds.VACUOUS, 0.5)
+    assert (report(1.0, 2.0, lower=True).holds,
+            report(1.0, 2.0, lower=True).margin) == (bounds.HOLDS, 1.0)
+
+
+def test_bound_report_without_a_number_has_no_margin():
+    def undefined():
+        raise bounds.VacuousBound("no value")
+
+    rep = bounds.bound_report("x", {"p": True, "q": lambda v: v > 0}, undefined, 1.0)
+    assert (rep.holds, rep.margin, rep.premises) == (bounds.VACUOUS, None, {"p": True})
+    assert rep.detail == {"vacuous_reason": "no value"}
+    rep = bounds.bound_report("x", {"q": lambda v: v > 0}, lambda: 2.0, None)
+    assert (rep.holds, rep.margin, rep.premises) == (bounds.VACUOUS, None, {"q": True})
+    assert rep.detail == {"vacuous_reason": "measured value undefined on this state"}
+
+
+def _compared(value, measured, lower):
+    """The label of a report with its premises met, by the direct comparison
+    the margin replaced."""
+    ok = measured >= value if lower else measured <= value
+    return bounds.HOLDS if ok else bounds.VIOLATED
+
+
+TINY = 5e-324  # the least subnormal
+EDGE_FLOATS = [0.0, -0.0, TINY, -TINY, 2 * TINY, 2.2250738585072014e-308,
+               math.nextafter(2.2250738585072014e-308, 0.0), 1.0, math.nextafter(1.0, 2.0),
+               math.nextafter(1.0, 0.0), -1.0, 1.7976931348623157e308,
+               -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("lower", [False, True])
+@pytest.mark.parametrize("as_float", [float, np.float64])
+def test_margin_label_matches_the_comparison_on_edge_floats(lower, as_float):
+    # ties, one-ulp and subnormal gaps, signed zeros, overflowing differences,
+    # infinities and NaN; numpy scalars must not warn on any of them
+    for value in EDGE_FLOATS:
+        for measured in EDGE_FLOATS:
+            v, m = as_float(value), as_float(measured)
+            rep = bounds.bound_report("x", {}, lambda: v, m, lower=lower)
+            assert rep.holds == _compared(v, m, lower), (value, measured)
+            assert type(rep.margin) is float
+            assert (rep.margin >= 0) == (rep.holds == bounds.HOLDS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(), st.floats(), st.booleans())
+def test_margin_label_matches_the_comparison(value, measured, lower):
+    rep = bounds.bound_report("x", {}, lambda: value, measured, lower=lower)
+    assert rep.holds == _compared(value, measured, lower)
+    assert (rep.margin >= 0) == (rep.holds == bounds.HOLDS)

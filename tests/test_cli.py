@@ -887,15 +887,21 @@ def test_bounds_refuses_data_other_than_the_training_data(tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
-def _linear_only_head_bounds(tmp_path) -> dict:
-    """`bounds` block of a trained l1 = 0 net: the whole network is the
-    linear head W_{L:1}."""
+def _linear_only_head_run(tmp_path) -> Path:
+    """Run directory of a trained l1 = 0 net: the whole network is the linear
+    head W_{L:1}."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["network"].update({"widths": [6, 4, 3], "l1": 0})
     cfg["train"]["eta"] = 0.01
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)]) == cli.EXIT_OK
+    return out
+
+
+def _linear_only_head_bounds(tmp_path) -> dict:
+    """`bounds` block of the net of `_linear_only_head_run`."""
+    out = _linear_only_head_run(tmp_path)
     assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
     return json.loads((out / "report.json").read_text())["bounds"]
 
@@ -923,6 +929,36 @@ def test_bounds_on_a_linear_only_head_reports_the_schedule_error(tmp_path):
     assert set(bounds_out["schedule"]) == {"error"}
     assert "l1 >= 1" in bounds_out["schedule"]["error"]
     assert {"measured", "reports", "ntk"} <= set(bounds_out)
+
+def test_bounds_does_not_trace_theta0_of_a_net_the_schedule_refuses(tmp_path, monkeypatch):
+    out = _linear_only_head_run(tmp_path)
+    calls = []
+    real = cli.forward
+    monkeypatch.setattr(cli, "forward", lambda *args: calls.append(1) or real(*args))
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    assert len(calls) == 1  # the final state; l1 = 0 is refused before theta_0
+
+
+def test_bounds_prints_one_line_per_verdict(tmp_path, capsys):
+    out = _linear_only_head_run(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    *lines, summary = capsys.readouterr().out.splitlines()
+    reports = json.loads((out / "report.json").read_text())["bounds"]["reports"]
+    assert summary == "evaluated 6 bounds, 3 hold"
+    assert sorted(line.split(": ", 1)[0] for line in lines) == sorted(reports)
+    for line in lines:
+        name, rest = line.split(": ", 1)
+        rep = reports[name]
+        label, margin, *why = rest.split(", ", 2)
+        assert (label, margin) == (rep["holds"], f"margin {rep['margin']!r}"), line
+        if label == "vacuous":
+            failed = [key for key, ok in rep["premises"].items() if not ok]
+            assert why == [f"failed premises: {', '.join(failed)}" if failed
+                           else rep["detail"]["vacuous_reason"]], line
+        else:
+            assert why == [] and (rep["margin"] >= 0) == (label == "holds"), line
+
 
 def test_vacuous_weak_alignment_bound_is_reported_vacuous(tmp_path, capsys):
     # on this net the NC3 lower bound falls below -1, where every cosine lies

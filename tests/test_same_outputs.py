@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -19,11 +20,40 @@ def test_one_differing_byte_is_reported_with_its_file_and_line(tmp_path):
     files = {"cmd0.exit": b"0\n", "run/report.json": b'{\n "a": 1,\n "b": 2.5\n}\n',
              "run/metrics.csv": b"step,c0\n0,1.0\n"}
     a = _tree(tmp_path / "a", files)
-    b = _tree(tmp_path / "b", {**files, "run/report.json": b'{\n "a": 1,\n "b": 2.6\n}\n'})
+    b = _tree(tmp_path / "b", {**files, "run/metrics.csv": b"step,c0\n0,1.5\n"})
     assert same_outputs.first_difference(a, a) is None
-    assert same_outputs.first_difference(a, b) == "run/report.json line 3"
+    assert same_outputs.first_difference(a, b) == "run/metrics.csv line 2"
     (b / "run" / "extra.csv").write_bytes(b"")
     assert same_outputs.first_difference(a, b) == "run/extra.csv: on one side only"
+
+
+def _report(margin: bool, holds: str = "holds", value: float = 1.0) -> bytes:
+    rep = {"holds": holds, "value": value, **({"margin": 0.5} if margin else {})}
+    return json.dumps({"bounds": {"reports": {"thm1_nc1": rep}, "order": [1, 2]}},
+                      indent=2, sort_keys=True).encode()
+
+
+def test_a_json_file_is_reported_with_its_first_differing_key(tmp_path):
+    a = _tree(tmp_path / "a", {"run/report.json": _report(margin=False)})
+    b = _tree(tmp_path / "b", {"run/report.json": _report(margin=True)})
+    assert same_outputs.first_difference(a, b) == \
+        "run/report.json key bounds/reports/thm1_nc1/margin: on one side only"
+    (b / "run" / "report.json").write_bytes(_report(margin=False, holds="violated"))
+    assert same_outputs.first_difference(a, b) == "run/report.json key bounds/reports/thm1_nc1/holds"
+    # an int where a float was is a difference, though 1 == 1.0
+    (b / "run" / "report.json").write_bytes(_report(margin=False, value=1))
+    assert same_outputs.first_difference(a, b) == "run/report.json key bounds/reports/thm1_nc1/value"
+    (b / "run" / "report.json").write_bytes(_report(margin=False).replace(b"2\n", b"2,\n 3\n"))
+    assert same_outputs.first_difference(a, b) == "run/report.json key bounds/order/2: on one side only"
+
+
+def test_json_that_parses_equal_or_not_at_all_falls_back_to_the_line(tmp_path):
+    a = _tree(tmp_path / "a", {"x.json": b'{"a": 2.5}\n', "y.json": b"{not json\n"})
+    b = _tree(tmp_path / "b", {"x.json": b'{"a": 2.50}\n', "y.json": b"{not json\n"})
+    assert same_outputs.first_difference(a, b) == "x.json line 1"
+    (b / "x.json").write_bytes(b'{"a": 2.5}\n')
+    (b / "y.json").write_bytes(b"{still not json\n")
+    assert same_outputs.first_difference(a, b) == "y.json line 1"
 
 
 def test_verify_timings_are_masked_in_stdout_only(tmp_path):

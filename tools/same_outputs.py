@@ -17,8 +17,10 @@ from the sequence's own directory with relative paths and one BLAS thread,
 and its exit code, stdout and stderr are kept as files beside what it wrote.
 The two directories of a sequence are then compared byte for byte, with
 verify's per-check timings, such as `(0.01s)`, masked in stdout. One line per
-sequence names the first differing file and line; the exit status is 1 on
-any difference.
+sequence names the first differing file and, in a `.json` file, the path of
+its first differing key (`report.json key bounds/reports/thm1_nc1/margin: on
+one side only`) or, in any other file, its first differing line; the exit
+status is 1 on any difference.
 """
 
 from __future__ import annotations
@@ -88,18 +90,47 @@ def _contents(path: Path) -> bytes:
     return TIMING.sub(b"(...s)", data) if path.suffix == ".stdout" else data
 
 
+def _json_difference(x, y, path: str = "") -> str | None:
+    """Slash-joined path of the first key or list index, in sorted order, at
+    which the JSON values `x` and `y` differ, with ": on one side only" when
+    one of them lacks it; None when they are equal or differ at the top."""
+    if isinstance(x, (dict, list)) and type(x) is type(y):
+        x, y = (v if isinstance(v, dict) else dict(enumerate(v)) for v in (x, y))
+        for key in sorted(x.keys() | y.keys()):
+            where = f"{path}/{key}" if path else str(key)
+            if (key in x) != (key in y):
+                return f"{where}: on one side only"
+            found = _json_difference(x[key], y[key], where)
+            if found is not None:
+                return found
+        return None
+    return None if type(x) is type(y) and x == y else path or None
+
+
+def _json_key(a: bytes, b: bytes) -> str | None:
+    try:
+        return _json_difference(json.loads(a), json.loads(b))
+    except ValueError:
+        return None
+
+
 def first_difference(a: Path, b: Path) -> str | None:
     """The first file, in sorted order, that only one of the directories `a`
-    and `b` holds or whose bytes differ, with its first differing line; None
-    when both hold the same files with the same bytes."""
+    and `b` holds or whose bytes differ, with its first differing key path
+    for JSON or else its first differing line; None when both hold the same
+    files with the same bytes."""
     names = sorted({p.relative_to(d) for d in (a, b) for p in d.rglob("*") if p.is_file()})
     for name in names:
         if not ((a / name).is_file() and (b / name).is_file()):
             return f"{name}: on one side only"
-        lines = zip_longest(*(_contents(d / name).split(b"\n") for d in (a, b)))
-        line = next((i for i, (x, y) in enumerate(lines, 1) if x != y), None)
-        if line is not None:
-            return f"{name} line {line}"
+        x, y = (_contents(d / name) for d in (a, b))
+        if x == y:
+            continue
+        key = _json_key(x, y) if name.suffix == ".json" else None
+        if key is not None:
+            return f"{name} key {key}"
+        lines = zip_longest(x.split(b"\n"), y.split(b"\n"))
+        return f"{name} line {next(i for i, (u, v) in enumerate(lines, 1) if u != v)}"
     return None
 
 
