@@ -5,17 +5,22 @@ Lipschitz lemmas; and the conditioning / NTK bounds.
 
 Every evaluator is a pure function of its numeric inputs. A failed premise or
 non-positive denominator makes a bound *vacuous*, never silently clamped.
+`nclab bounds` and `nclab verify` reach them on one path: `run_context` once
+per data set and theta_0, then `state_verdicts` per state.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import densemat
-from .network import ForwardTrace, NetworkConfig, ParamSet, gradient, partial_product
+from . import densemat, ntk
+from .data import Dataset
+from .network import (ForwardTrace, NetworkConfig, ParamSet, forward, gradient, loss,
+                      partial_product)
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -50,9 +55,6 @@ class Thm1Inputs:
     l1: int
     l2: int
     c3: float | None = None
-
-    def eps1_premise(self) -> bool:
-        return bool(self.eps1 <= min(self.sK_y, _eps1_cap(self.k, self.n)))
 
 
 def _eps1_cap(k: int, n: int) -> float:
@@ -125,7 +127,7 @@ def thm1_nc2_rhs(inp: Thm1Inputs, kappa_wl: float) -> float:
 
 def thm1_nc3_rhs(inp: Thm1Inputs, kappa_wl: float) -> float:
     """Lower bound on the feature/weight alignment; may be vacuous-weak (< -1),
-    which `thm1_verdicts` reports as a failed `nontrivial` premise."""
+    which `state_verdicts` reports as a failed `nontrivial` premise."""
     p = psi(inp)
     num = ((math.sqrt(inp.n) - inp.eps1) ** 2
            + inp.n / kappa_wl ** 2
@@ -386,15 +388,6 @@ def bound_report(name: str, premises: dict, rhs, measured: float | None,
     return rep
 
 
-@dataclass
-class Thm1Verdicts:
-    inputs: Thm1Inputs
-    reports: dict                # bound name -> BoundReport
-    w_l: densemat.SvdResult      # densemat.svd(W_L), for residual_to_pinv
-    kappa_w_l: float | None      # cond(W_L)
-    kappa_prod: float | None     # cond(W_{L:L1+1})
-
-
 THM1_LINEAR_BOUNDS = ("thm1_kappa", "thm1_nc2", "thm1_nc3", "balanced_power_gap")
 
 
@@ -405,14 +398,50 @@ def _cond_or_none(a: np.ndarray, rank_tol: float) -> float | None:
         return None
 
 
-def thm1_verdicts(cfg: NetworkConfig, params: ParamSet, rep, sK_y: float,
-                  x_opnorm: float, n: int,
-                  rank_tol: float = densemat.DEFAULT_RANK_TOL) -> Thm1Verdicts:
-    """Theorem-1 and balanced-power-gap reports of a state, reading NC1/NC2/NC3
-    of Z_{L-1}, eps1/eps2/r and the linear layers' norms from its
-    `metrics.measure` report `rep` (taken at `rank_tol`); one svd of W_L gives
-    cond(W_L). The bounds on the linear head need L2 >= 2. A quantity that
-    cannot be computed makes its reports vacuous, with the reason."""
+@dataclass
+class RunContext:
+    """What every state of one run shares."""
+    ds: Dataset
+    rank_tol: float
+    x_opnorm: float
+    spectra: Thm2Schedule | dict  # theta_0's, with its C_lambda, c_0 and norm; or {"error": why}
+
+
+def _schedule_or_error(fn):
+    try:
+        return fn()
+    except (ValueError, VacuousBound) as exc:
+        return {"error": str(exc)}
+    except OverflowError as exc:  # e.g. the Lipschitz constant's float power
+        return {"error": f"the GD schedule overflows a float: {exc}"}
+
+
+def run_context(cfg: NetworkConfig, ds: Dataset, lam: float, params0: ParamSet | None,
+                rank_tol: float) -> RunContext:
+    """The context of a run of `cfg` on `ds` with weight decay `lam` from `params0`
+    (None if the run did not store it); theta_0's one trace is dropped here."""
+    def spectra():
+        if params0 is None:
+            raise ValueError("no params_init.npz: the run did not store its parameters")
+        schedule_gamma(cfg)  # refuses an uncovered net before theta_0 is traced
+        trace0 = forward(cfg, params0, ds.x)
+        sched = init_spectra(cfg, params0, trace0)
+        sched.c_lambda_init, sched.c0_init = loss(cfg, params0, ds.x, ds.y, lam, trace0)
+        sched.theta0_norm = params0.norm()
+        return sched
+
+    return RunContext(ds, rank_tol, densemat.op_norm(ds.x), _schedule_or_error(spectra))
+
+
+def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
+                   trace: ForwardTrace, rep) -> dict:
+    """The `measured`, `reports` and `schedule` blocks of a state of `ctx`'s
+    run, from its trace and its `metrics.measure` report `rep` (at
+    `ctx.rank_tol`); one svd of W_L gives cond(W_L) and `residual_to_pinv`.
+    The bounds on the linear head need L2 >= 2. A quantity that cannot be
+    computed makes its reports vacuous, with the reason."""
+    ds, rank_tol = ctx.ds, ctx.rank_tol
+    k, n = cfg.n_classes, ds.x.shape[1]
     w_l = densemat.svd(params.weights[-1])
     kappa_wl = _cond_or_none(w_l, rank_tol)
     kappa_prod = kappa_wl if cfg.l2 == 1 else None  # W_{L:L} = W_L
@@ -420,40 +449,48 @@ def thm1_verdicts(cfg: NetworkConfig, params: ParamSet, rep, sK_y: float,
         kappa_prod = _cond_or_none(partial_product(cfg, params, cfg.depth, cfg.l1 + 1),
                                    rank_tol)
     inp = Thm1Inputs(eps1=rep.eps1, eps2=rep.eps2, r=rep.r,
-                     n_lminus1=cfg.widths[cfg.depth - 2], k=cfg.n_classes, n=n,
-                     sK_y=sK_y, x_opnorm=x_opnorm, l1=cfg.l1, l2=cfg.l2,
-                     c3=kappa_prod)
-    out = Thm1Verdicts(inp, reports={}, w_l=w_l, kappa_w_l=kappa_wl, kappa_prod=kappa_prod)
+                     n_lminus1=cfg.widths[cfg.depth - 2], k=k, n=n, sK_y=ds.idx.sK_y,
+                     x_opnorm=ctx.x_opnorm, l1=cfg.l1, l2=cfg.l2, c3=kappa_prod)
     head = next((lm for lm in rep.layers if lm.layer == cfg.depth - 1), None)
     nc1, nc2, nc3 = (head.nc1, head.nc2, head.nc3) if head else (None,) * 3
-    premises = {"eps1_small": inp.eps1_premise()}
+    premises = {"eps1_small": bool(inp.eps1 <= min(inp.sK_y, _eps1_cap(k, n)))}
 
     def kappa():
         if kappa_wl is None:
             raise ValueError("cond(W_L) is undefined")
         return kappa_wl
 
-    out.reports["thm1_nc1"] = bound_report("thm1_nc1", premises,
-                                           lambda: thm1_nc1_rhs(inp), nc1)
+    reports = {"thm1_nc1": bound_report("thm1_nc1", premises,
+                                        lambda: thm1_nc1_rhs(inp), nc1)}
     if cfg.l2 < 2:
-        for name in THM1_LINEAR_BOUNDS:
-            out.reports[name] = BoundReport(
-                name=name, premises={"has_linear_interface": False})
-        return out
-    out.reports["thm1_kappa"] = bound_report(
-        "thm1_kappa", premises, lambda: thm1_kappa_rhs(inp), kappa_wl)
-    out.reports["thm1_nc2"] = bound_report(
-        "thm1_nc2", premises, lambda: thm1_nc2_rhs(inp, kappa()), nc2)
-    out.reports["thm1_nc3"] = bound_report(  # a cosine is >= -1: a lower RHS says nothing
-        "thm1_nc3", {**premises, "nontrivial": lambda v: v >= -1.0},
-        lambda: thm1_nc3_rhs(inp, kappa()), nc3, lower=True)
-    gap = balanced_power_gap(cfg, params, rep.r, rep.eps2, rep.op_norms)
-    if kappa_wl is not None:
-        gap.detail["kappa_w_l"] = kappa_wl
-    if kappa_prod is not None:
-        gap.detail["kappa_prod_root"] = kappa_prod ** (1.0 / cfg.l2)
-    out.reports["balanced_power_gap"] = gap
-    return out
+        reports.update((name, BoundReport(name=name, premises={"has_linear_interface": False}))
+                       for name in THM1_LINEAR_BOUNDS)
+    else:
+        reports["thm1_kappa"] = bound_report(
+            "thm1_kappa", premises, lambda: thm1_kappa_rhs(inp), kappa_wl)
+        reports["thm1_nc2"] = bound_report(
+            "thm1_nc2", premises, lambda: thm1_nc2_rhs(inp, kappa()), nc2)
+        reports["thm1_nc3"] = bound_report(  # a cosine is >= -1: a lower RHS says nothing
+            "thm1_nc3", {**premises, "nontrivial": lambda v: v >= -1.0},
+            lambda: thm1_nc3_rhs(inp, kappa()), nc3, lower=True)
+        gap = balanced_power_gap(cfg, params, rep.r, rep.eps2, rep.op_norms)
+        if kappa_wl is not None:
+            gap.detail["kappa_w_l"] = kappa_wl
+        if kappa_prod is not None:
+            gap.detail["kappa_prod_root"] = kappa_prod ** (1.0 / cfg.l2)
+        reports["balanced_power_gap"] = gap
+
+    measured = {"eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r, "sK_y": inp.sK_y, "nc1": nc1,
+                "x_opnorm": inp.x_opnorm, "kappa_w_l": kappa_wl, "kappa_prod": kappa_prod}
+    with contextlib.suppress(VacuousBound, ValueError):
+        measured["residual_to_pinv"] = residual_to_pinv(
+            trace.z[cfg.depth - 1], w_l, ds.y, rank_tol)
+
+    s0 = ctx.spectra  # filled on a copy: it serves every state
+    schedule = s0 if isinstance(s0, dict) else _schedule_or_error(lambda: asdict(thm2_schedule(
+        replace(s0), cfg, max(rep.eps1, 1e-6), max(rep.eps2, 1e-8), ds.b, ctx.x_opnorm,
+        s0.theta0_norm, s0.c0_init, s0.c_lambda_init, k, n)))
+    return {"measured": measured, "reports": reports, "schedule": schedule}
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +501,18 @@ def ntk_lower_bound(sK_y: float, eps1: float, k: int, r: float, l2: int) -> floa
     if l2 < 1:  # the floor is then 0, and an NTK norm is never negative
         raise VacuousBound("no linear layer: the NTK floor is 0")
     return _sk_margin(eps1, sK_y) ** 2 * l2 / (k ** 2 * r ** 2)
+
+
+def ntk_verdict(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
+                state: dict) -> tuple:
+    """The `ntk` block and `ntk_lower` report of a state with trace `trace`
+    and `state_verdicts` blocks `state`, on the premise of `thm1_nc1`."""
+    nrep, m = ntk.ntk_opnorm(cfg, params, trace), state["measured"]
+    return ({"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
+             "residual": nrep.residual, "converged": nrep.converged},
+            bound_report("ntk_lower", state["reports"]["thm1_nc1"].premises,
+                         lambda: ntk_lower_bound(m["sK_y"], m["eps1"], cfg.n_classes,
+                                                 m["r"], cfg.l2), nrep.rho, lower=True))
 
 
 def large_lr_kappa_bound(c_ntk: float, l2: int, m: int, k: int, r: float,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import densemat, metrics
-from .network import ActivationSpec, NetworkConfig, ParamSet, forward, loss
+from .network import ActivationSpec, NetworkConfig, ParamSet, forward
 from .trainer import InitSpec, TrainConfig, lockstep_groups, train
 
 SCHEMA_VERSION = 1
@@ -403,53 +403,16 @@ def _train_into(cfg: dict, ds, out: Path, first_layer: int | None = None,
 
 def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     """Every applicable bound on a finished run, with premise flags."""
-    from . import bounds as bounds_mod, ntk  # here, so that train and sweep never load them
+    from . import bounds  # here, so that train and sweep never load it or ntk
     if net.depth < 2:
         raise ConfigError("bounds need a network with at least two layers")
-    rank_tol = cfg.get("bounds", {}).get("rank_tol", densemat.DEFAULT_RANK_TOL)
+    ctx = bounds.run_context(net, ds, cfg["train"]["lam"], params_init,
+                             cfg.get("bounds", {}).get("rank_tol", densemat.DEFAULT_RANK_TOL))
     trace = forward(net, params, ds.x)
-    rep = metrics.measure(net, params, trace, ds.y, ds.idx, rank_tol=rank_tol)
-    sK_y = ds.idx.sK_y
-    x_op = densemat.op_norm(ds.x)
-    k, n = net.n_classes, ds.x.shape[1]
-    thm1 = bounds_mod.thm1_verdicts(net, params, rep, sK_y, x_op, n, rank_tol)
-
-    out = {"measured": {
-        "eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r, "sK_y": sK_y,
-        "x_opnorm": x_op,
-        "nc1": thm1.reports["thm1_nc1"].measured,
-        "kappa_w_l": thm1.kappa_w_l, "kappa_prod": thm1.kappa_prod,
-    }, "reports": {name: asdict(r) for name, r in thm1.reports.items()}}
-
-    try:
-        out["measured"]["residual_to_pinv"] = bounds_mod.residual_to_pinv(
-            trace.z[net.depth - 1], thm1.w_l, ds.y, rank_tol)
-    except (bounds_mod.VacuousBound, ValueError):
-        pass
-
-    nrep = ntk.ntk_opnorm(net, params, trace)
-    del trace  # the final state's layer outputs, dropped before theta_0 is traced
-    out["ntk"] = {"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
-                  "residual": nrep.residual, "converged": nrep.converged}
-    out["reports"]["ntk_lower"] = asdict(bounds_mod.bound_report(
-        "ntk_lower", {"eps1_small": thm1.inputs.eps1_premise()},
-        lambda: bounds_mod.ntk_lower_bound(sK_y, rep.eps1, k, rep.r, net.l2),
-        nrep.rho, lower=True))
-
-    try:
-        if params_init is None:
-            raise ValueError("no params_init.npz: the run did not store its parameters")
-        bounds_mod.schedule_gamma(net)  # refuses an uncovered net before theta_0 is traced
-        trace0 = forward(net, params_init, ds.x)
-        c_lam0, c00 = loss(net, params_init, ds.x, ds.y, cfg["train"]["lam"], trace0)
-        sched = bounds_mod.thm2_schedule(
-            bounds_mod.init_spectra(net, params_init, trace0), net, max(rep.eps1, 1e-6),
-            max(rep.eps2, 1e-8), ds.b, x_op, params_init.norm(), c00, c_lam0, k, n)
-        out["schedule"] = asdict(sched)
-    except (ValueError, bounds_mod.VacuousBound) as exc:
-        out["schedule"] = {"error": str(exc)}
-    except OverflowError as exc:  # e.g. the Lipschitz constant's float power
-        out["schedule"] = {"error": f"the GD schedule overflows a float: {exc}"}
+    rep = metrics.measure(net, params, trace, ds.y, ds.idx, rank_tol=ctx.rank_tol)
+    out = bounds.state_verdicts(ctx, net, params, trace, rep)
+    out["ntk"], out["reports"]["ntk_lower"] = bounds.ntk_verdict(net, params, trace, out)
+    out["reports"] = {name: asdict(r) for name, r in out["reports"].items()}
     return out
 
 

@@ -56,8 +56,8 @@ def one_hot(labels, k: int) -> np.ndarray:
     return y
 
 
-def _make_dataset(x: np.ndarray, labels: np.ndarray, k: int,
-                  min_col_norm_one: bool = False) -> Dataset:
+def make_dataset(x: np.ndarray, labels: np.ndarray, k: int,
+                 min_col_norm_one: bool = False) -> Dataset:
     counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
         raise ValueError("every class needs at least one sample")
@@ -89,7 +89,7 @@ def synth_gaussian(d: int, k: int, n_per_class: int, class_sep: float = 4.0,
     x = np.empty((d, k * n_per_class), order="F")
     for c, block in enumerate(np.hsplit(x, k)):
         block[:] = class_sep * q[:, [c]] + noise * rng.standard_normal((d, n_per_class))
-    return _make_dataset(x, np.repeat(np.arange(k), n_per_class), k, min_col_norm_one)
+    return make_dataset(x, np.repeat(np.arange(k), n_per_class), k, min_col_norm_one)
 
 
 def read_idx(path) -> np.ndarray:
@@ -142,5 +142,5 @@ def load_idx(images_path, labels_path, subset: int | None = None,
         raise ValueError(f"not enough samples for classes {short}")
     keep = np.concatenate(cols)
     x = (images[keep].reshape(keep.size, -1) / 255.0).T  # F-ordered, as x always is
-    return _make_dataset(x, np.repeat(np.arange(len(classes)), [c.size for c in cols]),
-                         len(classes))
+    return make_dataset(x, np.repeat(np.arange(len(classes)), [c.size for c in cols]),
+                        len(classes))

@@ -2,7 +2,7 @@
 
 All matrices are 2-D float64 numpy arrays. The SVD is a one-sided Jacobi
 (Hestenes), and pinv and cond are derived from it. Only pinv reads
-singular vectors (the one svd of W_L in bounds.thm1_verdicts also gives
+singular vectors (the one svd of W_L in bounds.state_verdicts also gives
 cond(W_L)). svd(a, compute_uv=False) rotates B without accumulating V and
 skips building U; cond reads its whole spectrum only for a numerically
 rank-deficient input, and every other caller of singular values asks for

@@ -58,12 +58,11 @@ def make_thm1_instance(seed: int, eps1_scale: float = 1e-3,
     k = int(rng.integers(2, 6))
     l2 = int(rng.integers(2, 4))
     n_per = int(rng.integers(2, 5))
-    n = k * n_per
     width = k + int(rng.integers(0, 4))
     dims = [width] + [width] * (l2 - 1) + [k]
 
-    y = data.one_hot(np.repeat(np.arange(k), n_per), k)
-    idx = metrics.ClassIndex(tuple([n_per] * k))
+    labels = np.repeat(np.arange(k), n_per)
+    y = data.one_hot(labels, k)
     weights = make_balanced_chain(seed + 1, dims)
     cfg = NetworkConfig(input_dim=width, widths=tuple(dims[1:]), l1=0, l2=l2,
                         activation=SMOOTH)
@@ -80,26 +79,25 @@ def make_thm1_instance(seed: int, eps1_scale: float = 1e-3,
         j = int(rng.integers(0, l2 - 1))
         pert = rng.standard_normal(weights[j].shape)
         weights[j] = weights[j] + eps2_scale * pert / max(np.linalg.norm(pert), 1e-300)
-    return {"cfg": cfg, "params": ParamSet(weights), "x": x, "y": y, "idx": idx,
+    return {"cfg": cfg, "params": ParamSet(weights), "ds": data.make_dataset(x, labels, k),
             "seed": seed}
 
 
 def check_thm1_instance(inst: dict) -> tuple:
-    """Evaluate the Theorem-1 reports of `nclab bounds` on a constructed
-    instance: `metrics.measure` of Z_{L-1} and Z_L, then
-    `bounds.thm1_verdicts`.
+    """Evaluate the Theorem-1 reports of a constructed instance on the path
+    of `nclab bounds`: `bounds.run_context` without theta_0, `metrics.measure`
+    of Z_{L-1} and Z_L, then `bounds.state_verdicts`.
 
     Returns (ok, detail); every report must hold, except a vacuous-weak
     alignment bound (its `nontrivial` premise fails), which is skipped.
     """
-    cfg, params, x, y, idx = (inst["cfg"], inst["params"], inst["x"],
-                              inst["y"], inst["idx"])
-    rep = metrics.measure(cfg, params, forward(cfg, params, x), y, idx,
-                          first_layer=cfg.depth - 1)
-    verdicts = bounds.thm1_verdicts(cfg, params, rep, idx.sK_y, densemat.op_norm(x),
-                                    x.shape[1])
+    cfg, params, ds = inst["cfg"], inst["params"], inst["ds"]
+    ctx = bounds.run_context(cfg, ds, 0.0, None, densemat.DEFAULT_RANK_TOL)
+    trace = forward(cfg, params, ds.x)
+    rep = metrics.measure(cfg, params, trace, ds.y, ds.idx, first_layer=cfg.depth - 1)
+    reports = bounds.state_verdicts(ctx, cfg, params, trace, rep)["reports"]
     detail = {"seed": inst["seed"], "eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r}
-    for name, r in verdicts.reports.items():
+    for name, r in reports.items():
         detail[name] = (r.measured, r.value)
         if r.holds != bounds.HOLDS and r.premises.get("nontrivial", True):
             return False, {**detail, "failed": name, "holds": r.holds,

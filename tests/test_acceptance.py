@@ -230,6 +230,25 @@ def test_criterion_9_balancedness_ratio_collapse(pyramidal_run):
             f"interface {l}: {final:.3e} > 1% of {initial:.3e}")
 
 
+def test_acceptance_run_verdict_table(pyramidal_run):
+    # the table `nclab bounds` prints for this run: every bound holds
+    net, ds, params = pyramidal_run["net"], pyramidal_run["ds"], pyramidal_run["params"]
+    ctx = bounds.run_context(net, ds, pyramidal_run["tcfg"].lam,
+                             pyramidal_run["traj"].records[0].params,
+                             densemat.DEFAULT_RANK_TOL)
+    trace = forward(net, params, ds.x)
+    rep = metrics.measure(net, params, trace, ds.y, ds.idx, rank_tol=ctx.rank_tol)
+    state = bounds.state_verdicts(ctx, net, params, trace, rep)
+    _, state["reports"]["ntk_lower"] = bounds.ntk_verdict(net, params, trace, state)
+    reports = state["reports"]
+    assert {name: r.holds for name, r in reports.items()} == dict.fromkeys(
+        ("thm1_nc1", "thm1_kappa", "thm1_nc2", "thm1_nc3", "balanced_power_gap",
+         "ntk_lower"), bounds.HOLDS)
+    assert all(ok is True for r in reports.values() for ok in r.premises.values())
+    assert all(r.margin >= 0 for r in reports.values())
+    assert "error" not in state["schedule"]
+
+
 def test_criterion_10_balanced_label_identities():
     for k in (2, 4, 10):
         n_per = 6

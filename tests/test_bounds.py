@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -103,16 +104,23 @@ def test_thm1_suite_small_sample():
 
 def test_thm1_suite_runs_the_bounds_evaluator(monkeypatch):
     calls = []
-    real = bounds.thm1_verdicts
+    real = bounds.state_verdicts
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bounds, "thm1_verdicts", counting)
+    monkeypatch.setattr(bounds, "state_verdicts", counting)
     ok, detail = check_thm1_instance(make_thm1_instance(5000))
     assert ok, detail
     assert len(calls) == 1 and "balanced_power_gap" in detail
+    # `nclab bounds` runs the same evaluator, once per state
+    cfg = NetworkConfig(input_dim=6, widths=(8, 6, 5, 3), l1=2, l2=2, activation=SMOOTH)
+    ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
+    params = init_params(cfg, InitSpec(), 0)
+    calls.clear()
+    out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
+    assert len(calls) == 1 and "balanced_power_gap" in out["reports"]
     # a violated report fails the instance
     monkeypatch.setattr(bounds, "thm1_nc1_rhs", lambda inp: 0.0)
     ok, detail = check_thm1_instance(make_thm1_instance(5000))
@@ -149,12 +157,14 @@ def test_each_matrix_is_decomposed_once(monkeypatch, l1):
     assert len(seen) == len(set(seen)) > 0
     # measure + the Theorem-1 evaluator: only W_L comes twice (norm and svd)
     seen.clear()
-    rep = metrics.measure(cfg, params, forward(cfg, params, ds.x), ds.y, ds.idx)
-    verdicts = bounds.thm1_verdicts(cfg, params, rep, 2.0, 1.0, ds.x.shape[1])
+    ctx = bounds.run_context(cfg, ds, 0.01, None, densemat.DEFAULT_RANK_TOL)
+    trace = forward(cfg, params, ds.x)
+    rep = metrics.measure(cfg, params, trace, ds.y, ds.idx)
+    verdicts = bounds.state_verdicts(ctx, cfg, params, trace, rep)
     w_l = _digest(params.weights[-1])
     assert {h for h in seen if seen.count(h) > 1} == {w_l} and seen.count(w_l) == 2
-    assert verdicts.kappa_prod is not None
-    assert set(verdicts.reports) == {"thm1_nc1", *bounds.THM1_LINEAR_BOUNDS}
+    assert verdicts["measured"]["kappa_prod"] is not None
+    assert set(verdicts["reports"]) == {"thm1_nc1", *bounds.THM1_LINEAR_BOUNDS}
 
 
 def test_bounds_decompose_w_l_twice_and_y_never(monkeypatch):
@@ -184,14 +194,16 @@ def test_singular_vectors_are_built_only_for_pinv(monkeypatch):
 
     monkeypatch.setattr(densemat, "svd", recording)
     params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
-    rep = metrics.measure(cfg, params, forward(cfg, params, ds.x), ds.y, ds.idx)
-    bounds.thm1_verdicts(cfg, params, rep, 2.0, 1.0, ds.x.shape[1])
+    trace = forward(cfg, params, ds.x)
+    rep = metrics.measure(cfg, params, trace, ds.y, ds.idx)
+    ctx = bounds.run_context(cfg, ds, 0.01, None, densemat.DEFAULT_RANK_TOL)
+    bounds.state_verdicts(ctx, cfg, params, trace, rep)
     bounds.init_spectra(cfg, params, forward(cfg, params, ds.x))
     out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
     assert "residual_to_pinv" in out["measured"] and "error" not in out["schedule"]
-    # the one vector reader: thm1_verdicts' single SVD of W_L, which feeds the
+    # the one vector reader: state_verdicts' single SVD of W_L, which feeds the
     # pinv of residual_to_pinv (called here directly and through evaluate_bounds)
-    assert [name for name, uv in calls if uv] == ["nclab.bounds.thm1_verdicts"] * 2
+    assert [name for name, uv in calls if uv] == ["nclab.bounds.state_verdicts"] * 2
     assert sum(not uv for _, uv in calls) > len(calls) // 2
 
 
@@ -210,8 +222,10 @@ def test_only_op_norm_asks_for_the_top_singular_value(monkeypatch):
 
     monkeypatch.setattr(densemat, "svd", recording)
     params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
-    rep = metrics.measure(cfg, params, forward(cfg, params, ds.x), ds.y, ds.idx)
-    bounds.thm1_verdicts(cfg, params, rep, 2.0, 1.0, ds.x.shape[1])
+    trace = forward(cfg, params, ds.x)
+    rep = metrics.measure(cfg, params, trace, ds.y, ds.idx)
+    ctx = bounds.run_context(cfg, ds, 0.01, None, densemat.DEFAULT_RANK_TOL)
+    bounds.state_verdicts(ctx, cfg, params, trace, rep)
     bounds.init_spectra(cfg, params, forward(cfg, params, ds.x))
     cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
     from_op_norm = [(uv, top) for name, uv, top in calls if name == "nclab.densemat.op_norm"]
@@ -385,13 +399,33 @@ def test_lambda_f_from_the_trace_is_sigma_min_of_sigma_w1_x(widths, l1, d, k, n_
     assert sched.lambda_f == bounds._s_min(act_apply(SMOOTH, params.weights[0] @ x))
 
 
+def test_one_context_serves_every_state_unchanged():
+    cfg = NetworkConfig(input_dim=6, widths=(8, 6, 5, 3), l1=2, l2=2, activation=SMOOTH)
+    ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
+    params, traj = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=5), ds.x, ds.y, ds.idx)
+    params0 = traj.records[0].params
+    ctx = bounds.run_context(cfg, ds, 0.01, params0, densemat.DEFAULT_RANK_TOL)
+    spectra = asdict(ctx.spectra)
+
+    def verdicts(p):
+        trace = forward(cfg, p, ds.x)
+        rep = metrics.measure(cfg, p, trace, ds.y, ds.idx, rank_tol=ctx.rank_tol)
+        return bounds.state_verdicts(ctx, cfg, p, trace, rep)
+
+    final, initial, again = verdicts(params), verdicts(params0), verdicts(params)
+    assert "error" not in final["schedule"] and "error" not in initial["schedule"]
+    assert final["schedule"] != initial["schedule"]  # eps1 and eps2 moved the caps
+    assert again == final
+    assert asdict(ctx.spectra) == spectra
+
+
 def test_bounds_trace_each_state_once(monkeypatch):
     cfg = NetworkConfig(input_dim=6, widths=(8, 6, 5, 3), l1=2, l2=2, activation=SMOOTH)
     ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
     params0 = init_params(cfg, InitSpec(), 0)
     params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=5), ds.x, ds.y, ds.idx)
     traced, activated, losses = [], [], []
-    real_forward, real_act, real_loss = cli.forward, network.act_apply, cli.loss
+    real_forward, real_act, real_loss = cli.forward, network.act_apply, bounds.loss
 
     def tracing(cfg_, params_, x, out=None):
         traced.append(id(params_))
@@ -406,13 +440,14 @@ def test_bounds_trace_each_state_once(monkeypatch):
         return real_loss(*args, **kw)
 
     monkeypatch.setattr(cli, "forward", tracing)
+    monkeypatch.setattr(bounds, "forward", tracing)
     monkeypatch.setattr(network, "forward", tracing)
     monkeypatch.setattr(network, "act_apply", activating)
     monkeypatch.setattr(bounds, "act_apply", activating, raising=False)
-    monkeypatch.setattr(cli, "loss", losing)
+    monkeypatch.setattr(bounds, "loss", losing)
     out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params0)
     assert "error" not in out["schedule"]
-    assert traced == [id(params), id(params0)]
+    assert traced == [id(params0), id(params)]
     assert set(activated) == {"forward"} and len(activated) == 2 * cfg.l1
     assert losses == [True]
 

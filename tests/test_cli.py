@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nclab import cli, data, densemat, metrics, network, ntk, trainer
+from nclab import bounds, cli, data, densemat, metrics, network, ntk, trainer
 
 
 SMOOTH_ACT = {"kind": "smoothed_leaky_relu", "gamma": 0.3, "beta": 2.0}
@@ -437,11 +437,11 @@ def test_bounds_traces_the_final_state_once(tmp_path, monkeypatch):
         return real(cfg, params, x)
 
     assert not hasattr(ntk, "forward")  # the NTK reads the trace it is given
-    for module in (cli, network):  # every module that calls forward in `bounds`
+    for module in (cli, bounds, network):  # every module that calls forward in `bounds`
         monkeypatch.setattr(module, "forward", recording)
     assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
-    final = cli.load_params(out / "params_final.npz")
-    assert traced.count(_params_digest(final)) == 1
+    init, final = (cli.load_params(out / f"params_{which}.npz") for which in ("init", "final"))
+    assert traced == [_params_digest(init), _params_digest(final)]
 
 
 def test_train_traces_the_final_state_once(tmp_path, monkeypatch):
@@ -934,7 +934,8 @@ def test_bounds_does_not_trace_theta0_of_a_net_the_schedule_refuses(tmp_path, mo
     out = _linear_only_head_run(tmp_path)
     calls = []
     real = cli.forward
-    monkeypatch.setattr(cli, "forward", lambda *args: calls.append(1) or real(*args))
+    for module in (cli, bounds):  # every module that calls forward in `bounds`
+        monkeypatch.setattr(module, "forward", lambda *args: calls.append(1) or real(*args))
     assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
     assert len(calls) == 1  # the final state; l1 = 0 is refused before theta_0
 

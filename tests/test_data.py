@@ -121,7 +121,7 @@ def reference_load_idx(images, labels, subset=None, classes=None):
     x = images[keep].reshape(len(keep), -1).T.astype(np.float64) / 255.0
     new_labels = np.array(new_labels, dtype=np.int64)
     order = np.argsort(new_labels, kind="stable")
-    return data._make_dataset(x[:, order], new_labels[order], len(classes))
+    return data.make_dataset(x[:, order], new_labels[order], len(classes))
 
 
 def assert_same_dataset(a, b):
@@ -323,7 +323,7 @@ def test_b_is_the_max_column_norm_bit_for_bit(n, order):
         x = np.array(base, order=order)
         x[:, j] *= 3.0
         want = np.linalg.norm(x, axis=0)
-        got = data._make_dataset(x, np.zeros(n, dtype=np.int64), 1).b
+        got = data.make_dataset(x, np.zeros(n, dtype=np.int64), 1).b
         assert got == want.max() == want[j]
 
 
