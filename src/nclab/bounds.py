@@ -433,11 +433,19 @@ def run_context(cfg: NetworkConfig, ds: Dataset, lam: float, params0: ParamSet |
     return RunContext(ds, rank_tol, densemat.op_norm(ds.x), _schedule_or_error(spectra))
 
 
+def verdict_layers(cfg: NetworkConfig) -> tuple:
+    """(first_layer, last_layer) of the `metrics.measure` sweep whose report
+    `state_verdicts` reads: Z_{L-1} alone, where measure's default sweep from
+    the head input reaches it; none on a net without linear layers."""
+    return max(cfg.l1, cfg.depth - 1), cfg.depth - 1
+
+
 def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
                    trace: ForwardTrace, rep) -> dict:
     """The `measured`, `reports` and `schedule` blocks of a state of `ctx`'s
     run, from its trace and its `metrics.measure` report `rep` (at
-    `ctx.rank_tol`); one svd of W_L gives cond(W_L) and `residual_to_pinv`.
+    `ctx.rank_tol`, over at least `verdict_layers(cfg)`); one svd of W_L
+    gives cond(W_L) and `residual_to_pinv`.
     The bounds on the linear head need L2 >= 2. A quantity that cannot be
     computed makes its reports vacuous, with the reason."""
     ds, rank_tol = ctx.ds, ctx.rank_tol

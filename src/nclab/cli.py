@@ -409,7 +409,8 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     ctx = bounds.run_context(net, ds, cfg["train"]["lam"], params_init,
                              cfg.get("bounds", {}).get("rank_tol", densemat.DEFAULT_RANK_TOL))
     trace = forward(net, params, ds.x)
-    rep = metrics.measure(net, params, trace, ds.y, ds.idx, rank_tol=ctx.rank_tol)
+    rep = metrics.measure(net, params, trace, ds.y, ds.idx, *bounds.verdict_layers(net),
+                          rank_tol=ctx.rank_tol)
     out = bounds.state_verdicts(ctx, net, params, trace, rep)
     out["ntk"], out["reports"]["ntk_lower"] = bounds.ntk_verdict(net, params, trace, out)
     out["reports"] = {name: asdict(r) for name, r in out["reports"].items()}

@@ -30,8 +30,8 @@ class Dataset:
     def __post_init__(self):
         if self.x.shape[1] != self.y.shape[1] or self.x.shape[1] != self.idx.total:
             raise ValueError("inconsistent sample counts")
-        col_sums = self.y.sum(axis=0)
-        if not np.allclose(col_sums, 1.0) or not np.all((self.y == 0) | (self.y == 1)):
+        # entries in {0, 1} first: the column sums are then integers, tested exactly
+        if not (np.all((self.y == 0) | (self.y == 1)) and np.all(self.y.sum(axis=0) == 1)):
             raise ValueError("labels must be one-hot columns")
 
     def fingerprint(self) -> str:

@@ -149,6 +149,7 @@ MAX_SQUARINGS = 60  # a rank below 1e6 closes the bracket within 47
 EXTREMES_MIN_ENTRIES = SMALL_MAX_ENTRIES  # rows * cols above which extremes=True takes the R route
 SIGMA_MIN_FLOOR = 1e-8  # the R route hands sigma_min <= this * sigma_1 to Jacobi
 GRAM_MAX_EXP = 256  # sigma_1 scales the Gram of the input itself while |exp| <= this
+HOUSEHOLDER_BLOCK_BYTES = 1 << 20  # cap on the temporary of one Householder row-block update
 
 
 class SvdConvergenceError(RuntimeError):
@@ -356,6 +357,10 @@ def _householder_r(b: np.ndarray) -> np.ndarray:
     """Upper-triangular R of b = QR (rows >= cols) by Householder
     reflections, one numpy rank-1 update per column; b is overwritten.
 
+    The update runs in row blocks whose outer-product temporary holds at most
+    HOUSEHOLDER_BLOCK_BYTES (at least one row), so the route's peak stays near
+    its one copy of the input; each entry takes the same multiply-subtract
+    as in a one-shot update, bit for bit.
     A column whose trailing part is zero (or underflows) is left as it is,
     so R has a zero or tiny diagonal entry there.
     """
@@ -373,7 +378,9 @@ def _householder_r(b: np.ndarray) -> np.ndarray:
         tail = w[k + 1:, k:]
         proj = tail @ v
         proj /= norm * (norm + abs(x0))  # |v|^2 / 2
-        tail -= np.multiply.outer(proj, v)
+        step = max(1, HOUSEHOLDER_BLOCK_BYTES // v.nbytes)
+        for i in range(0, len(proj), step):
+            tail[i:i + step] -= np.multiply.outer(proj[i:i + step], v)
         w[k, k] = alpha
     return np.triu(b[:cols])
 

@@ -166,11 +166,13 @@ def _try(fn, *args):
 
 def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
             y: np.ndarray, idx: ClassIndex, first_layer: int | None = None,
+            last_layer: int | None = None,
             rank_tol: float = densemat.DEFAULT_RANK_TOL) -> MetricsReport:
-    """Per-layer metric sweep from `first_layer` (default: head input) to Z_L,
-    plus every layer's ||W_l||_op, the balancedness and the Theorem-1 inputs;
-    each norm, class-mean matrix and interface gap is computed once and feeds
-    the ratios, NC1, NC2 and eps2/r.
+    """Per-layer metric sweep from `first_layer` (default: head input) to
+    `last_layer` (default: Z_L), plus every layer's ||W_l||_op, the
+    balancedness and the Theorem-1 inputs; each norm, class-mean matrix and
+    interface gap is computed once and feeds the ratios, NC1, NC2 and eps2/r.
+    The verdict path sweeps `bounds.verdict_layers` alone.
 
     NC2 uses `rank_tol`. NC3 is only defined against a K-row weight matrix, so
     it is reported for Z_{L-1} (against W_L) and left unset elsewhere.
@@ -181,7 +183,7 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     if first_layer is None:
         first_layer = max(cfg.l1, 1)
     layers = []
-    for layer in range(first_layer, cfg.depth + 1):
+    for layer in range(first_layer, (cfg.depth if last_layer is None else last_layer) + 1):
         z = trace.z[layer]
         means = class_means(z, idx)
         lm = LayerMetrics(layer=layer, means=means[0])

@@ -24,30 +24,33 @@ SMOOTH = ActivationSpec("smoothed_leaky_relu", gamma=0.3, beta=2.0)
 # constructed instances for the Theorem 1 / Lemma C.2 suites
 # ---------------------------------------------------------------------------
 
-def make_balanced_chain(seed: int, dims: list, sigma_lo: float = 0.5,
-                        sigma_hi: float = 2.0) -> list:
-    """Chain W_L .. W_1 (returned in forward order W_1..W_L) with exactly
-    balanced interfaces, built by splitting a target SVD across the layers.
+def balanced_factors(seed: int, dims: list, sigma_lo: float = 0.5,
+                     sigma_hi: float = 2.0) -> tuple:
+    """Factors (frames, root) of a chain with a target spectrum s drawn in
+    [sigma_lo, sigma_hi]: frames F_0..F_L have orthonormal columns (F_l is
+    n_l x rank, rank = min(n_0, n_L)) and root = s^(1/L).
 
     dims = [n_0, n_1, ..., n_L]; every interior width must be >= min(n_0, n_L)
     so the shared singular spectrum fits.
     """
     rng = np.random.default_rng(seed)
-    depth = len(dims) - 1
     rank = min(dims[0], dims[-1])
     if any(d < rank for d in dims):
         raise ValueError("interior widths must carry the full spectrum")
     s = np.sort(rng.uniform(sigma_lo, sigma_hi, size=rank))[::-1]
-    root = s ** (1.0 / depth)
 
     def frame(n):
         g = rng.standard_normal((n, rank))
         q, _ = np.linalg.qr(g)
         return q[:, :rank]
 
-    bases = [frame(d) for d in dims]
-    return [bases[layer + 1] * root @ bases[layer].T for layer in range(depth)]
+    return [frame(d) for d in dims], s ** (1.0 / (len(dims) - 1))
 
+
+def balanced_chain(frames: list, root: np.ndarray) -> list:
+    """W_1..W_L (forward order) with W_l = F_l diag(root) F_{l-1}^T: every
+    interface is exactly balanced and W_L..W_1 = F_L diag(root^L) F_0^T."""
+    return [frames[layer + 1] * root @ frames[layer].T for layer in range(len(frames) - 1)]
 
 def make_thm1_instance(seed: int, eps1_scale: float = 1e-3,
                        eps2_scale: float = 1e-8) -> dict:
@@ -63,14 +66,16 @@ def make_thm1_instance(seed: int, eps1_scale: float = 1e-3,
 
     labels = np.repeat(np.arange(k), n_per)
     y = data.one_hot(labels, k)
-    weights = make_balanced_chain(seed + 1, dims)
+    frames, root = balanced_factors(seed + 1, dims)
+    weights = balanced_chain(frames, root)
     cfg = NetworkConfig(input_dim=width, widths=tuple(dims[1:]), l1=0, l2=l2,
                         activation=SMOOTH)
-    # collapsed head-input features interpolating exactly, then bounded noise
+    # collapsed head-input features interpolating exactly, then bounded noise:
+    # x0 = pinv(W_L..W_1) y = F_0 diag(root^-L) F_L^T y
+    x0 = (frames[0] * root ** -l2) @ (frames[-1].T @ y)
     prod = weights[-1]
     for w in weights[-2::-1]:
         prod = prod @ w
-    x0 = densemat.pinv(prod) @ y
     noise = rng.standard_normal(x0.shape)
     noise *= eps1_scale / max(densemat.fro_norm(prod @ noise), 1e-300)
     x = x0 + noise
@@ -86,7 +91,7 @@ def make_thm1_instance(seed: int, eps1_scale: float = 1e-3,
 def check_thm1_instance(inst: dict) -> tuple:
     """Evaluate the Theorem-1 reports of a constructed instance on the path
     of `nclab bounds`: `bounds.run_context` without theta_0, `metrics.measure`
-    of Z_{L-1} and Z_L, then `bounds.state_verdicts`.
+    of Z_{L-1} alone, then `bounds.state_verdicts`.
 
     Returns (ok, detail); every report must hold, except a vacuous-weak
     alignment bound (its `nontrivial` premise fails), which is skipped.
@@ -94,7 +99,7 @@ def check_thm1_instance(inst: dict) -> tuple:
     cfg, params, ds = inst["cfg"], inst["params"], inst["ds"]
     ctx = bounds.run_context(cfg, ds, 0.0, None, densemat.DEFAULT_RANK_TOL)
     trace = forward(cfg, params, ds.x)
-    rep = metrics.measure(cfg, params, trace, ds.y, ds.idx, first_layer=cfg.depth - 1)
+    rep = metrics.measure(cfg, params, trace, ds.y, ds.idx, *bounds.verdict_layers(cfg))
     reports = bounds.state_verdicts(ctx, cfg, params, trace, rep)["reports"]
     detail = {"seed": inst["seed"], "eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r}
     for name, r in reports.items():
@@ -124,7 +129,7 @@ def lemma_c2_suite(n_instances: int = 100, seed0: int = 1000,
         k = int(rng.integers(2, 5))
         width = k + int(rng.integers(0, 4))
         dims = [width] * l2 + [k]
-        weights = make_balanced_chain(seed, dims)
+        weights = balanced_chain(*balanced_factors(seed, dims))
         cfg = NetworkConfig(input_dim=width, widths=tuple(dims[1:]), l1=0,
                             l2=l2, activation=SMOOTH)
         params = ParamSet([w.copy() for w in weights])

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import sys
 from dataclasses import asdict
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from nclab import bounds, cli, data, densemat, metrics, network
 from nclab.network import ActivationSpec, NetworkConfig, ParamSet, act_apply, forward, loss
 from nclab.trainer import InitSpec, TrainConfig, init_params, train
-from nclab.verify import make_balanced_chain, make_thm1_instance, check_thm1_instance
+from nclab.verify import (balanced_chain, balanced_factors, check_thm1_instance,
+                          make_thm1_instance)
 
 SMOOTH = ActivationSpec("smoothed_leaky_relu", gamma=0.3, beta=2.0)
 
@@ -100,6 +102,75 @@ def test_thm1_suite_small_sample():
     for i in range(20):
         ok, detail = check_thm1_instance(make_thm1_instance(5000 + i))
         assert ok, detail
+
+
+def test_thm1_instance_interpolates_from_its_own_factors():
+    # with no noise and no perturbation the instance's features are x0 itself
+    for seed in range(20):
+        inst = make_thm1_instance(seed, eps1_scale=0.0, eps2_scale=0.0)
+        weights, x0, y = inst["params"].weights, inst["ds"].x, inst["ds"].y
+        prod = weights[-1]
+        for w in weights[-2::-1]:
+            prod = prod @ w
+        assert densemat.fro_norm(prod @ x0 - y) <= 1e-12 * densemat.fro_norm(y)
+        ref = densemat.pinv(prod) @ y
+        assert densemat.fro_norm(x0 - ref) <= 1e-12 * densemat.fro_norm(ref)
+
+
+def test_thm1_instance_weights_are_the_chain_of_its_factors():
+    inst = make_thm1_instance(7, eps2_scale=0.0)
+    dims = [inst["cfg"].input_dim, *inst["cfg"].widths]
+    chain = balanced_chain(*balanced_factors(8, dims))
+    assert all(np.array_equal(a, b) for a, b in zip(inst["params"].weights, chain, strict=True))
+
+
+def _recording_sweeps(swept: list):
+    """`metrics.measure` that appends the layers of each report to `swept`."""
+    real = metrics.measure
+
+    def recording(*args, **kw):
+        rep = real(*args, **kw)
+        swept.append([lm.layer for lm in rep.layers])
+        return rep
+
+    return recording
+
+
+@pytest.mark.parametrize("l1", [1, 2, 4, 5])
+def test_bounds_measure_z_l_minus_1_alone_and_report_as_a_full_sweep(monkeypatch, l1):
+    widths = (8, 6, 5, 4, 3)
+    cfg = NetworkConfig(input_dim=6, widths=widths, l1=l1, l2=len(widths) - l1,
+                        activation=SMOOTH)
+    ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
+    params, traj = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=50), ds.x, ds.y, ds.idx)
+    swept = []
+    recording = _recording_sweeps(swept)
+
+    def full_range(*args, **kw):  # measure's default sweep, from the head input to Z_L
+        return recording(*args[:5], rank_tol=kw["rank_tol"])
+
+    def payload(measure):
+        monkeypatch.setattr(metrics, "measure", measure)
+        out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params,
+                                  traj.records[0].params)
+        return json.dumps(cli._sanitize(out), sort_keys=True, allow_nan=False)
+
+    head = payload(recording)
+    # Z_{L-1} alone; on the net without linear layers (l1 = 5) the default sweep
+    # starts at Z_L, so neither reaches Z_{L-1}
+    assert swept == [[cfg.depth - 1] if cfg.l2 else []]
+    assert payload(full_range) == head
+    assert swept[1] == list(range(l1, cfg.depth + 1))
+    assert '"error"' not in head
+
+
+def test_thm1_suite_measures_z_l_minus_1_alone(monkeypatch):
+    swept = []
+    monkeypatch.setattr(metrics, "measure", _recording_sweeps(swept))
+    inst = make_thm1_instance(5000)
+    ok, detail = check_thm1_instance(inst)
+    assert ok, detail
+    assert swept == [[inst["cfg"].depth - 1]]
 
 
 def test_thm1_suite_runs_the_bounds_evaluator(monkeypatch):
@@ -556,7 +627,7 @@ def test_lipschitz_const_formula_and_preconditions():
 
 def test_balanced_power_gap_exact_and_perturbed():
     dims = [5, 4, 4, 3]
-    weights = make_balanced_chain(11, dims)
+    weights = balanced_chain(*balanced_factors(11, dims))
     cfg = NetworkConfig(input_dim=5, widths=(4, 4, 3), l1=0, l2=3,
                         activation=SMOOTH)
     params = ParamSet([w.copy() for w in weights])
@@ -591,7 +662,7 @@ def test_ntk_and_large_lr_bounds():
 
 def test_scan_partial_product_kappa():
     dims = [4, 4, 4, 4]
-    weights = make_balanced_chain(13, dims)
+    weights = balanced_chain(*balanced_factors(13, dims))
     cfg = NetworkConfig(input_dim=4, widths=(4, 4, 4), l1=0, l2=3,
                         activation=SMOOTH)
     params = ParamSet(weights)

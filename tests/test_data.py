@@ -266,6 +266,28 @@ def test_dataset_validation():
         data.Dataset(x=x, y=bad_y, idx=metrics.ClassIndex((2, 1)), b=0.0)
 
 
+def _with_column(col):
+    y = data.one_hot([0, 0, 1], 2)
+    y[:, 0] = col
+    return y
+
+
+@pytest.mark.parametrize("col", [[2.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.5, 0.5],
+                                 [np.nan, 0.0], [np.nan, 1.0], [1.0 + 1e-9, 0.0]],
+                         ids=["two", "sums_to_2", "all_zero", "halves", "nan",
+                              "nan_and_one", "near_one"])
+def test_dataset_rejects_a_label_column_that_is_not_exactly_one_hot(col):
+    x = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="^labels must be one-hot columns$"):
+        data.Dataset(x=x, y=_with_column(col), idx=metrics.ClassIndex((2, 1)), b=0.0)
+
+
+def test_dataset_accepts_an_exact_one_hot():
+    y = _with_column([0.0, 1.0])
+    ds = data.Dataset(x=np.zeros((2, 3)), y=y, idx=metrics.ClassIndex((2, 1)), b=0.0)
+    assert ds.y is y
+
+
 # ---------------------------------------------------------------------------
 # stored identities and the cost of building them
 # ---------------------------------------------------------------------------

@@ -468,6 +468,32 @@ def test_op_norm_forms_the_gram_of_its_input_without_a_copy():
     assert peak <= 2 * gram + x.size + 65536
 
 
+def test_householder_r_in_row_blocks_is_bit_identical_to_one_block(monkeypatch):
+    a = np.random.default_rng(53).standard_normal((300, 40))
+    monkeypatch.setattr(densemat, "HOUSEHOLDER_BLOCK_BYTES", a.nbytes)
+    whole = densemat._householder_r(np.asfortranarray(a))
+    for cap in (1, 8 * 300 * 3, 8 * 300 * 7 + 5):  # one row, three rows, a ragged last block
+        monkeypatch.setattr(densemat, "HOUSEHOLDER_BLOCK_BYTES", cap)
+        assert np.array_equal(densemat._householder_r(np.asfortranarray(a)), whole)
+
+
+def test_householder_block_holds_every_benchmark_trailing_block():
+    # perfbench's largest R-route input is wide's 256 x 200 Z_1: one block
+    assert densemat.HOUSEHOLDER_BLOCK_BYTES >= max(1 << 20, 256 * 200 * 8)
+
+
+def test_r_route_peaks_near_its_one_copy_of_the_input():
+    a = np.random.default_rng(59).standard_normal((4000, 300))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        densemat.svd(a, compute_uv=False, extremes=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * a.nbytes
+
+
 def test_top_only_raises_when_squarings_run_out(monkeypatch):
     monkeypatch.setattr(densemat, "MAX_SQUARINGS", 3)
     with pytest.raises(densemat.SvdConvergenceError) as err:

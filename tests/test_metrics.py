@@ -217,6 +217,13 @@ def test_measure_layer_sweep_fields():
     assert rep.eps1 > 0 and rep.r > 0
     full = metrics.measure(cfg, params, trace, y, idx, first_layer=1)
     assert [lm.layer for lm in full.layers] == [1, 2, 3, 4]
+    # the verdict path's sweep: Z_{L-1} alone, with every other field unchanged
+    head = metrics.measure(cfg, params, trace, y, idx, first_layer=3, last_layer=3)
+    assert [lm.layer for lm in head.layers] == [3]
+    assert head.layers[0].nc1 == full.layers[2].nc1 and head.layers[0].nc3 == full.layers[2].nc3
+    assert np.array_equal(head.layers[0].means, full.layers[2].means)
+    assert (head.balancedness_gaps, head.op_norms, head.eps1, head.eps2, head.r) == (
+        full.balancedness_gaps, full.op_norms, full.eps1, full.eps2, full.r)
 
 
 @settings(max_examples=40, deadline=None)
