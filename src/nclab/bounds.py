@@ -435,9 +435,8 @@ def run_context(cfg: NetworkConfig, ds: Dataset, lam: float, params0: ParamSet |
 
 def verdict_layers(cfg: NetworkConfig) -> tuple:
     """(first_layer, last_layer) of the `metrics.measure` sweep whose report
-    `state_verdicts` reads: Z_{L-1} alone, where measure's default sweep from
-    the head input reaches it; none on a net without linear layers."""
-    return max(cfg.l1, cfg.depth - 1), cfg.depth - 1
+    `state_verdicts` reads: Z_{L-1} alone, on every net."""
+    return cfg.depth - 1, cfg.depth - 1
 
 
 def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
@@ -446,8 +445,8 @@ def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
     run, from its trace and its `metrics.measure` report `rep` (at
     `ctx.rank_tol`, over at least `verdict_layers(cfg)`); one svd of W_L
     gives cond(W_L) and `residual_to_pinv`.
-    The bounds on the linear head need L2 >= 2. A quantity that cannot be
-    computed makes its reports vacuous, with the reason."""
+    `thm1_nc1` needs L2 >= 1 and the bounds on the linear head L2 >= 2. A
+    quantity that cannot be computed makes its reports vacuous, with the reason."""
     ds, rank_tol = ctx.ds, ctx.rank_tol
     k, n = cfg.n_classes, ds.x.shape[1]
     w_l = densemat.svd(params.weights[-1])
@@ -459,8 +458,8 @@ def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
     inp = Thm1Inputs(eps1=rep.eps1, eps2=rep.eps2, r=rep.r,
                      n_lminus1=cfg.widths[cfg.depth - 2], k=k, n=n, sK_y=ds.idx.sK_y,
                      x_opnorm=ctx.x_opnorm, l1=cfg.l1, l2=cfg.l2, c3=kappa_prod)
-    head = next((lm for lm in rep.layers if lm.layer == cfg.depth - 1), None)
-    nc1, nc2, nc3 = (head.nc1, head.nc2, head.nc3) if head else (None,) * 3
+    head = next(lm for lm in rep.layers if lm.layer == cfg.depth - 1)
+    nc1, nc2, nc3 = head.nc1, head.nc2, head.nc3
     premises = {"eps1_small": bool(inp.eps1 <= min(inp.sK_y, _eps1_cap(k, n)))}
 
     def kappa():
@@ -468,8 +467,9 @@ def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
             raise ValueError("cond(W_L) is undefined")
         return kappa_wl
 
-    reports = {"thm1_nc1": bound_report("thm1_nc1", premises,
-                                        lambda: thm1_nc1_rhs(inp), nc1)}
+    reports = {"thm1_nc1": bound_report(  # Theorem 1 ends the net in linear layers
+        "thm1_nc1", {**premises, "linear_last_layer": cfg.l2 >= 1},
+        lambda: thm1_nc1_rhs(inp), nc1)}
     if cfg.l2 < 2:
         reports.update((name, BoundReport(name=name, premises={"has_linear_interface": False}))
                        for name in THM1_LINEAR_BOUNDS)
@@ -506,15 +506,13 @@ def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
 # ---------------------------------------------------------------------------
 
 def ntk_lower_bound(sK_y: float, eps1: float, k: int, r: float, l2: int) -> float:
-    if l2 < 1:  # the floor is then 0, and an NTK norm is never negative
-        raise VacuousBound("no linear layer: the NTK floor is 0")
     return _sk_margin(eps1, sK_y) ** 2 * l2 / (k ** 2 * r ** 2)
 
 
 def ntk_verdict(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
                 state: dict) -> tuple:
     """The `ntk` block and `ntk_lower` report of a state with trace `trace`
-    and `state_verdicts` blocks `state`, on the premise of `thm1_nc1`."""
+    and `state_verdicts` blocks `state`, on the premises of `thm1_nc1`."""
     nrep, m = ntk.ntk_opnorm(cfg, params, trace), state["measured"]
     return ({"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
              "residual": nrep.residual, "converged": nrep.converged},

@@ -203,18 +203,19 @@ def resolve_config(raw: dict) -> dict:
     net = cfg["network"]
     if not 0 <= net["l1"] <= len(net["widths"]):
         raise ConfigError("network/l1 must lie in [0, len(widths)]")
+    try:  # e.g. a leaky activation without its gamma
+        ActivationSpec(**net["activation"])
+    except ValueError as exc:
+        raise ConfigError(f"config field network/activation: {exc}") from None
     return cfg
 
 
 def build_network(cfg: dict, input_dim: int) -> NetworkConfig:
     net = cfg["network"]
-    act = net["activation"]
-    spec = ActivationSpec(kind=act["kind"], gamma=act.get("gamma"),
-                          beta=act.get("beta"))
     try:
         return NetworkConfig(input_dim=input_dim, widths=tuple(net["widths"]),
                              l1=net["l1"], l2=len(net["widths"]) - net["l1"],
-                             activation=spec)
+                             activation=ActivationSpec(**net["activation"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

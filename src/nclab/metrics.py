@@ -172,7 +172,7 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     `last_layer` (default: Z_L), plus every layer's ||W_l||_op, the
     balancedness and the Theorem-1 inputs; each norm, class-mean matrix and
     interface gap is computed once and feeds the ratios, NC1, NC2 and eps2/r.
-    The verdict path sweeps `bounds.verdict_layers` alone.
+    The verdict path sweeps Z_{L-1} alone (`bounds.verdict_layers`).
 
     NC2 uses `rank_tol`. NC3 is only defined against a K-row weight matrix, so
     it is reported for Z_{L-1} (against W_L) and left unset elsewhere.

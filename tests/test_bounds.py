@@ -146,8 +146,8 @@ def test_bounds_measure_z_l_minus_1_alone_and_report_as_a_full_sweep(monkeypatch
     swept = []
     recording = _recording_sweeps(swept)
 
-    def full_range(*args, **kw):  # measure's default sweep, from the head input to Z_L
-        return recording(*args[:5], rank_tol=kw["rank_tol"])
+    def full_range(*args, **kw):  # from the head input, or Z_{L-1} if that is lower, to Z_L
+        return recording(*args[:5], first_layer=min(l1, cfg.depth - 1), rank_tol=kw["rank_tol"])
 
     def payload(measure):
         monkeypatch.setattr(metrics, "measure", measure)
@@ -156,12 +156,45 @@ def test_bounds_measure_z_l_minus_1_alone_and_report_as_a_full_sweep(monkeypatch
         return json.dumps(cli._sanitize(out), sort_keys=True, allow_nan=False)
 
     head = payload(recording)
-    # Z_{L-1} alone; on the net without linear layers (l1 = 5) the default sweep
-    # starts at Z_L, so neither reaches Z_{L-1}
-    assert swept == [[cfg.depth - 1] if cfg.l2 else []]
+    # Z_{L-1} alone, also on the net without linear layers (l1 = 5)
+    assert bounds.verdict_layers(cfg) == (cfg.depth - 1, cfg.depth - 1)
+    assert swept == [[cfg.depth - 1]]
     assert payload(full_range) == head
-    assert swept[1] == list(range(l1, cfg.depth + 1))
+    assert swept[1] == list(range(min(l1, cfg.depth - 1), cfg.depth + 1))
     assert '"error"' not in head
+
+
+def test_a_failed_premise_never_holds_across_the_engine():
+    # short runs with L2 = 0, 1, 2 linear layers, without and with weight decay
+    ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
+    labels = []
+    for widths, l1 in [((8, 6, 3), 3), ((8, 6, 3), 2), ((8, 6, 3, 3), 2)]:
+        cfg = NetworkConfig(input_dim=6, widths=widths, l1=l1, l2=len(widths) - l1,
+                            activation=SMOOTH)
+        for lam in (0.0, 0.02):
+            params, traj = train(cfg, TrainConfig(eta=0.05, lam=lam, steps=300),
+                                 ds.x, ds.y, ds.idx)
+            ctx = bounds.run_context(cfg, ds, lam, traj.records[0].params,
+                                     densemat.DEFAULT_RANK_TOL)
+            trace = forward(cfg, params, ds.x)
+            rep = metrics.measure(cfg, params, trace, ds.y, ds.idx,
+                                  *bounds.verdict_layers(cfg), rank_tol=ctx.rank_tol)
+            state = bounds.state_verdicts(ctx, cfg, params, trace, rep)
+            reports = [*state["reports"].values(),
+                       bounds.ntk_verdict(cfg, params, trace, state)[1]]
+            for r in reports:
+                where = (cfg.l2, lam, r.name, r.holds, r.premises)
+                if not all(r.premises.values()):
+                    assert r.holds == bounds.VACUOUS, where
+                if r.holds in (bounds.HOLDS, bounds.VIOLATED):
+                    assert all(v is True for v in r.premises.values()), where
+                    assert r.value is not None and r.measured is not None, where
+                labels.append((cfg.l2, r.name, r.holds, all(r.premises.values())))
+    # both directions are exercised: failed premises on every depth, and holds
+    assert {l2 for l2, _, _, ok in labels if not ok} == {0, 1, 2}
+    assert {l2 for l2, _, holds, _ in labels if holds == bounds.HOLDS} == {1, 2}
+    assert ((0, "thm1_nc1", bounds.VACUOUS, False) in labels
+            and (0, "ntk_lower", bounds.VACUOUS, False) in labels)
 
 
 def test_thm1_suite_measures_z_l_minus_1_alone(monkeypatch):
@@ -649,8 +682,9 @@ def test_balanced_power_gap_exact_and_perturbed():
 def test_ntk_and_large_lr_bounds():
     assert bounds.ntk_lower_bound(2.5, 0.5, 4, 2.0, 3) == pytest.approx(
         (2.0) ** 2 * 3 / (16 * 4.0), rel=1e-12)
-    with pytest.raises(bounds.VacuousBound, match="no linear layer"):
-        bounds.ntk_lower_bound(2.5, 0.5, 4, 2.0, 0)  # a floor of 0 says nothing
+    # with no linear layer the floor is exactly 0, which says nothing: the
+    # report's premise linear_last_layer makes it vacuous
+    assert bounds.ntk_lower_bound(2.5, 0.5, 4, 2.0, 0) == 0.0
     v = bounds.large_lr_kappa_bound(c_ntk=8.0, l2=3, m=2, k=4, r=2.0,
                                     sK_y=2.5, eps1=0.5)
     assert v == pytest.approx(math.sqrt(24.0) * 4 * 2 / (math.sqrt(2) * 2.0),

@@ -970,22 +970,83 @@ def test_vacuous_weak_alignment_bound_is_reported_vacuous(tmp_path, capsys):
     assert "evaluated 6 bounds, 3 hold" in capsys.readouterr().out
 
 
-def test_ntk_floor_of_a_net_without_linear_layers_is_vacuous(tmp_path, capsys):
-    # with L2 = 0 the floor margin^2 L2 / (K r)^2 is 0, which every NTK norm meets
+def _no_linear_layer_bounds(tmp_path, capsys) -> tuple:
+    """`bounds` block and `nclab bounds` stdout lines of a 50-step net with
+    no linear layer (L2 = 0)."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["network"].update({"widths": [8, 4, 3], "l1": 3})
     cfg["train"]["steps"] = 50
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
     assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
-    bounds_out = json.loads((out / "report.json").read_text())["bounds"]
+    return (json.loads((out / "report.json").read_text())["bounds"],
+            capsys.readouterr().out.splitlines())
+
+
+def test_ntk_floor_of_a_net_without_linear_layers_is_vacuous(tmp_path, capsys):
+    # with L2 = 0 the floor margin^2 L2 / (K r)^2 is 0, which every NTK norm
+    # meets; the report takes thm1_nc1's premises, and linear_last_layer fails
+    bounds_out, lines = _no_linear_layer_bounds(tmp_path, capsys)
     rep = bounds_out["reports"]["ntk_lower"]
-    assert rep["holds"] == "vacuous" and rep["value"] is None
-    assert rep["premises"] == {"eps1_small": True}
-    assert "no linear layer" in rep["detail"]["vacuous_reason"]
+    assert rep["holds"] == "vacuous" and rep["value"] == 0.0
+    assert rep["premises"] == {"eps1_small": True, "linear_last_layer": False}
+    assert rep["detail"] == {}
     assert rep["measured"] == bounds_out["ntk"]["theta_opnorm"] > 0
-    assert "evaluated 6 bounds, 0 hold" in capsys.readouterr().out
+    assert rep["margin"] == rep["measured"]
+    assert (f"ntk_lower: vacuous, margin {rep['margin']!r}, "
+            "failed premises: linear_last_layer") in lines
+    assert lines[-1] == "evaluated 6 bounds, 0 hold"
+
+
+def test_thm1_nc1_of_a_net_without_linear_layers_is_measured_and_vacuous(tmp_path, capsys):
+    # Theorem 1 needs a linear last layer: NC1 of Z_{L-1} and the RHS are
+    # both given, and the failed premise alone makes the report vacuous
+    bounds_out, lines = _no_linear_layer_bounds(tmp_path, capsys)
+    rep = bounds_out["reports"]["thm1_nc1"]
+    assert rep["measured"] == bounds_out["measured"]["nc1"]
+    assert rep["measured"] > 0 and rep["value"] > 0
+    assert rep["margin"] == rep["value"] - rep["measured"] > 0  # it would hold
+    assert rep["holds"] == "vacuous" and rep["detail"] == {}
+    assert rep["premises"] == {"eps1_small": True, "linear_last_layer": False}
+    assert bounds_out["reports"]["ntk_lower"]["premises"] == rep["premises"]
+    assert bounds_out["reports"]["ntk_lower"]["value"] == 0.0
+    assert (f"thm1_nc1: vacuous, margin {rep['margin']!r}, "
+            "failed premises: linear_last_layer") in lines
+    assert lines[-1] == "evaluated 6 bounds, 0 hold"
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "bounds"])
+@pytest.mark.parametrize("act, missing", [
+    ({"kind": "smoothed_leaky_relu", "beta": 2.0}, "gamma must lie in (0, 1)"),
+    ({"kind": "leaky_relu"}, "gamma must lie in (0, 1)"),
+    ({"kind": "smoothed_leaky_relu", "gamma": 0.3}, "beta must be >= 1")])
+def test_an_activation_without_its_parameter_is_refused_with_exit_2(
+        tmp_path, capsys, monkeypatch, command, act, missing):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"].update(steps=5, record_every=5)
+    out = tmp_path / "run"
+    if command == "bounds":  # a finished run whose stored config lost the parameter
+        assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)]) == cli.EXIT_OK
+        resolved = json.loads((out / "config.resolved.json").read_text())
+        resolved["config"]["network"]["activation"] = act
+        (out / "config.resolved.json").write_text(json.dumps(resolved))
+        argv = ["bounds", "--run", str(out)]
+    else:
+        cfg["network"]["activation"] = act
+        argv = [command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "linear_depth", "--values", "1,2", "--seeds", "0"]
+    capsys.readouterr()
+    built = []
+    monkeypatch.setattr(cli, "build_dataset", lambda c: built.append(c))
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: config field network/activation: {missing}"]
+    assert built == []  # refused before any data are built or any member trains
+    assert command == "bounds" or not out.exists()
 
 
 def test_bounds_reads_s_k_of_y_from_the_class_counts(tmp_path):
