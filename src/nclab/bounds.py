@@ -400,9 +400,8 @@ def _cond_or_none(a: np.ndarray, rank_tol: float) -> float | None:
 
 @dataclass
 class RunContext:
-    """What every state of one run shares."""
+    """What every state of one run shares; a state's rank threshold is its report's."""
     ds: Dataset
-    rank_tol: float
     x_opnorm: float
     spectra: Thm2Schedule | dict  # theta_0's, with its C_lambda, c_0 and norm; or {"error": why}
 
@@ -416,8 +415,8 @@ def _schedule_or_error(fn):
         return {"error": f"the GD schedule overflows a float: {exc}"}
 
 
-def run_context(cfg: NetworkConfig, ds: Dataset, lam: float, params0: ParamSet | None,
-                rank_tol: float) -> RunContext:
+def run_context(cfg: NetworkConfig, ds: Dataset, lam: float,
+                params0: ParamSet | None) -> RunContext:
     """The context of a run of `cfg` on `ds` with weight decay `lam` from `params0`
     (None if the run did not store it); theta_0's one trace is dropped here."""
     def spectra():
@@ -430,7 +429,7 @@ def run_context(cfg: NetworkConfig, ds: Dataset, lam: float, params0: ParamSet |
         sched.theta0_norm = params0.norm()
         return sched
 
-    return RunContext(ds, rank_tol, densemat.op_norm(ds.x), _schedule_or_error(spectra))
+    return RunContext(ds, densemat.op_norm(ds.x), _schedule_or_error(spectra))
 
 
 def verdict_layers(cfg: NetworkConfig) -> tuple:
@@ -442,12 +441,12 @@ def verdict_layers(cfg: NetworkConfig) -> tuple:
 def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
                    trace: ForwardTrace, rep) -> dict:
     """The `measured`, `reports` and `schedule` blocks of a state of `ctx`'s
-    run, from its trace and its `metrics.measure` report `rep` (at
-    `ctx.rank_tol`, over at least `verdict_layers(cfg)`); one svd of W_L
-    gives cond(W_L) and `residual_to_pinv`.
+    run, from its trace and its `metrics.measure` report `rep` (over at least
+    `verdict_layers(cfg)`), with every cond and pinv at rep's `rank_tol`; one
+    svd of W_L gives cond(W_L) and `residual_to_pinv`.
     `thm1_nc1` needs L2 >= 1 and the bounds on the linear head L2 >= 2. A
     quantity that cannot be computed makes its reports vacuous, with the reason."""
-    ds, rank_tol = ctx.ds, ctx.rank_tol
+    ds, rank_tol = ctx.ds, rep.rank_tol
     k, n = cfg.n_classes, ds.x.shape[1]
     w_l = densemat.svd(params.weights[-1])
     kappa_wl = _cond_or_none(w_l, rank_tol)

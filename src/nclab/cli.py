@@ -20,6 +20,7 @@ import math
 import operator
 import os
 import sys
+import zipfile
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
@@ -188,7 +189,7 @@ def load_config(path) -> dict:
 
 def resolve_config(raw: dict) -> dict:
     cfg = json.loads(json.dumps(raw))  # deep copy
-    cfg.setdefault("bounds", {})
+    cfg.setdefault("bounds", {}).setdefault("rank_tol", densemat.DEFAULT_RANK_TOL)
     train_keys = CONFIG_SCHEMA["properties"]["train"]["properties"]
     for f in fields(TrainConfig):
         if f.name in train_keys and f.default is not MISSING:
@@ -329,19 +330,24 @@ def save_params(path: Path, params) -> None:
 
 
 def load_params(path: Path):
-    with np.load(path) as npz:
+    with open(path, "rb") as f:  # np.load(path) would leave a bad zip's file open
+        npz = np.load(f)
+        if not isinstance(npz, np.lib.npyio.NpzFile):  # e.g. one .npy array
+            raise ValueError("not an npz archive")
         return ParamSet([npz[f"w{i + 1}"] for i in range(len(npz.files))])
 
 
 def _load_run_params(path: Path, net):
-    """The weights in `path` (None if absent); ConfigError if not `net`'s."""
+    """The weights in `path` (None if absent); ConfigError naming the file if unusable."""
     if not path.exists():
         return None
-    try:
+    try:  # KeyError: no array w<l>; EOFError: an empty file; BadZipFile: e.g. a cut one
         params = load_params(path)
         params.check_shapes(net)
-    except (KeyError, ValueError) as exc:  # KeyError: no array w<l> in the file
-        raise ConfigError(f"{path} does not fit the run's network: {exc}") from None
+        if not all(np.isfinite(w).all() for w in params.weights):
+            raise ValueError("a weight is not finite")
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path} does not hold the run's weights: {exc}") from None
     return params
 
 
@@ -381,8 +387,8 @@ def _train_into(cfg: dict, ds, out: Path, first_layer: int | None = None,
     if first_layer is None:
         # from the head input, or lower when a layer whose Gram is written lies below it
         first_layer = min(max(net.l1, 1), max(net.depth - 2, 1))
-    params, traj = train(net, train_cfg, ds.x, ds.y, ds.idx,
-                         first_layer=first_layer, group=group)
+    params, traj = train(net, train_cfg, ds.x, ds.y, ds.idx, first_layer=first_layer,
+                         group=group, rank_tol=cfg["bounds"]["rank_tol"])
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.resolved.json", {"config": cfg})
     last = traj.last()
@@ -403,15 +409,14 @@ def _train_into(cfg: dict, ds, out: Path, first_layer: int | None = None,
 
 
 def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
-    """Every applicable bound on a finished run, with premise flags."""
+    """Every applicable bound on a finished run, with premise flags, at `bounds.rank_tol`."""
     from . import bounds  # here, so that train and sweep never load it or ntk
     if net.depth < 2:
         raise ConfigError("bounds need a network with at least two layers")
-    ctx = bounds.run_context(net, ds, cfg["train"]["lam"], params_init,
-                             cfg.get("bounds", {}).get("rank_tol", densemat.DEFAULT_RANK_TOL))
+    ctx = bounds.run_context(net, ds, cfg["train"]["lam"], params_init)
     trace = forward(net, params, ds.x)
     rep = metrics.measure(net, params, trace, ds.y, ds.idx, *bounds.verdict_layers(net),
-                          rank_tol=ctx.rank_tol)
+                          rank_tol=cfg["bounds"]["rank_tol"])
     out = bounds.state_verdicts(ctx, net, params, trace, rep)
     out["ntk"], out["reports"]["ntk_lower"] = bounds.ntk_verdict(net, params, trace, out)
     out["reports"] = {name: asdict(r) for name, r in out["reports"].items()}

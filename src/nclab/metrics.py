@@ -152,6 +152,7 @@ class MetricsReport:
     balancedness_gaps: dict    # interface l -> gap
     balancedness_ratios: dict  # interface l -> ratio
     op_norms: dict             # layer l -> ||W_l||_op, every layer
+    rank_tol: float            # NC2's threshold, and that of the verdicts read from it
     eps1: float | None = None  # None on a one-layer network
     eps2: float | None = None
     r: float | None = None
@@ -174,8 +175,8 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     interface gap is computed once and feeds the ratios, NC1, NC2 and eps2/r.
     The verdict path sweeps Z_{L-1} alone (`bounds.verdict_layers`).
 
-    NC2 uses `rank_tol`. NC3 is only defined against a K-row weight matrix, so
-    it is reported for Z_{L-1} (against W_L) and left unset elsewhere.
+    NC2 is taken at `rank_tol`, which the report keeps. NC3 needs a K-row weight
+    matrix, so it is reported for Z_{L-1} (against W_L) and left unset elsewhere.
     Negativity applies to nonlinear layers, whose preactivations W_l Z_{l-1}
     it forms from the trace, one product per layer. A quantity that is
     undefined on this state (e.g. eps1/eps2/r of a one-layer network) is None.
@@ -202,5 +203,5 @@ def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
     head = [norms[l] for l in range(cfg.l1 + 1, cfg.depth + 1)]
     eps1, eps2, r = _try(extract_thm1_inputs, cfg, trace, y, gaps, head) or (None,) * 3
     return MetricsReport(layers=layers, balancedness_gaps=gaps,
-                         balancedness_ratios=ratios, op_norms=norms,
+                         balancedness_ratios=ratios, op_norms=norms, rank_tol=rank_tol,
                          eps1=eps1, eps2=eps2, r=r)

@@ -23,6 +23,7 @@ _HART_P = (220.206867912376, 221.213596169931, 112.079291497871, 33.912866078383
 _HART_Q = (440.413735824752, 793.826512519948, 637.333633378831, 296.564248779674,
            86.7807322029461, 16.064177579207, 1.75566716318264, 0.0883883476483184)
 _Z_MAX = 40.0  # Phi(-40) is below the smallest double
+ACTIVATION_GRID = (-50.0, 50.0, 2001)  # np.linspace arguments of the activation checks
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,12 @@ def _smoothed_grad(spec: ActivationSpec, x, out, work) -> None:
     add(np.copysign(np.subtract(half, out, out), x, out), mid, out)
 
 
-def check_activation_bounds(spec: ActivationSpec, lo: float = -50.0, hi: float = 50.0,
-                            points: int = 2001) -> dict:
+def check_activation_bounds(spec: ActivationSpec) -> dict:
     """Numerical check of the derivative range, curvature cap and |sigma(x)| <= |x|.
 
-    The |sigma(x)| <= |x| property is checked on a grid rather than assumed.
+    The |sigma(x)| <= |x| property is checked on ACTIVATION_GRID rather than assumed.
     """
-    xs = np.linspace(lo, hi, points)
+    xs = np.linspace(*ACTIVATION_GRID)
     d = act_grad(spec, xs)
     out = {
         "deriv_min": float(d.min()),

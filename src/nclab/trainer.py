@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import metrics
+from . import densemat, metrics
 from .network import ForwardTrace, NetworkConfig, ParamSet, _c0, backprop, forward, loss
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -186,7 +186,7 @@ def gd_step(ws: Workspace, eta: float, lam: float) -> dict:
     return failed
 
 
-def _observe(run: _Run, ws: Workspace, b: int, idx, step, first_layer) -> None:
+def _observe(run: _Run, ws: Workspace, b: int, idx, step, first_layer, rank_tol) -> None:
     """Record member b of `ws`, `run`, from the trace `ws` holds and make its
     state the last healthy one; LossDiverged, with the cause, if its loss
     diverged. The initial state (step 0) is recorded whatever its loss."""
@@ -197,7 +197,7 @@ def _observe(run: _Run, ws: Workspace, b: int, idx, step, first_layer) -> None:
         clam, c0 = loss(run.cfg, params, ws.x, ws.y, run.train_cfg.lam, trace=trace)
     if step > 0:
         _test_loss(c0)
-    rep = metrics.measure(run.cfg, params, trace, ws.y, idx, first_layer)
+    rep = metrics.measure(run.cfg, params, trace, ws.y, idx, first_layer, rank_tol=rank_tol)
     run.traj.records.append(TrajectoryRecord(
         step=step, c_lambda=clam, c_0=c0, param_norm=params.norm(),
         dist_from_init=params.dist(run.theta0), metrics=rep,
@@ -280,7 +280,7 @@ def _leave(ws: Workspace, active: list) -> tuple:
     return ws, [active[b] for b in live]
 
 
-def _run_lockstep(members: list, x, y, idx, first_layer) -> list:
+def _run_lockstep(members: list, x, y, idx, first_layer, rank_tol) -> list:
     """Train a group, one batched GD step per step, each member exactly as it
     would train alone: its own c_0 tests, records, divergence and errors. One
     workspace holds the states and their trace through the run, and records
@@ -303,7 +303,7 @@ def _run_lockstep(members: list, x, y, idx, first_layer) -> list:
         if k % train_cfg.record_every == 0 or k == train_cfg.steps:
             for b, run in enumerate(active):
                 try:
-                    _observe(run, ws, b, idx, k, first_layer)
+                    _observe(run, ws, b, idx, k, first_layer, rank_tol)
                 except Exception as exc:  # the member's own, raised from its call
                     run.stop(k, exc)
             ws, active = _leave(ws, active)
@@ -323,22 +323,23 @@ def _run_lockstep(members: list, x, y, idx, first_layer) -> list:
 
 def train(cfg: NetworkConfig, train_cfg: TrainConfig, x, y,
           idx: metrics.ClassIndex, first_layer: int | None = None,
-          group: Lockstep | None = None) -> tuple:
+          group: Lockstep | None = None, rank_tol: float = densemat.DEFAULT_RANK_TOL) -> tuple:
     """Run GD; returns (last recorded ParamSet, Trajectory).
 
     Every record carries the `metrics.measure` report of its state over the
-    layers from `first_layer` (default: the head input) to the output.
+    layers from `first_layer` (default: the head input) to the output, with
+    NC2 at `rank_tol` (`nclab` passes the resolved `bounds.rank_tol`).
     On divergence (a non-finite gradient, or a c_0 that is not finite or
     above the threshold) the partial trajectory is returned with `diverged`,
     its step and its cause set; the last recorded state is the final healthy
     one. A member of `group` trains with the whole group at the group's
-    first call, on this call's data, and gets or raises its own result,
-    identical to a run alone.
+    first call, on this call's data, `first_layer` and `rank_tol`, and gets or
+    raises its own result, identical to a run alone.
     """
     if group is None:
         group = Lockstep([(cfg, train_cfg)])
     if group.results is None:
-        group.results = _run_lockstep(group.members, x, y, idx, first_layer)
+        group.results = _run_lockstep(group.members, x, y, idx, first_layer, rank_tol)
     result = group.results[group.members.index((cfg, train_cfg))]
     if isinstance(result, Exception):
         raise result

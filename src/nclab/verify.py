@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import bounds, data, densemat, metrics, ntk, trainer
-from .network import (ActivationSpec, NetworkConfig, ParamSet, act_grad,
+from .network import (ACTIVATION_GRID, ActivationSpec, NetworkConfig, ParamSet, act_grad,
                       check_activation_bounds, forward, gradient, loss)
 
 SMOOTH = ActivationSpec("smoothed_leaky_relu", gamma=0.3, beta=2.0)
@@ -24,10 +24,9 @@ SMOOTH = ActivationSpec("smoothed_leaky_relu", gamma=0.3, beta=2.0)
 # constructed instances for the Theorem 1 / Lemma C.2 suites
 # ---------------------------------------------------------------------------
 
-def balanced_factors(seed: int, dims: list, sigma_lo: float = 0.5,
-                     sigma_hi: float = 2.0) -> tuple:
+def balanced_factors(seed: int, dims: list) -> tuple:
     """Factors (frames, root) of a chain with a target spectrum s drawn in
-    [sigma_lo, sigma_hi]: frames F_0..F_L have orthonormal columns (F_l is
+    [0.5, 2]: frames F_0..F_L have orthonormal columns (F_l is
     n_l x rank, rank = min(n_0, n_L)) and root = s^(1/L).
 
     dims = [n_0, n_1, ..., n_L]; every interior width must be >= min(n_0, n_L)
@@ -37,7 +36,7 @@ def balanced_factors(seed: int, dims: list, sigma_lo: float = 0.5,
     rank = min(dims[0], dims[-1])
     if any(d < rank for d in dims):
         raise ValueError("interior widths must carry the full spectrum")
-    s = np.sort(rng.uniform(sigma_lo, sigma_hi, size=rank))[::-1]
+    s = np.sort(rng.uniform(0.5, 2.0, size=rank))[::-1]
 
     def frame(n):
         g = rng.standard_normal((n, rank))
@@ -97,7 +96,7 @@ def check_thm1_instance(inst: dict) -> tuple:
     alignment bound (its `nontrivial` premise fails), which is skipped.
     """
     cfg, params, ds = inst["cfg"], inst["params"], inst["ds"]
-    ctx = bounds.run_context(cfg, ds, 0.0, None, densemat.DEFAULT_RANK_TOL)
+    ctx = bounds.run_context(cfg, ds, 0.0, None)
     trace = forward(cfg, params, ds.x)
     rep = metrics.measure(cfg, params, trace, ds.y, ds.idx, *bounds.verdict_layers(cfg))
     reports = bounds.state_verdicts(ctx, cfg, params, trace, rep)["reports"]
@@ -118,9 +117,8 @@ def thm1_suite(n_instances: int = 200, seed0: int = 0) -> tuple:
     return True, {"instances": n_instances}
 
 
-def lemma_c2_suite(n_instances: int = 100, seed0: int = 1000,
-                   exact_tol: float = 1e-10) -> tuple:
-    """Exactly balanced chains give a zero power gap; eps2-perturbed chains
+def lemma_c2_suite(n_instances: int = 100, seed0: int = 1000) -> tuple:
+    """Exactly balanced chains give a zero power gap (<= 1e-10); eps2-perturbed chains
     stay under the (L2^2/2) eps2 r^{2(L2-1)} cap."""
     rng = np.random.default_rng(seed0)
     for i in range(n_instances):
@@ -135,7 +133,7 @@ def lemma_c2_suite(n_instances: int = 100, seed0: int = 1000,
         params = ParamSet([w.copy() for w in weights])
         norms = {l: densemat.op_norm(w) for l, w in enumerate(weights, start=1)}
         rep = bounds.balanced_power_gap(cfg, params, max(norms.values()), 0.0, norms)
-        if rep.measured > exact_tol:
+        if rep.measured > 1e-10:
             return False, {"seed": seed, "exact_gap": rep.measured}
         eps2_scale = 10.0 ** rng.uniform(-8, -2)
         j = int(rng.integers(0, l2 - 1))
@@ -235,7 +233,7 @@ def check_activation() -> tuple:
     """The derivative's range and Lipschitz cap and |sigma(x)| <= |x|, and the
     derivative against gamma + (1 - gamma) Phi(x / s) from the standard
     library's erfc, Phi(u) = erfc(-u / sqrt 2) / 2, on the same grid."""
-    xs = np.linspace(-50.0, 50.0, 2001)
+    xs = np.linspace(*ACTIVATION_GRID)
     for gamma, beta in ((0.1, 1.0), (0.3, 2.0), (0.5, 5.0)):
         spec = ActivationSpec("smoothed_leaky_relu", gamma=gamma, beta=beta)
         rep = check_activation_bounds(spec)

@@ -234,10 +234,9 @@ def test_acceptance_run_verdict_table(pyramidal_run):
     # the table `nclab bounds` prints for this run: every bound holds
     net, ds, params = pyramidal_run["net"], pyramidal_run["ds"], pyramidal_run["params"]
     ctx = bounds.run_context(net, ds, pyramidal_run["tcfg"].lam,
-                             pyramidal_run["traj"].records[0].params,
-                             densemat.DEFAULT_RANK_TOL)
+                             pyramidal_run["traj"].records[0].params)
     trace = forward(net, params, ds.x)
-    rep = metrics.measure(net, params, trace, ds.y, ds.idx, rank_tol=ctx.rank_tol)
+    rep = metrics.measure(net, params, trace, ds.y, ds.idx)
     state = bounds.state_verdicts(ctx, net, params, trace, rep)
     _, state["reports"]["ntk_lower"] = bounds.ntk_verdict(net, params, trace, state)
     reports = state["reports"]

@@ -16,6 +16,8 @@ from nclab.verify import (balanced_chain, balanced_factors, check_thm1_instance,
                           make_thm1_instance)
 
 SMOOTH = ActivationSpec("smoothed_leaky_relu", gamma=0.3, beta=2.0)
+# the parts of a resolved config that `cli.evaluate_bounds` reads
+BOUNDS_CFG = {"train": {"lam": 0.01}, "bounds": {"rank_tol": densemat.DEFAULT_RANK_TOL}}
 
 
 def make_inputs(**kw):
@@ -151,7 +153,7 @@ def test_bounds_measure_z_l_minus_1_alone_and_report_as_a_full_sweep(monkeypatch
 
     def payload(measure):
         monkeypatch.setattr(metrics, "measure", measure)
-        out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params,
+        out = cli.evaluate_bounds(BOUNDS_CFG, cfg, ds, params,
                                   traj.records[0].params)
         return json.dumps(cli._sanitize(out), sort_keys=True, allow_nan=False)
 
@@ -174,11 +176,10 @@ def test_a_failed_premise_never_holds_across_the_engine():
         for lam in (0.0, 0.02):
             params, traj = train(cfg, TrainConfig(eta=0.05, lam=lam, steps=300),
                                  ds.x, ds.y, ds.idx)
-            ctx = bounds.run_context(cfg, ds, lam, traj.records[0].params,
-                                     densemat.DEFAULT_RANK_TOL)
+            ctx = bounds.run_context(cfg, ds, lam, traj.records[0].params)
             trace = forward(cfg, params, ds.x)
             rep = metrics.measure(cfg, params, trace, ds.y, ds.idx,
-                                  *bounds.verdict_layers(cfg), rank_tol=ctx.rank_tol)
+                                  *bounds.verdict_layers(cfg))
             state = bounds.state_verdicts(ctx, cfg, params, trace, rep)
             reports = [*state["reports"].values(),
                        bounds.ntk_verdict(cfg, params, trace, state)[1]]
@@ -223,7 +224,7 @@ def test_thm1_suite_runs_the_bounds_evaluator(monkeypatch):
     ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
     params = init_params(cfg, InitSpec(), 0)
     calls.clear()
-    out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
+    out = cli.evaluate_bounds(BOUNDS_CFG, cfg, ds, params, params)
     assert len(calls) == 1 and "balanced_power_gap" in out["reports"]
     # a violated report fails the instance
     monkeypatch.setattr(bounds, "thm1_nc1_rhs", lambda inp: 0.0)
@@ -261,7 +262,7 @@ def test_each_matrix_is_decomposed_once(monkeypatch, l1):
     assert len(seen) == len(set(seen)) > 0
     # measure + the Theorem-1 evaluator: only W_L comes twice (norm and svd)
     seen.clear()
-    ctx = bounds.run_context(cfg, ds, 0.01, None, densemat.DEFAULT_RANK_TOL)
+    ctx = bounds.run_context(cfg, ds, 0.01, None)
     trace = forward(cfg, params, ds.x)
     rep = metrics.measure(cfg, params, trace, ds.y, ds.idx)
     verdicts = bounds.state_verdicts(ctx, cfg, params, trace, rep)
@@ -276,7 +277,7 @@ def test_bounds_decompose_w_l_twice_and_y_never(monkeypatch):
     ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
     params, traj = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=3), ds.x, ds.y, ds.idx)
     seen = _record_svd_inputs(monkeypatch)
-    out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params,
+    out = cli.evaluate_bounds(BOUNDS_CFG, cfg, ds, params,
                               traj.records[0].params)
     assert "residual_to_pinv" in out["measured"] and "error" not in out["schedule"]
     assert _digest(ds.y) not in seen
@@ -300,10 +301,10 @@ def test_singular_vectors_are_built_only_for_pinv(monkeypatch):
     params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
     trace = forward(cfg, params, ds.x)
     rep = metrics.measure(cfg, params, trace, ds.y, ds.idx)
-    ctx = bounds.run_context(cfg, ds, 0.01, None, densemat.DEFAULT_RANK_TOL)
+    ctx = bounds.run_context(cfg, ds, 0.01, None)
     bounds.state_verdicts(ctx, cfg, params, trace, rep)
     bounds.init_spectra(cfg, params, forward(cfg, params, ds.x))
-    out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
+    out = cli.evaluate_bounds(BOUNDS_CFG, cfg, ds, params, params)
     assert "residual_to_pinv" in out["measured"] and "error" not in out["schedule"]
     # the one vector reader: state_verdicts' single SVD of W_L, which feeds the
     # pinv of residual_to_pinv (called here directly and through evaluate_bounds)
@@ -328,10 +329,10 @@ def test_only_op_norm_asks_for_the_top_singular_value(monkeypatch):
     params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=0), ds.x, ds.y, ds.idx)
     trace = forward(cfg, params, ds.x)
     rep = metrics.measure(cfg, params, trace, ds.y, ds.idx)
-    ctx = bounds.run_context(cfg, ds, 0.01, None, densemat.DEFAULT_RANK_TOL)
+    ctx = bounds.run_context(cfg, ds, 0.01, None)
     bounds.state_verdicts(ctx, cfg, params, trace, rep)
     bounds.init_spectra(cfg, params, forward(cfg, params, ds.x))
-    cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
+    cli.evaluate_bounds(BOUNDS_CFG, cfg, ds, params, params)
     from_op_norm = [(uv, top) for name, uv, top in calls if name == "nclab.densemat.op_norm"]
     assert from_op_norm and all(top and not uv for uv, top in from_op_norm)
     assert not [name for name, _, top in calls if top and name != "nclab.densemat.op_norm"]
@@ -368,7 +369,7 @@ def test_bounds_above_the_crossover_sweep_no_values_only_spectrum(monkeypatch):
     monkeypatch.setattr(densemat, "svd", recording)
     for name in ("_cyclic_sweep", "_round_robin_sweep"):
         monkeypatch.setattr(densemat, name, counted(getattr(densemat, name)))
-    out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params)
+    out = cli.evaluate_bounds(BOUNDS_CFG, cfg, ds, params, params)
     assert "error" not in out["schedule"]
     assert not [c["name"] for c in calls if c["whole_values_only"]]
     r_route = [c for c in calls if c["r_route"]]
@@ -503,17 +504,41 @@ def test_lambda_f_from_the_trace_is_sigma_min_of_sigma_w1_x(widths, l1, d, k, n_
     assert sched.lambda_f == bounds._s_min(act_apply(SMOOTH, params.weights[0] @ x))
 
 
+def test_state_verdicts_take_condition_numbers_at_the_reports_threshold(monkeypatch):
+    cfg = NetworkConfig(input_dim=6, widths=(8, 6, 5, 3), l1=2, l2=2, activation=SMOOTH)
+    ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
+    params, _ = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=5), ds.x, ds.y, ds.idx)
+    trace = forward(cfg, params, ds.x)
+    rep = metrics.measure(cfg, params, trace, ds.y, ds.idx, *bounds.verdict_layers(cfg),
+                          rank_tol=0.6)
+    assert rep.rank_tol == 0.6
+    calls, real = [], densemat.cond
+
+    def recording(a, rank_tol=densemat.DEFAULT_RANK_TOL):
+        calls.append((a, rank_tol))
+        return real(a, rank_tol)
+
+    monkeypatch.setattr(densemat, "cond", recording)
+    state = bounds.state_verdicts(bounds.run_context(cfg, ds, 0.01, None), cfg, params,
+                                  trace, rep)
+    w_l = densemat.svd(params.weights[-1])
+    [(first, tol)] = [(a, t) for a, t in calls if isinstance(a, densemat.SvdResult)]
+    assert np.array_equal(first.s, w_l.s) and tol == 0.6  # cond(W_L)
+    assert [t for _, t in calls] == [0.6, 0.6]  # and cond(W_{L:L1+1})
+    assert state["measured"]["kappa_w_l"] == real(w_l, 0.6)
+
+
 def test_one_context_serves_every_state_unchanged():
     cfg = NetworkConfig(input_dim=6, widths=(8, 6, 5, 3), l1=2, l2=2, activation=SMOOTH)
     ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
     params, traj = train(cfg, TrainConfig(eta=0.01, lam=0.01, steps=5), ds.x, ds.y, ds.idx)
     params0 = traj.records[0].params
-    ctx = bounds.run_context(cfg, ds, 0.01, params0, densemat.DEFAULT_RANK_TOL)
+    ctx = bounds.run_context(cfg, ds, 0.01, params0)
     spectra = asdict(ctx.spectra)
 
     def verdicts(p):
         trace = forward(cfg, p, ds.x)
-        rep = metrics.measure(cfg, p, trace, ds.y, ds.idx, rank_tol=ctx.rank_tol)
+        rep = metrics.measure(cfg, p, trace, ds.y, ds.idx)
         return bounds.state_verdicts(ctx, cfg, p, trace, rep)
 
     final, initial, again = verdicts(params), verdicts(params0), verdicts(params)
@@ -549,7 +574,7 @@ def test_bounds_trace_each_state_once(monkeypatch):
     monkeypatch.setattr(network, "act_apply", activating)
     monkeypatch.setattr(bounds, "act_apply", activating, raising=False)
     monkeypatch.setattr(bounds, "loss", losing)
-    out = cli.evaluate_bounds({"train": {"lam": 0.01}}, cfg, ds, params, params0)
+    out = cli.evaluate_bounds(BOUNDS_CFG, cfg, ds, params, params0)
     assert "error" not in out["schedule"]
     assert traced == [id(params0), id(params)]
     assert set(activated) == {"forward"} and len(activated) == 2 * cfg.l1

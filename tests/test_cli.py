@@ -186,7 +186,9 @@ def test_integer_fields_take_json_integers_only(tmp_path, capsys, keys, value, f
     (["bounds", "rank_tol"], 0, "bounds/rank_tol"),
     (["bounds", "rank_tol"], 1.5, "bounds/rank_tol"),
     (["data", "seed"], DROP, "data"),
-    (["network", "activation", "gamma"], 2, "network/activation/gamma")])
+    (["network", "activation", "gamma"], 2, "network/activation/gamma"),
+    (["bounds", "rank_tol"], DROP, "bounds"),  # the run's one rank threshold
+    (["bounds"], DROP, "bounds")])
 def test_bounds_validates_the_resolved_config(tmp_path, capsys, keys, value, field):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
@@ -1312,6 +1314,42 @@ def test_bounds_refuses_params_that_do_not_fit_the_network(tmp_path, capsys, nam
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and name in err[0]
     assert "bounds" not in json.loads((out / "report.json").read_text())
+
+
+def _with_a_nan(path):
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    arrays["w2"][0, 0] = np.nan
+    np.savez(path, **arrays)
+
+
+def _one_npy_array(path):
+    with open(path, "wb") as f:
+        np.save(f, np.zeros((4, 5)))
+
+
+BROKEN_PARAMS = {
+    "text": lambda path: path.write_text("not an npz archive\n"),
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:100]),
+    "empty": lambda path: path.write_bytes(b""),
+    "npy": _one_npy_array,
+    "nan": _with_a_nan,
+}
+
+
+@pytest.mark.parametrize("kind", BROKEN_PARAMS)
+@pytest.mark.parametrize("name", ["params_final.npz", "params_init.npz"])
+def test_bounds_refuses_an_unreadable_or_non_finite_params_file(tmp_path, capsys, name, kind):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    BROKEN_PARAMS[kind](out / name)
+    report = (out / "report.json").read_text()
+    capsys.readouterr()
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and str(out / name) in err[0]
+    assert (out / "report.json").read_text() == report
 
 
 def test_trajectory_eps1_is_the_reports_eps1(tmp_path):
