@@ -3,8 +3,9 @@ driven by interpolation error, balancedness and boundedness; the GD schedule
 caps; the shifted-PL descent inequalities; the balanced-power and gradient
 Lipschitz lemmas; and the conditioning / NTK bounds.
 
-Every evaluator is a pure function of its numeric inputs. A failed premise or
-non-positive denominator makes a bound *vacuous*, never silently clamped.
+Every closed-form bound is a pure function of one per-state record,
+`Thm1Inputs`, that `state_verdicts` builds. A failed premise, non-positive
+denominator or float overflow makes a bound *vacuous*, never silently clamped.
 `nclab bounds` and `nclab verify` reach them on one path: `run_context` once
 per data set and theta_0, then `state_verdicts` per state.
 """
@@ -44,6 +45,7 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class Thm1Inputs:
+    """A state's numbers every bound reads; c3 = cond(W_{L:L1+1}), kappa_wl = cond(W_L)."""
     eps1: float
     eps2: float
     r: float
@@ -55,58 +57,59 @@ class Thm1Inputs:
     l1: int
     l2: int
     c3: float | None = None
+    kappa_wl: float | None = None
 
 
-def _eps1_cap(k: int, n: int) -> float:
+def _eps1_cap(inp: Thm1Inputs) -> float:
     """sqrt((K-1) N / (4K)), the cap on eps1 in Theorem 1 and in the GD schedule."""
-    return math.sqrt((k - 1) * n / (4 * k))
+    return math.sqrt((inp.k - 1) * inp.n / (4 * inp.k))
 
 
-def _sk_margin(eps1: float, sK_y: float) -> float:
+def _sk_margin(inp: Thm1Inputs) -> float:
     """s_K(Y) - eps1; every bound below needs it positive."""
-    if eps1 >= sK_y:
+    if inp.eps1 >= inp.sK_y:
         raise VacuousBound("eps1 >= s_K(Y)")
-    return sK_y - eps1
+    return inp.sK_y - inp.eps1
 
 
-def _psi(eps1: float, eps2: float, r: float, n_lminus1: int, sK_y: float) -> float:
-    return r * (eps1 / _sk_margin(eps1, sK_y) + math.sqrt(n_lminus1 * eps2))
-
-
-def _nc1_den(eps1: float, k: int, n: int) -> float:
-    den = math.sqrt((k - 1) / k) - 2.0 * eps1 / math.sqrt(n)
+def _nc1_den(inp: Thm1Inputs) -> float:
+    den = math.sqrt((inp.k - 1) / inp.k) - 2.0 * inp.eps1 / math.sqrt(inp.n)
     if den <= 0:
         raise VacuousBound("interpolation error too large for the NC1 bound")
     return den
 
 
+def _defined(cond: float | None, of: str) -> float:
+    if cond is None:
+        raise ValueError(f"cond({of}) is undefined")
+    return cond
+
+
 def psi(inp: Thm1Inputs) -> float:
     """r * (eps1/(sK(Y)-eps1) + sqrt(n_{L-1} * eps2))."""
-    return _psi(inp.eps1, inp.eps2, inp.r, inp.n_lminus1, inp.sK_y)
+    return inp.r * (inp.eps1 / _sk_margin(inp) + math.sqrt(inp.n_lminus1 * inp.eps2))
 
 
 def thm1_nc1_rhs(inp: Thm1Inputs) -> float:
     """Upper bound on the within-class variability of Z_{L-1}."""
-    den = _nc1_den(inp.eps1, inp.k, inp.n)
+    den = _nc1_den(inp)
     p = psi(inp)
     return (inp.r ** 2 / inp.n) * p * p / (den * den)
 
 
-def thm2_nc1_rhs(eps1: float, eps2: float, r: float, n_lminus1: int, k: int,
-                 n: int, sK_y: float) -> float:
+def thm2_nc1_rhs(inp: Thm1Inputs) -> float:
     """NC1 cap after the GD schedule: Theorem 1's Psi and NC1 denominator at
     eps1*sqrt(2), with Psi unsquared."""
-    e1 = eps1 * math.sqrt(2.0)
-    den = _nc1_den(e1, k, n)
-    return (r ** 2 / n) * _psi(e1, eps2, r, n_lminus1, sK_y) / (den * den)
+    e1 = replace(inp, eps1=inp.eps1 * math.sqrt(2.0))
+    den = _nc1_den(e1)
+    return (inp.r ** 2 / inp.n) * psi(e1) / (den * den)
 
 
 def thm1_kappa_rhs(inp: Thm1Inputs) -> float:
     """Upper bound on cond(W_L) given cond(W_{L:L1+1}) <= c3, with the stated
     exponent 1/L2 on (1+eps)."""
-    if inp.c3 is None:
-        raise ValueError("c3 (bound on the linear-part conditioning) is required")
-    margin = _sk_margin(inp.eps1, inp.sK_y)
+    c3 = _defined(inp.c3, "W_{L:L1+1}")
+    margin = _sk_margin(inp)
     perturb = 0.5 * inp.l2 ** 2 * inp.r ** (2 * (inp.l2 - 1)) * inp.eps2
     base = margin ** 2 / (inp.x_opnorm ** 2 * inp.r ** (2 * inp.l1))
     den = base - perturb
@@ -114,20 +117,22 @@ def thm1_kappa_rhs(inp: Thm1Inputs) -> float:
         raise VacuousBound("balancedness perturbation dominates the spectral floor")
     eps = perturb / den
     expo = 1.0 / inp.l2
-    return inp.c3 ** (1.0 / inp.l2) * (1.0 + eps) ** expo + inp.c3 ** (1.0 / inp.l2 - 1.0) * eps
+    return c3 ** (1.0 / inp.l2) * (1.0 + eps) ** expo + c3 ** (1.0 / inp.l2 - 1.0) * eps
 
 
-def thm1_nc2_rhs(inp: Thm1Inputs, kappa_wl: float) -> float:
+def thm1_nc2_rhs(inp: Thm1Inputs) -> float:
     """Upper bound on cond(class means of Z_{L-1})."""
+    kappa_wl = _defined(inp.kappa_wl, "W_L")
     q = inp.r * psi(inp) / inp.sK_y
     if 1.0 - q <= 0:
         raise VacuousBound("residual term reaches 1 in the NC2 bound")
     return (kappa_wl + q) / (1.0 - q)
 
 
-def thm1_nc3_rhs(inp: Thm1Inputs, kappa_wl: float) -> float:
+def thm1_nc3_rhs(inp: Thm1Inputs) -> float:
     """Lower bound on the feature/weight alignment; may be vacuous-weak (< -1),
     which `state_verdicts` reports as a failed `nontrivial` premise."""
+    kappa_wl = _defined(inp.kappa_wl, "W_L")
     p = psi(inp)
     num = ((math.sqrt(inp.n) - inp.eps1) ** 2
            + inp.n / kappa_wl ** 2
@@ -229,63 +234,57 @@ def _ceil_log_ratio(arg: float, rate: float) -> float:
     return float(math.ceil(math.log(arg) / math.log1p(-rate)))
 
 
-def thm2_schedule(sched: Thm2Schedule, cfg: NetworkConfig, eps1: float, eps2: float,
-                  b: float, x_opnorm: float, theta0_norm: float, c0_init: float,
-                  c_lambda_init: float, k: int, n: int,
+def thm2_schedule(sched: Thm2Schedule, cfg: NetworkConfig, inp: Thm1Inputs, b: float,
                   lam: float | None = None, eta: float | None = None) -> Thm2Schedule:
-    """Fill in the weight-decay/step-size caps and the two-phase step count.
+    """Fill in the weight-decay/step-size caps and the two-phase step count from
+    `inp`, data bound `b` and theta_0's C_lambda, c_0 and norm on `sched`.
 
     `lam`/`eta` default to their caps; passing smaller values recomputes the
     step count for the values actually used in a run.
     """
     gamma = cfg.activation.gamma
     beta = cfg.activation.beta if cfg.activation.beta is not None else 1.0
-    L, l1 = cfg.depth, cfg.l1
+    L = cfg.depth
+    eps1, eps2, x_opnorm, n = inp.eps1, inp.eps2, inp.x_opnorm, inp.n
+    c0_init, theta0_norm = sched.c0_init, sched.theta0_norm
     sched.b = b
-    sched.c0_init = c0_init
-    sched.c_lambda_init = c_lambda_init
-    sched.theta0_norm = theta0_norm
-    sched.eps1_premise = eps1 <= _eps1_cap(k, n)
+    sched.eps1_premise = eps1 <= _eps1_cap(inp)
     sched.assumption3 = check_assumption3(sched, c0_init, gamma, L)
 
-    lambda_caps = (
+    sched.lambda_caps = (
         2.0 * (gamma / 2.0) ** (L - 2) * sched.lambda_f * sched.lambda_3_to_l,
         2.0 * c0_init / theta0_norm ** 2 if theta0_norm > 0 else math.inf,
         eps1 ** 2 / (18.0 * (theta0_norm + sched.lambda_f / 2.0) ** 2),
     )
-    sched.lambda_caps = lambda_caps
-    sched.lambda_cap = min(lambda_caps)
-    sched.lam = sched.lambda_cap if lam is None else lam
-    lam_used = sched.lam
+    sched.lambda_cap = min(sched.lambda_caps)
+    lam = sched.lam = sched.lambda_cap if lam is None else lam
 
-    sched.m_lambda = ((1.0 + math.sqrt(4.0 * lam_used / sched.alpha)) ** 2
+    sched.m_lambda = ((1.0 + math.sqrt(4.0 * lam / sched.alpha)) ** 2
                       * (theta0_norm + sched.r0) ** 2) if sched.alpha > 0 else math.inf
     sched.beta1 = lipschitz_const(
         [max(1.0, sched.bar_lambda_l[l]) for l in range(1, L + 1)], b, n, beta)
 
-    growth = 2.0 * eps1 ** 2 / lam_used if lam_used > 0 else math.inf
-    eta_caps = (
+    growth = 2.0 * eps1 ** 2 / lam if lam > 0 else math.inf
+    sched.eta_caps = (
         1.0 / (2.0 * sched.beta1),
         1.0 / lipschitz_const([math.sqrt(max(1.0, growth))] * L, b, n, beta),
-        1.0 / (2.0 * lam_used) if lam_used > 0 else math.inf,
-        (1.0 / growth) ** (l1 + L) * eps2 / (4.0 * x_opnorm ** 2)
+        1.0 / (2.0 * lam) if lam > 0 else math.inf,
+        (1.0 / growth) ** (cfg.l1 + L) * eps2 / (4.0 * x_opnorm ** 2)
         if growth > 0 and x_opnorm > 0 else math.inf,
     )
-    sched.eta_caps = eta_caps
-    sched.eta_cap = min(eta_caps)
-    sched.eta = sched.eta_cap if eta is None else eta
-    eta_used = sched.eta
+    sched.eta_cap = min(sched.eta_caps)
+    eta = sched.eta = sched.eta_cap if eta is None else eta
 
-    lam_m = lam_used * sched.m_lambda
-    if c_lambda_init <= 2.0 * lam_m:
+    lam_m = lam * sched.m_lambda
+    if sched.c_lambda_init <= 2.0 * lam_m:
         k1 = 0.0  # first phase complete at initialization
     else:
-        k1 = _ceil_log_ratio(lam_m / (c_lambda_init - lam_m), eta_used * sched.alpha / 8.0)
-    k2 = _ceil_log_ratio(lam_used * eps2 / (4.0 * eps1 ** 2), eta_used * lam_used)
+        k1 = _ceil_log_ratio(lam_m / (sched.c_lambda_init - lam_m), eta * sched.alpha / 8.0)
+    k2 = _ceil_log_ratio(lam * eps2 / (4.0 * eps1 ** 2), eta * lam)
     sched.k_floor_terms = (k1, k2)
     sched.k_floor = k1 + k2
 
-    base = eps1 * math.sqrt(2.0 / lam_used) if lam_used > 0 else math.inf
+    base = eps1 * math.sqrt(2.0 / lam) if lam > 0 else math.inf
     sched.r_of_lambda = max(base, base ** (L - 2) * x_opnorm, base ** (L - 1) * x_opnorm)
     return sched
 
@@ -375,6 +374,8 @@ def bound_report(name: str, premises: dict, rhs, measured: float | None,
         rep.value = rhs()
     except (VacuousBound, ValueError) as exc:
         rep.detail["vacuous_reason"] = str(exc)
+    except OverflowError as exc:  # e.g. a float power of r
+        rep.detail["vacuous_reason"] = f"the bound overflows a float: {exc}"
     rep.premises = {key: bool(p(rep.value)) if callable(p) else p
                     for key, p in premises.items() if rep.value is not None or not callable(p)}
     if rep.value is not None and measured is None:
@@ -439,36 +440,28 @@ def verdict_layers(cfg: NetworkConfig) -> tuple:
 
 
 def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
-                   trace: ForwardTrace, rep) -> dict:
-    """The `measured`, `reports` and `schedule` blocks of a state of `ctx`'s
-    run, from its trace and its `metrics.measure` report `rep` (over at least
-    `verdict_layers(cfg)`), with every cond and pinv at rep's `rank_tol`; one
-    svd of W_L gives cond(W_L) and `residual_to_pinv`.
-    `thm1_nc1` needs L2 >= 1 and the bounds on the linear head L2 >= 2. A
-    quantity that cannot be computed makes its reports vacuous, with the reason."""
+                   trace: ForwardTrace, rep) -> tuple:
+    """(blocks, inp): the `measured`, `reports` and `schedule` blocks of a state of
+    `ctx`'s run, from its trace and `metrics.measure` report `rep` (over at least
+    `verdict_layers(cfg)`; `measured` takes eps1, eps2 and r from it), and the
+    `Thm1Inputs` every bound read. Every cond and pinv is at rep's `rank_tol`; one
+    svd of W_L gives cond(W_L) and `residual_to_pinv`. `thm1_nc1` needs L2 >= 1 and
+    the bounds on the linear head L2 >= 2. A quantity that cannot be computed makes
+    its reports vacuous, with the reason."""
     ds, rank_tol = ctx.ds, rep.rank_tol
-    k, n = cfg.n_classes, ds.x.shape[1]
     w_l = densemat.svd(params.weights[-1])
     kappa_wl = _cond_or_none(w_l, rank_tol)
     kappa_prod = kappa_wl if cfg.l2 == 1 else None  # W_{L:L} = W_L
     if cfg.l2 >= 2:
-        kappa_prod = _cond_or_none(partial_product(cfg, params, cfg.depth, cfg.l1 + 1),
-                                   rank_tol)
-    inp = Thm1Inputs(eps1=rep.eps1, eps2=rep.eps2, r=rep.r,
-                     n_lminus1=cfg.widths[cfg.depth - 2], k=k, n=n, sK_y=ds.idx.sK_y,
-                     x_opnorm=ctx.x_opnorm, l1=cfg.l1, l2=cfg.l2, c3=kappa_prod)
+        kappa_prod = _cond_or_none(partial_product(cfg, params, cfg.depth, cfg.l1 + 1), rank_tol)
+    inp = Thm1Inputs(eps1=rep.eps1, eps2=rep.eps2, r=rep.r, n_lminus1=cfg.widths[-2],
+                     k=cfg.n_classes, n=ds.x.shape[1], sK_y=ds.idx.sK_y, x_opnorm=ctx.x_opnorm,
+                     l1=cfg.l1, l2=cfg.l2, c3=kappa_prod, kappa_wl=kappa_wl)
     head = next(lm for lm in rep.layers if lm.layer == cfg.depth - 1)
-    nc1, nc2, nc3 = head.nc1, head.nc2, head.nc3
-    premises = {"eps1_small": bool(inp.eps1 <= min(inp.sK_y, _eps1_cap(k, n)))}
-
-    def kappa():
-        if kappa_wl is None:
-            raise ValueError("cond(W_L) is undefined")
-        return kappa_wl
-
+    premises = {"eps1_small": bool(inp.eps1 <= min(inp.sK_y, _eps1_cap(inp)))}
     reports = {"thm1_nc1": bound_report(  # Theorem 1 ends the net in linear layers
         "thm1_nc1", {**premises, "linear_last_layer": cfg.l2 >= 1},
-        lambda: thm1_nc1_rhs(inp), nc1)}
+        lambda: thm1_nc1_rhs(inp), head.nc1)}
     if cfg.l2 < 2:
         reports.update((name, BoundReport(name=name, premises={"has_linear_interface": False}))
                        for name in THM1_LINEAR_BOUNDS)
@@ -476,56 +469,58 @@ def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
         reports["thm1_kappa"] = bound_report(
             "thm1_kappa", premises, lambda: thm1_kappa_rhs(inp), kappa_wl)
         reports["thm1_nc2"] = bound_report(
-            "thm1_nc2", premises, lambda: thm1_nc2_rhs(inp, kappa()), nc2)
+            "thm1_nc2", premises, lambda: thm1_nc2_rhs(inp), head.nc2)
         reports["thm1_nc3"] = bound_report(  # a cosine is >= -1: a lower RHS says nothing
             "thm1_nc3", {**premises, "nontrivial": lambda v: v >= -1.0},
-            lambda: thm1_nc3_rhs(inp, kappa()), nc3, lower=True)
-        gap = balanced_power_gap(cfg, params, rep.r, rep.eps2, rep.op_norms)
+            lambda: thm1_nc3_rhs(inp), head.nc3, lower=True)
+        gap = balanced_power_gap(cfg, params, inp.r, inp.eps2, rep.op_norms)
         if kappa_wl is not None:
             gap.detail["kappa_w_l"] = kappa_wl
         if kappa_prod is not None:
             gap.detail["kappa_prod_root"] = kappa_prod ** (1.0 / cfg.l2)
         reports["balanced_power_gap"] = gap
 
-    measured = {"eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r, "sK_y": inp.sK_y, "nc1": nc1,
+    measured = {"eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r, "sK_y": inp.sK_y, "nc1": head.nc1,
                 "x_opnorm": inp.x_opnorm, "kappa_w_l": kappa_wl, "kappa_prod": kappa_prod}
     with contextlib.suppress(VacuousBound, ValueError):
         measured["residual_to_pinv"] = residual_to_pinv(
             trace.z[cfg.depth - 1], w_l, ds.y, rank_tol)
 
     s0 = ctx.spectra  # filled on a copy: it serves every state
-    schedule = s0 if isinstance(s0, dict) else _schedule_or_error(lambda: asdict(thm2_schedule(
-        replace(s0), cfg, max(rep.eps1, 1e-6), max(rep.eps2, 1e-8), ds.b, ctx.x_opnorm,
-        s0.theta0_norm, s0.c0_init, s0.c_lambda_init, k, n)))
-    return {"measured": measured, "reports": reports, "schedule": schedule}
+    floored = replace(inp, eps1=max(inp.eps1, 1e-6), eps2=max(inp.eps2, 1e-8))
+    schedule = s0 if isinstance(s0, dict) else _schedule_or_error(
+        lambda: asdict(thm2_schedule(replace(s0), cfg, floored, ds.b)))
+    return {"measured": measured, "reports": reports, "schedule": schedule}, inp
 
 
 # ---------------------------------------------------------------------------
 # Conditioning under large learning rates, NTK floor
 # ---------------------------------------------------------------------------
 
-def ntk_lower_bound(sK_y: float, eps1: float, k: int, r: float, l2: int) -> float:
-    return _sk_margin(eps1, sK_y) ** 2 * l2 / (k ** 2 * r ** 2)
+def ntk_lower_bound(inp: Thm1Inputs) -> float:
+    """(s_K(Y) - eps1)^2 L2 / (K^2 r^2), the floor on the top NTK eigenvalue."""
+    return _sk_margin(inp) ** 2 * inp.l2 / (inp.k ** 2 * inp.r ** 2)
 
 
 def ntk_verdict(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
-                state: dict) -> tuple:
-    """The `ntk` block and `ntk_lower` report of a state with trace `trace`
-    and `state_verdicts` blocks `state`, on the premises of `thm1_nc1`."""
-    nrep, m = ntk.ntk_opnorm(cfg, params, trace), state["measured"]
-    return ({"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
-             "residual": nrep.residual, "converged": nrep.converged},
-            bound_report("ntk_lower", state["reports"]["thm1_nc1"].premises,
-                         lambda: ntk_lower_bound(m["sK_y"], m["eps1"], cfg.n_classes,
-                                                 m["r"], cfg.l2), nrep.rho, lower=True))
+                state: dict, inp: Thm1Inputs) -> tuple:
+    """`ntk` block ({"error": why} if not finite) and `ntk_lower` report, on `thm1_nc1`'s
+    premises, of a state with trace `trace` and `state_verdicts` output (state, inp)."""
+    try:
+        nrep = ntk.ntk_opnorm(cfg, params, trace)
+        block, rho = {"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
+                      "residual": nrep.residual, "converged": nrep.converged}, nrep.rho
+    except FloatingPointError as exc:  # a non-finite NTK
+        block, rho = {"error": str(exc)}, None
+    return block, bound_report("ntk_lower", state["reports"]["thm1_nc1"].premises,
+                               lambda: ntk_lower_bound(inp), rho, lower=True)
 
 
-def large_lr_kappa_bound(c_ntk: float, l2: int, m: int, k: int, r: float,
-                         sK_y: float, eps1: float) -> float:
+def large_lr_kappa_bound(inp: Thm1Inputs, c_ntk: float, m: int) -> float:
     """Cap that some partial product in the first M linear layers must meet."""
-    if m > l2:
+    if m > inp.l2:
         raise ValueError("M must not exceed the number of linear layers")
-    return math.sqrt(c_ntk * l2) * k * r / (math.sqrt(m) * _sk_margin(eps1, sK_y))
+    return math.sqrt(c_ntk * inp.l2) * inp.k * inp.r / (math.sqrt(m) * _sk_margin(inp))
 
 
 def scan_partial_product_kappa(cfg: NetworkConfig, params: ParamSet, m: int,

@@ -319,7 +319,8 @@ def write_means_grams(out: Path, net, rec) -> None:
     which must measure them."""
     for lm in rec.metrics.layers:
         if lm.layer >= max(net.depth - 2, 1):
-            gram = lm.means.T @ lm.means
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverged state's means overflow
+                gram = lm.means.T @ lm.means
             header = [f"c{j}" for j in range(gram.shape[1])]
             write_csv(out / f"means_gram_{lm.layer}.csv", header,
                       [list(row) for row in gram])
@@ -413,12 +414,13 @@ def evaluate_bounds(cfg: dict, net, ds, params, params_init) -> dict:
     from . import bounds  # here, so that train and sweep never load it or ntk
     if net.depth < 2:
         raise ConfigError("bounds need a network with at least two layers")
-    ctx = bounds.run_context(net, ds, cfg["train"]["lam"], params_init)
-    trace = forward(net, params, ds.x)
-    rep = metrics.measure(net, params, trace, ds.y, ds.idx, *bounds.verdict_layers(net),
-                          rank_tol=cfg["bounds"]["rank_tol"])
-    out = bounds.state_verdicts(ctx, net, params, trace, rep)
-    out["ntk"], out["reports"]["ntk_lower"] = bounds.ntk_verdict(net, params, trace, out)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes a report vacuous
+        ctx = bounds.run_context(net, ds, cfg["train"]["lam"], params_init)
+        trace = forward(net, params, ds.x)
+        rep = metrics.measure(net, params, trace, ds.y, ds.idx, *bounds.verdict_layers(net),
+                              rank_tol=cfg["bounds"]["rank_tol"])
+        out, inp = bounds.state_verdicts(ctx, net, params, trace, rep)
+        out["ntk"], out["reports"]["ntk_lower"] = bounds.ntk_verdict(net, params, trace, out, inp)
     out["reports"] = {name: asdict(r) for name, r in out["reports"].items()}
     return out
 

@@ -125,8 +125,8 @@ def _top_ritz(alpha: list, beta: list, lower: float) -> tuple:
 def ntk_opnorm(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
                seed: int = 0) -> NTKReport:
     """Largest NTK eigenvalue by Lanczos on K x N probes (module docstring),
-    read from `trace`, the state's forward(cfg, params, x). `iterations`
-    counts the NTK applications of the basis."""
+    read from `trace`, the state's forward(cfg, params, x); `iterations` counts
+    the NTK applications of the basis; a non-finite one is a FloatingPointError."""
     def theta_of(probe):  # the NTK applied to a K x N probe
         return pushforward(cfg, params, trace, pullback(cfg, params, trace, probe))
     k, n = trace.z[-1].shape
@@ -144,6 +144,8 @@ def ntk_opnorm(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
         for _ in range(2):  # classical Gram-Schmidt against the whole basis, twice
             w -= basis.T @ (basis @ w)
         b = float(np.linalg.norm(w))
+        if not math.isfinite(b):  # the state's NTK overflows: no eigenvalue to bisect
+            raise FloatingPointError("the NTK applied to a probe is not finite")
         theta, s = _top_ritz(alpha, beta, theta)
         converged = b * abs(s[-1]) <= RITZ_TOL * theta
         if converged:

@@ -193,15 +193,15 @@ def _observe(run: _Run, ws: Workspace, b: int, idx, step, first_layer, rank_tol)
     params = ws.member(b).copy()
     trace = ForwardTrace([ws.x] + ws.member(b, ws.trace.z[1:]).weights,  # views
                          ws.member(b, ws.trace.dact).weights)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged state is recorded as is
         clam, c0 = loss(run.cfg, params, ws.x, ws.y, run.train_cfg.lam, trace=trace)
-    if step > 0:
-        _test_loss(c0)
-    rep = metrics.measure(run.cfg, params, trace, ws.y, idx, first_layer, rank_tol=rank_tol)
-    run.traj.records.append(TrajectoryRecord(
-        step=step, c_lambda=clam, c_0=c0, param_norm=params.norm(),
-        dist_from_init=params.dist(run.theta0), metrics=rep,
-        params=params if run.train_cfg.store_params else None))
+        if step > 0:
+            _test_loss(c0)
+        rep = metrics.measure(run.cfg, params, trace, ws.y, idx, first_layer, rank_tol=rank_tol)
+        run.traj.records.append(TrajectoryRecord(
+            step=step, c_lambda=clam, c_0=c0, param_norm=params.norm(),
+            dist_from_init=params.dist(run.theta0), metrics=rep,
+            params=params if run.train_cfg.store_params else None))
     run.last_healthy = params
 
 

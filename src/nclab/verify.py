@@ -99,7 +99,7 @@ def check_thm1_instance(inst: dict) -> tuple:
     ctx = bounds.run_context(cfg, ds, 0.0, None)
     trace = forward(cfg, params, ds.x)
     rep = metrics.measure(cfg, params, trace, ds.y, ds.idx, *bounds.verdict_layers(cfg))
-    reports = bounds.state_verdicts(ctx, cfg, params, trace, rep)["reports"]
+    reports = bounds.state_verdicts(ctx, cfg, params, trace, rep)[0]["reports"]
     detail = {"seed": inst["seed"], "eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r}
     for name, r in reports.items():
         detail[name] = (r.measured, r.value)
@@ -109,20 +109,20 @@ def check_thm1_instance(inst: dict) -> tuple:
     return True, detail
 
 
-def thm1_suite(n_instances: int = 200, seed0: int = 0) -> tuple:
+def thm1_suite(n_instances: int = 200) -> tuple:
     for i in range(n_instances):
-        ok, detail = check_thm1_instance(make_thm1_instance(seed0 + i))
+        ok, detail = check_thm1_instance(make_thm1_instance(i))
         if not ok:
             return False, detail
     return True, {"instances": n_instances}
 
 
-def lemma_c2_suite(n_instances: int = 100, seed0: int = 1000) -> tuple:
+def lemma_c2_suite(n_instances: int = 100) -> tuple:
     """Exactly balanced chains give a zero power gap (<= 1e-10); eps2-perturbed chains
-    stay under the (L2^2/2) eps2 r^{2(L2-1)} cap."""
-    rng = np.random.default_rng(seed0)
+    stay under the (L2^2/2) eps2 r^{2(L2-1)} cap. Instance i has seed 1000 + i."""
+    rng = np.random.default_rng(1000)
     for i in range(n_instances):
-        seed = seed0 + i
+        seed = 1000 + i
         l2 = int(rng.integers(2, 5))
         k = int(rng.integers(2, 5))
         width = k + int(rng.integers(0, 4))
@@ -183,23 +183,23 @@ def fd_gradient(cfg, params, x, y, lam, h=1e-5) -> ParamSet:
     return ParamSet(out)
 
 
-def check_svd_reconstruction(seed: int = 0, trials: int = 30) -> tuple:
-    rng = np.random.default_rng(seed)
+def check_svd_reconstruction() -> tuple:
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for i in range(trials):
+    for i in range(30):
         m, n = int(rng.integers(1, 40)), int(rng.integers(1, 40))
         a = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4)
         res = densemat.svd(a)
         err = densemat.fro_norm(a - res.reconstruct()) / max(1.0, densemat.fro_norm(a))
         worst = max(worst, err)
         if err > 1e-10:
-            return False, {"seed": seed, "trial": i, "shape": (m, n), "err": err}
+            return False, {"seed": 0, "trial": i, "shape": (m, n), "err": err}
     return True, {"worst": worst}
 
 
-def check_pinv_identities(seed: int = 1, trials: int = 20) -> tuple:
-    rng = np.random.default_rng(seed)
-    for i in range(trials):
+def check_pinv_identities() -> tuple:
+    rng = np.random.default_rng(1)
+    for i in range(20):
         m, n = int(rng.integers(1, 20)), int(rng.integers(1, 20))
         a = rng.standard_normal((m, n))
         p = densemat.pinv(a)
@@ -208,14 +208,14 @@ def check_pinv_identities(seed: int = 1, trials: int = 20) -> tuple:
                   densemat.fro_norm((a @ p).T - a @ p),
                   densemat.fro_norm((p @ a).T - p @ a)]
         if max(checks) > 1e-8 * max(1.0, densemat.fro_norm(a)):
-            return False, {"seed": seed, "trial": i, "residuals": checks}
+            return False, {"seed": 1, "trial": i, "residuals": checks}
     return True, {}
 
-def check_gradient_fd(seed: int = 2, trials: int = 10) -> tuple:
+def check_gradient_fd() -> tuple:
     """Finite differences against the gradient training applies: a
     one-member Workspace's gradient buffer after a step with eta = 1 (exact)."""
-    rng = np.random.default_rng(seed)
-    for i in range(trials):
+    rng = np.random.default_rng(2)
+    for i in range(10):
         cfg, params, x, y = _random_net(rng)
         lam = float(rng.uniform(0, 0.1))
         ws = trainer.Workspace([cfg], x, y, [params])
@@ -224,7 +224,7 @@ def check_gradient_fd(seed: int = 2, trials: int = 10) -> tuple:
         num = ws.member(0, ws.grads).dist(fd)
         den = max(fd.norm(), 1e-12)
         if failed or num / den > 1e-6:
-            return False, {"seed": seed, "trial": i, "rel_err": num / den,
+            return False, {"seed": 2, "trial": i, "rel_err": num / den,
                            "widths": cfg.widths, "l1": cfg.l1, "failed": failed}
     return True, {}
 
@@ -247,30 +247,30 @@ def check_activation() -> tuple:
     return True, {}
 
 
-def check_pullback_is_gradient(seed: int = 4, trials: int = 8) -> tuple:
-    rng = np.random.default_rng(seed)
-    for i in range(trials):
+def check_pullback_is_gradient() -> tuple:
+    rng = np.random.default_rng(4)
+    for i in range(8):
         cfg, params, x, y = _random_net(rng)
         trace = forward(cfg, params, x)
         a = trace.z[-1] - y
         g = gradient(cfg, params, x, y, 0.0)
         pb = ntk.pullback(cfg, params, trace, a)
         if g.dist(pb) > 1e-10 * max(1.0, g.norm()):
-            return False, {"seed": seed, "trial": i}
+            return False, {"seed": 4, "trial": i}
     return True, {}
 
 
-def check_ntk_rayleigh(seed: int = 5, trials: int = 6) -> tuple:
-    rng = np.random.default_rng(seed)
-    for i in range(trials):
+def check_ntk_rayleigh() -> tuple:
+    rng = np.random.default_rng(5)
+    for i in range(6):
         cfg, params, x, _ = _random_net(rng)
         trace = forward(cfg, params, x)
-        rep = ntk.ntk_opnorm(cfg, params, trace, seed=seed + i)
+        rep = ntk.ntk_opnorm(cfg, params, trace, seed=5 + i)
         for j in range(4):
             a = rng.standard_normal(trace.z[-1].shape)
             q = ntk.ntk_quadratic_form(cfg, params, trace, a)
             if q > rep.rho * float(np.sum(a * a)) * (1.0 + 1e-6):
-                return False, {"seed": seed, "trial": i, "probe": j,
+                return False, {"seed": 5, "trial": i, "probe": j,
                                "quadratic_form": q, "rho": rep.rho}
     return True, {}
 
@@ -290,18 +290,18 @@ def check_one_hot_identities() -> tuple:
     return True, {}
 
 
-def check_dense_ntk_agreement(seed: int = 6) -> tuple:
-    rng = np.random.default_rng(seed)
+def check_dense_ntk_agreement() -> tuple:
+    rng = np.random.default_rng(6)
     cfg = NetworkConfig(input_dim=3, widths=(4, 2), l1=1, l2=1,
                         activation=SMOOTH)
     params = ParamSet([rng.standard_normal(cfg.layer_shape(layer)) for layer in range(1, 3)])
     trace = forward(cfg, params, rng.standard_normal((3, 5)))
     dense = ntk.dense_ntk(cfg, params, trace)
     top = densemat.op_norm(dense)
-    rep = ntk.ntk_opnorm(cfg, params, trace, seed=seed)
+    rep = ntk.ntk_opnorm(cfg, params, trace, seed=6)
     rel = abs(rep.rho - top) / max(top, 1e-300)
     if rel > 1e-6:
-        return False, {"seed": seed, "lanczos": rep.rho, "dense": top, "rel": rel}
+        return False, {"seed": 6, "lanczos": rep.rho, "dense": top, "rel": rel}
     return True, {"rel": rel}
 
 

@@ -126,9 +126,10 @@ def test_criterion_5_pyramidal_training_outcomes(pyramidal_run):
     # measured inputs
     nc1_zlm1 = metrics.nc1(trace.z[net.depth - 1], ds.idx)
     sK_y = densemat.svd(ds.y).s[net.n_classes - 1]
-    rhs = bounds.thm2_nc1_rhs(rep.eps1, rep.eps2, rep.r,
-                              net.widths[net.depth - 2], net.n_classes,
-                              ds.x.shape[1], sK_y)
+    rhs = bounds.thm2_nc1_rhs(bounds.Thm1Inputs(
+        eps1=rep.eps1, eps2=rep.eps2, r=rep.r, n_lminus1=net.widths[net.depth - 2],
+        k=net.n_classes, n=ds.x.shape[1], sK_y=sK_y, x_opnorm=densemat.op_norm(ds.x),
+        l1=net.l1, l2=net.l2))
     assert nc1_zlm1 <= rhs, f"NC1 {nc1_zlm1:.3e} > RHS {rhs:.3e}"
 
 
@@ -139,13 +140,15 @@ def test_criterion_6_shifted_pl_decay_and_exit_bound(pyramidal_run):
     sched = bounds.init_spectra(net, params0, forward(net, params0, ds.x))
     from nclab.network import loss
     clam0, c00 = loss(net, params0, ds.x, ds.y, tcfg.lam)
+    sched.c_lambda_init, sched.c0_init, sched.theta0_norm = clam0, c00, params0.norm()
     rep_metrics = metrics.measure(net, pyramidal_run["params"],
                                   forward(net, pyramidal_run["params"], ds.x),
                                   ds.y, ds.idx)
-    sched = bounds.thm2_schedule(sched, net, EPS1_TARGET, EPS2_TARGET, ds.b,
-                                 densemat.op_norm(ds.x), params0.norm(), c00,
-                                 clam0, net.n_classes, ds.x.shape[1],
-                                 lam=tcfg.lam, eta=tcfg.eta)
+    inp = bounds.Thm1Inputs(
+        eps1=EPS1_TARGET, eps2=EPS2_TARGET, r=rep_metrics.r,
+        n_lminus1=net.widths[net.depth - 2], k=net.n_classes, n=ds.x.shape[1],
+        sK_y=ds.idx.sK_y, x_opnorm=densemat.op_norm(ds.x), l1=net.l1, l2=net.l2)
+    sched = bounds.thm2_schedule(sched, net, inp, ds.b, lam=tcfg.lam, eta=tcfg.eta)
     rep = bounds.pl_check(net, ds.x, ds.y, traj, sched, tcfg.lam, tcfg.eta)
     assert rep.detail["pl_ok"], rep.detail
     assert rep.detail["decay_ok"], rep.detail
@@ -177,8 +180,10 @@ def test_criterion_7_ntk_power_iteration_and_lower_bound(pyramidal_run):
     mrep = metrics.measure(net, params, forward(net, params, ds.x), ds.y,
                            ds.idx)
     sK_y = densemat.svd(ds.y).s[net.n_classes - 1]
-    lower = bounds.ntk_lower_bound(sK_y, mrep.eps1, net.n_classes, mrep.r,
-                                   net.l2)
+    lower = bounds.ntk_lower_bound(bounds.Thm1Inputs(
+        eps1=mrep.eps1, eps2=mrep.eps2, r=mrep.r, n_lminus1=net.widths[net.depth - 2],
+        k=net.n_classes, n=ds.x.shape[1], sK_y=sK_y, x_opnorm=densemat.op_norm(ds.x),
+        l1=net.l1, l2=net.l2))
     big = ntk.ntk_opnorm(net, params, forward(net, params, ds.x))
     assert big.rho >= lower, f"rho {big.rho:.3e} < bound {lower:.3e}"
 
@@ -237,8 +242,8 @@ def test_acceptance_run_verdict_table(pyramidal_run):
                              pyramidal_run["traj"].records[0].params)
     trace = forward(net, params, ds.x)
     rep = metrics.measure(net, params, trace, ds.y, ds.idx)
-    state = bounds.state_verdicts(ctx, net, params, trace, rep)
-    _, state["reports"]["ntk_lower"] = bounds.ntk_verdict(net, params, trace, state)
+    state, inp = bounds.state_verdicts(ctx, net, params, trace, rep)
+    _, state["reports"]["ntk_lower"] = bounds.ntk_verdict(net, params, trace, state, inp)
     reports = state["reports"]
     assert {name: r.holds for name, r in reports.items()} == dict.fromkeys(
         ("thm1_nc1", "thm1_kappa", "thm1_nc2", "thm1_nc3", "balanced_power_gap",

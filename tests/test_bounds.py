@@ -22,7 +22,7 @@ BOUNDS_CFG = {"train": {"lam": 0.01}, "bounds": {"rank_tol": densemat.DEFAULT_RA
 
 def make_inputs(**kw):
     base = dict(eps1=0.1, eps2=1e-4, r=3.0, n_lminus1=8, k=4, n=32,
-                sK_y=2.0, x_opnorm=1.5, l1=2, l2=2, c3=2.0)
+                sK_y=2.0, x_opnorm=1.5, l1=2, l2=2, c3=2.0, kappa_wl=1.2)
     base.update(kw)
     return bounds.Thm1Inputs(**base)
 
@@ -57,18 +57,20 @@ def test_thm2_nc1_rhs_uses_unsquared_psi_and_scaled_eps1():
     p = r * (e1 / (sK - e1) + math.sqrt(nlm1 * eps2))
     den = math.sqrt(3.0 / 4.0) - 2.0 * math.sqrt(2.0) * eps1 / math.sqrt(n)
     expected = (r * r / n) * p / den ** 2
-    assert bounds.thm2_nc1_rhs(eps1, eps2, r, nlm1, k, n, sK) == pytest.approx(
-        expected, rel=1e-12)
+    at = make_inputs(eps1=eps1, eps2=eps2, r=r, n_lminus1=nlm1, k=k, n=n, sK_y=sK)
+    assert bounds.thm2_nc1_rhs(at) == pytest.approx(expected, rel=1e-12)
     # Theorem 1's Psi and NC1 denominator, evaluated at eps1*sqrt(2)
     inp = make_inputs(eps1=e1, eps2=eps2, r=r, n_lminus1=nlm1, k=k, n=n, sK_y=sK)
-    assert bounds.thm2_nc1_rhs(eps1, eps2, r, nlm1, k, n, sK) == pytest.approx(
+    assert bounds.thm2_nc1_rhs(at) == pytest.approx(
         bounds.thm1_nc1_rhs(inp) / bounds.psi(inp), rel=1e-14)
     # eps1 < s_K(Y) <= eps1*sqrt(2): the Psi guard sees the scaled eps1
     with pytest.raises(bounds.VacuousBound, match="s_K"):
-        bounds.thm2_nc1_rhs(2.1, eps2, r, nlm1, k, 1000, sK)
+        bounds.thm2_nc1_rhs(make_inputs(eps1=2.1, eps2=eps2, r=r, n_lminus1=nlm1, k=k,
+                                        n=1000, sK_y=sK))
     # the denominator is positive at eps1 = 0.7 but not at 0.7*sqrt(2)
     with pytest.raises(bounds.VacuousBound, match="NC1"):
-        bounds.thm2_nc1_rhs(0.7, eps2, r, nlm1, k, 4, sK)
+        bounds.thm2_nc1_rhs(make_inputs(eps1=0.7, eps2=eps2, r=r, n_lminus1=nlm1, k=k,
+                                        n=4, sK_y=sK))
 
 
 def test_thm1_kappa_rhs_formula():
@@ -88,16 +90,21 @@ def test_thm1_nc2_nc3_rhs_formulas():
     inp = make_inputs()
     p = bounds.psi(inp)
     q = inp.r * p / inp.sK_y
-    kappa = 1.2
-    assert bounds.thm1_nc2_rhs(inp, kappa) == pytest.approx(
+    kappa = inp.kappa_wl
+    assert kappa == 1.2
+    assert bounds.thm1_nc2_rhs(inp) == pytest.approx(
         (kappa + q) / (1 - q), rel=1e-12)
     num = ((math.sqrt(32) - 0.1) ** 2 + 32 / kappa ** 2
            - (3.0 * p + 2.0 * (kappa ** 2 - 1)) ** 2)
-    assert bounds.thm1_nc3_rhs(inp, kappa) == pytest.approx(
+    assert bounds.thm1_nc3_rhs(inp) == pytest.approx(
         num / (2 * 32 * kappa * 1.1), rel=1e-12)
     # q >= 1 makes the conditioning bound vacuous
     with pytest.raises(bounds.VacuousBound):
-        bounds.thm1_nc2_rhs(make_inputs(eps2=1.0, r=10.0), kappa)
+        bounds.thm1_nc2_rhs(make_inputs(eps2=1.0, r=10.0))
+    # without cond(W_L) neither bound has a value
+    for rhs in (bounds.thm1_nc2_rhs, bounds.thm1_nc3_rhs):
+        with pytest.raises(ValueError, match="cond"):
+            rhs(make_inputs(kappa_wl=None))
 
 
 def test_thm1_suite_small_sample():
@@ -180,9 +187,9 @@ def test_a_failed_premise_never_holds_across_the_engine():
             trace = forward(cfg, params, ds.x)
             rep = metrics.measure(cfg, params, trace, ds.y, ds.idx,
                                   *bounds.verdict_layers(cfg))
-            state = bounds.state_verdicts(ctx, cfg, params, trace, rep)
+            state, inp = bounds.state_verdicts(ctx, cfg, params, trace, rep)
             reports = [*state["reports"].values(),
-                       bounds.ntk_verdict(cfg, params, trace, state)[1]]
+                       bounds.ntk_verdict(cfg, params, trace, state, inp)[1]]
             for r in reports:
                 where = (cfg.l2, lam, r.name, r.holds, r.premises)
                 if not all(r.premises.values()):
@@ -265,7 +272,7 @@ def test_each_matrix_is_decomposed_once(monkeypatch, l1):
     ctx = bounds.run_context(cfg, ds, 0.01, None)
     trace = forward(cfg, params, ds.x)
     rep = metrics.measure(cfg, params, trace, ds.y, ds.idx)
-    verdicts = bounds.state_verdicts(ctx, cfg, params, trace, rep)
+    verdicts, _ = bounds.state_verdicts(ctx, cfg, params, trace, rep)
     w_l = _digest(params.weights[-1])
     assert {h for h in seen if seen.count(h) > 1} == {w_l} and seen.count(w_l) == 2
     assert verdicts["measured"]["kappa_prod"] is not None
@@ -519,8 +526,8 @@ def test_state_verdicts_take_condition_numbers_at_the_reports_threshold(monkeypa
         return real(a, rank_tol)
 
     monkeypatch.setattr(densemat, "cond", recording)
-    state = bounds.state_verdicts(bounds.run_context(cfg, ds, 0.01, None), cfg, params,
-                                  trace, rep)
+    state, _ = bounds.state_verdicts(bounds.run_context(cfg, ds, 0.01, None), cfg, params,
+                                     trace, rep)
     w_l = densemat.svd(params.weights[-1])
     [(first, tol)] = [(a, t) for a, t in calls if isinstance(a, densemat.SvdResult)]
     assert np.array_equal(first.s, w_l.s) and tol == 0.6  # cond(W_L)
@@ -539,7 +546,7 @@ def test_one_context_serves_every_state_unchanged():
     def verdicts(p):
         trace = forward(cfg, p, ds.x)
         rep = metrics.measure(cfg, p, trace, ds.y, ds.idx)
-        return bounds.state_verdicts(ctx, cfg, p, trace, rep)
+        return bounds.state_verdicts(ctx, cfg, p, trace, rep)[0]
 
     final, initial, again = verdicts(params), verdicts(params0), verdicts(params)
     assert "error" not in final["schedule"] and "error" not in initial["schedule"]
@@ -599,10 +606,14 @@ def test_thm2_schedule_caps_and_floor():
     cfg, params, x, y = schedule_net(seed=4, scale=3.0)
     sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
     clam0, c00 = loss(cfg, params, x, y, 0.01)
+    sched.c_lambda_init, sched.c0_init, sched.theta0_norm = clam0, c00, params.norm()
     eps1, eps2, b = 0.3, 1e-3, 1.4
     x_op = densemat.op_norm(x)
-    sched = bounds.thm2_schedule(sched, cfg, eps1, eps2, b, x_op,
-                                 params.norm(), c00, clam0, 2, 6)
+    inp = make_inputs(eps1=eps1, eps2=eps2, x_opnorm=x_op, k=2, n=6)
+    sched = bounds.thm2_schedule(sched, cfg, inp, b)
+    # theta_0's numbers are read from the schedule, not written back
+    assert (sched.c_lambda_init, sched.c0_init, sched.theta0_norm) == (
+        clam0, c00, params.norm())
     gamma, beta, L = 0.3, 2.0, 4
     caps = (2 * (gamma / 2) ** (L - 2) * sched.lambda_f * sched.lambda_3_to_l,
             2 * c00 / params.norm() ** 2,
@@ -632,26 +643,24 @@ def test_thm2_schedule_caps_and_floor():
         (eps1 * math.sqrt(2 / lam)) ** 2 * x_op,
         (eps1 * math.sqrt(2 / lam)) ** 3 * x_op), rel=1e-12)
     # growth > 1: the second eta cap is 1/lipschitz_const at radii sqrt(growth)
-    sched = bounds.thm2_schedule(sched, cfg, eps1, eps2, b, x_op,
-                                 params.norm(), c00, clam0, 2, 6, lam=0.01)
+    sched = bounds.thm2_schedule(sched, cfg, inp, b, lam=0.01)
     growth = 2 * eps1 ** 2 / 0.01
     assert growth > 1
     assert sched.eta_caps[1] == pytest.approx(
         1 / (5 * 6 * beta * b ** 3 * growth ** 6 * 4 ** 2.5), rel=1e-12)
     # the Lipschitz lemma needs data columns of norm up to b >= 1
     with pytest.raises(ValueError, match="data bound"):
-        bounds.thm2_schedule(sched, cfg, eps1, eps2, 0.9, x_op,
-                             params.norm(), c00, clam0, 2, 6)
+        bounds.thm2_schedule(sched, cfg, inp, 0.9)
 
 
 def test_k_floor_first_phase_already_done():
     cfg, params, x, y = schedule_net(seed=5, scale=3.0)
     sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
-    clam0, c00 = loss(cfg, params, x, y, 0.01)
+    sched.c_lambda_init, sched.c0_init = loss(cfg, params, x, y, 0.01)
+    sched.theta0_norm = params.norm()
     # huge lambda override makes 2*lam*m_lambda exceed the initial loss
-    sched = bounds.thm2_schedule(sched, cfg, 0.3, 1e-3, 1.4,
-                                 densemat.op_norm(x), params.norm(), c00,
-                                 clam0, 2, 6, lam=10.0, eta=1e-4)
+    inp = make_inputs(eps1=0.3, eps2=1e-3, x_opnorm=densemat.op_norm(x), k=2, n=6)
+    sched = bounds.thm2_schedule(sched, cfg, inp, 1.4, lam=10.0, eta=1e-4)
     assert sched.k_floor_terms[0] == 0.0
 
 
@@ -705,18 +714,17 @@ def test_balanced_power_gap_exact_and_perturbed():
 
 
 def test_ntk_and_large_lr_bounds():
-    assert bounds.ntk_lower_bound(2.5, 0.5, 4, 2.0, 3) == pytest.approx(
+    inp = make_inputs(sK_y=2.5, eps1=0.5, k=4, r=2.0, l2=3)
+    assert bounds.ntk_lower_bound(inp) == pytest.approx(
         (2.0) ** 2 * 3 / (16 * 4.0), rel=1e-12)
     # with no linear layer the floor is exactly 0, which says nothing: the
     # report's premise linear_last_layer makes it vacuous
-    assert bounds.ntk_lower_bound(2.5, 0.5, 4, 2.0, 0) == 0.0
-    v = bounds.large_lr_kappa_bound(c_ntk=8.0, l2=3, m=2, k=4, r=2.0,
-                                    sK_y=2.5, eps1=0.5)
+    assert bounds.ntk_lower_bound(make_inputs(sK_y=2.5, eps1=0.5, k=4, r=2.0, l2=0)) == 0.0
+    v = bounds.large_lr_kappa_bound(inp, c_ntk=8.0, m=2)
     assert v == pytest.approx(math.sqrt(24.0) * 4 * 2 / (math.sqrt(2) * 2.0),
                               rel=1e-12)
     with pytest.raises(ValueError):
-        bounds.large_lr_kappa_bound(c_ntk=8.0, l2=3, m=4, k=4, r=2.0,
-                                    sK_y=2.5, eps1=0.5)
+        bounds.large_lr_kappa_bound(inp, c_ntk=8.0, m=4)
 
 
 def test_scan_partial_product_kappa():
@@ -755,6 +763,10 @@ def test_bound_report_without_a_number_has_no_margin():
     rep = bounds.bound_report("x", {"q": lambda v: v > 0}, lambda: 2.0, None)
     assert (rep.holds, rep.margin, rep.premises) == (bounds.VACUOUS, None, {"q": True})
     assert rep.detail == {"vacuous_reason": "measured value undefined on this state"}
+    # a right-hand side that overflows a float is vacuous, with the reason
+    rep = bounds.bound_report("x", {"p": True}, lambda: 1e160 ** 2, 1.0)
+    assert (rep.holds, rep.value, rep.margin) == (bounds.VACUOUS, None, None)
+    assert rep.detail["vacuous_reason"].startswith("the bound overflows a float: ")
 
 
 def _compared(value, measured, lower):

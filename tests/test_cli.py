@@ -731,6 +731,47 @@ def test_bounds_report_serializes_for_ten_classes(tmp_path):
         assert all(isinstance(v, bool) for v in rep["premises"].values())
 
 
+# a state whose first layer overflows a float at step 0
+OVERFLOW_CONFIG = {
+    "schema_version": 1,
+    "network": {"widths": [8, 4, 3], "l1": 1, "activation": SMOOTH_ACT},
+    "train": {"eta": 0.01, "lam": 0.0, "steps": 5, "init_scales": [1e160, 1.0, 1.0]},
+    "data": {"kind": "synthetic", "d": 4, "k": 3, "n_per_class": 2},
+}
+
+
+def test_a_state_that_overflows_a_float_diverges_and_its_bounds_are_vacuous(tmp_path, capsys):
+    # tier 1 turns every warning into an error: no numpy warning may leak
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, OVERFLOW_CONFIG)),
+                     "--out", str(out)]) == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("diverged at step 0: c_0 = inf")
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(": vacuous, " in line for line in lines) == 6
+    assert lines[-1] == "evaluated 6 bounds, 0 hold"
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    block = json.loads((out / "report.json").read_text(), parse_constant=refuse)["bounds"]
+    assert block["ntk"] == {"error": "the NTK applied to a probe is not finite"}
+    assert block["reports"]["ntk_lower"]["holds"] == "vacuous"
+    assert block["reports"]["balanced_power_gap"]["detail"]["vacuous_reason"].startswith(
+        "the bound overflows a float: ")
+
+
+def test_a_sweep_whose_member_overflows_writes_its_row(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", str(write_config(tmp_path, OVERFLOW_CONFIG)),
+                     "--axis", "linear_depth", "--values", "2",
+                     "--seeds", "0", "--out", str(out)])
+    assert code == cli.EXIT_FAILED
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in lines[2:]] == ["diverged"]
+
+
 def test_numerical_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(densemat, "MAX_SWEEPS", 0)  # every SVD stalls
     code = cli.main(["train", "--config", str(write_config(tmp_path, BASE_CONFIG)),

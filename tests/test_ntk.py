@@ -214,6 +214,15 @@ def test_dense_ntk_agreement_reads_sigma1_from_op_norm(monkeypatch):
     assert calls == [(10, 10)]  # the dense NTK of 2 outputs at 5 points
 
 
+def test_ntk_opnorm_refuses_a_state_whose_ntk_overflows():
+    cfg, params, rng = random_net(3, 4, [8, 4, 3], l1=1)
+    params.weights[0] *= 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = forward(cfg, params, rng.standard_normal((4, 6)))
+        with pytest.raises(FloatingPointError, match="not finite"):
+            ntk.ntk_opnorm(cfg, params, trace)
+
+
 def test_wide_benchmark_net_at_init_keeps_its_ntk_report():
     # 25 Lanczos steps, so the basis grows well past any first allocation;
     # pinned from a basis reserved in full up front, which growing it row by

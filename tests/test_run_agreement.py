@@ -1,14 +1,16 @@
 """One run's artifacts agree on its final state: `trajectory.csv`,
 `metrics.csv`, the `train` block of `report.json`, the verdicts `nclab bounds`
 adds to it and a sweep member's row all read one measurement, taken at the
-`bounds.rank_tol` that `config.resolved.json` states."""
+`bounds.rank_tol` that `config.resolved.json` states; and every bound value in
+the `bounds` block is its closed form of that block's `measured` numbers."""
 
 import csv
 import json
+import math
 
 import pytest
 
-from nclab import cli, densemat, metrics
+from nclab import cli, densemat, metrics, verify
 from nclab.network import forward
 
 SMOOTH_ACT = {"kind": "smoothed_leaky_relu", "gamma": 0.3, "beta": 2.0}
@@ -105,3 +107,69 @@ def test_the_resolved_config_states_the_rank_threshold(section, rank_tol):
     else:
         cfg["bounds"] = section
     assert cli.resolve_config(cfg)["bounds"] == {"rank_tol": rank_tol}
+
+
+def _closed_forms(m: dict, widths, l1: int, k: int, n: int) -> dict:
+    """Each report's value from a `bounds` block's `measured` numbers `m`, the
+    net's widths and L1, K and N; None where the bound is vacuous."""
+    eps1, eps2, r, sK, x_op = (m[key] for key in ("eps1", "eps2", "r", "sK_y", "x_opnorm"))
+    kw, kp, l2 = m["kappa_w_l"], m["kappa_prod"], len(widths) - l1
+    gap = 0.5 * l2 ** 2 * eps2 * r ** (2 * (l2 - 1))
+    if eps1 >= sK:
+        return {"thm1_nc1": None, "thm1_kappa": None, "thm1_nc2": None, "thm1_nc3": None,
+                "balanced_power_gap": gap, "ntk_lower": None}
+    psi = r * (eps1 / (sK - eps1) + math.sqrt(widths[-2] * eps2))
+    den = math.sqrt((k - 1) / k) - 2.0 * eps1 / math.sqrt(n)
+    floor = (sK - eps1) ** 2 / (x_op ** 2 * r ** (2 * l1)) - gap
+    q = r * psi / sK
+    return {
+        "thm1_nc1": (r ** 2 / n) * psi * psi / (den * den) if den > 0 else None,
+        "thm1_kappa": (kp ** (1 / l2) * (1 + gap / floor) ** (1 / l2)
+                       + kp ** (1 / l2 - 1) * gap / floor) if floor > 0 else None,
+        "thm1_nc2": (kw + q) / (1 - q) if q < 1 else None,
+        "thm1_nc3": ((math.sqrt(n) - eps1) ** 2 + n / kw ** 2
+                     - (r * psi + math.sqrt(k) * (kw ** 2 - 1)) ** 2)
+        / (2 * n * kw * (1 + eps1)),
+        "balanced_power_gap": gap,
+        "ntk_lower": (sK - eps1) ** 2 * l2 / (k ** 2 * r ** 2),
+    }
+
+
+def _values_match_closed_forms(block: dict, widths, l1: int, k: int, n: int) -> int:
+    """Assert that each report's value in `block` is its closed form to 1e-12
+    relative (None where that is vacuous); returns how many have a value."""
+    expected = _closed_forms(block["measured"], widths, l1, k, n)
+    values = {name: r["value"] for name, r in block["reports"].items()}
+    assert values.keys() == expected.keys()
+    for name, value in values.items():
+        if expected[name] is None:
+            assert value is None, name
+        else:
+            assert value == pytest.approx(expected[name], rel=1e-12, abs=0), name
+    return sum(value is not None for value in values.values())
+
+
+@pytest.mark.parametrize("workload, steps", [("pyramidal", 40), ("wide", 100)])
+def test_every_bound_value_is_its_closed_form_of_the_measured_numbers(tmp_path, capsys,
+                                                                     workload, steps):
+    cfg = BENCH_NETS[workload](densemat.DEFAULT_RANK_TOL)
+    cfg["train"].update(steps=steps, record_every=steps)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(_write(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    block = json.loads((out / "report.json").read_text())["bounds"]
+    k = cfg["data"]["k"]
+    # here Theorem 1's kappa and NC2 bounds are vacuous; the other four have values
+    assert _values_match_closed_forms(block, cfg["network"]["widths"], cfg["network"]["l1"],
+                                      k, k * cfg["data"]["n_per_class"]) == 4
+
+
+def test_every_bound_value_on_a_theorem_1_instance_is_its_closed_form():
+    inst = verify.make_thm1_instance(5000)
+    net, ds = inst["cfg"], inst["ds"]
+    block = cli.evaluate_bounds({"train": {"lam": 0.0},
+                                 "bounds": {"rank_tol": densemat.DEFAULT_RANK_TOL}},
+                                net, ds, inst["params"], None)
+    assert _values_match_closed_forms(block, net.widths, net.l1, net.n_classes,
+                                      ds.x.shape[1]) == 6
