@@ -4,8 +4,10 @@ caps; the shifted-PL descent inequalities; the balanced-power and gradient
 Lipschitz lemmas; and the conditioning / NTK bounds.
 
 Every closed-form bound is a pure function of one per-state record,
-`Thm1Inputs`, that `state_verdicts` builds. A failed premise, non-positive
-denominator or float overflow makes a bound *vacuous*, never silently clamped.
+`Thm1Inputs`, that `state_verdicts` builds; the GD schedule is one of that
+record and theta_0's frozen `InitSpectra`. A failed premise, non-positive
+denominator or float fault (an `ArithmeticError`: overflow, division by zero)
+makes a bound *vacuous*, never silently clamped.
 `nclab bounds` and `nclab verify` reach them on one path: `run_context` once
 per data set and theta_0, then `state_verdicts` per state.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -149,34 +151,23 @@ def residual_to_pinv(z_lminus1: np.ndarray, w_l: densemat.SvdResult, y: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# GD schedule (initial spectra, assumption check, caps, two-phase step count)
+# GD schedule (theta_0's spectra, Assumption 3, caps, two-phase step count)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Thm2Schedule:
-    lambda_f: float = 0.0
-    lambda_l: dict = field(default_factory=dict)       # layer -> s_min(W_l^0)
-    bar_lambda_l: dict = field(default_factory=dict)   # layer -> ||W_l^0||_op + min_{3..L} lambda
-    lambda_3_to_l: float = 0.0
-    alpha: float = 0.0
-    r0: float = 0.0
-    b: float = 1.0
-    m_lambda: float | None = None
-    beta1: float | None = None
-    lambda_cap: float | None = None
-    lambda_caps: tuple | None = None
-    eta_cap: float | None = None
-    eta_caps: tuple | None = None
-    lam: float | None = None
-    eta: float | None = None
-    k_floor: float | None = None
-    k_floor_terms: tuple | None = None
-    r_of_lambda: float | None = None
-    c0_init: float | None = None
-    c_lambda_init: float | None = None
-    theta0_norm: float | None = None
-    assumption3: bool | None = None
-    eps1_premise: bool | None = None
+@dataclass(frozen=True)
+class InitSpectra:
+    """theta_0's numbers the GD schedule reads. By layer: lambda_l = s_min(W_l^0) and
+    bar_lambda_l = ||W_l^0||_op + min_{l>=3} lambda_l; lambda_F = s_min(sigma(W_1 X));
+    alpha and r0, the local PL constant and ball radius; C_lambda, c_0 and the norm."""
+    lambda_f: float
+    lambda_l: dict
+    bar_lambda_l: dict
+    lambda_3_to_l: float
+    alpha: float
+    r0: float
+    c_lambda_init: float
+    c0_init: float
+    theta0_norm: float
 
 
 def _s_min(a: np.ndarray) -> float:
@@ -195,32 +186,24 @@ def schedule_gamma(cfg: NetworkConfig) -> float:
     return cfg.activation.gamma
 
 
-def init_spectra(cfg: NetworkConfig, params0: ParamSet, trace0: ForwardTrace) -> Thm2Schedule:
-    """Singular-value bookkeeping of the weights and of Z_1 = sigma(W_1 X) in
-    `trace0`, params0's trace, with the local PL constant and ball radius."""
+def init_spectra(cfg: NetworkConfig, params0: ParamSet, trace0: ForwardTrace, y: np.ndarray,
+                 lam: float) -> InitSpectra:
+    """theta_0's spectra, from its weights and `trace0`, its trace, and its loss
+    on targets `y` at weight decay `lam`."""
     gamma = schedule_gamma(cfg)
-    sched = Thm2Schedule()
-    op_norms = {}
-    for layer in range(1, cfg.depth + 1):
-        s = densemat.svd(params0.weights[layer - 1], compute_uv=False, extremes=True).s
-        sched.lambda_l[layer] = float(s[1])
-        op_norms[layer] = float(s[0])
-    lam_min_tail = min(sched.lambda_l[l] for l in range(3, cfg.depth + 1))
-    for layer in range(1, cfg.depth + 1):
-        sched.bar_lambda_l[layer] = op_norms[layer] + lam_min_tail
-    sched.lambda_f = _s_min(trace0.z[1])
-    sched.lambda_3_to_l = math.prod(sched.lambda_l[l] for l in range(3, cfg.depth + 1))
     L = cfg.depth
-    sched.alpha = 2.0 ** (-(L - 3)) * gamma ** (L - 2) * sched.lambda_f * sched.lambda_3_to_l
-    sched.r0 = 0.5 * min(sched.lambda_f, lam_min_tail)
-    return sched
-
-
-def check_assumption3(sched: Thm2Schedule, c0_init: float, gamma: float, depth: int) -> bool:
-    lam_min_tail = min(sched.lambda_l[l] for l in range(3, depth + 1))
-    lhs = sched.lambda_f * sched.lambda_3_to_l * min(sched.lambda_f, lam_min_tail)
-    rhs = 8.0 * gamma * math.sqrt((2.0 / gamma) ** depth * c0_init)
-    return lhs >= rhs
+    svals = {}
+    for l, w in enumerate(params0.weights, 1):
+        svals[l] = densemat.svd(w, compute_uv=False, extremes=True).s
+    lambda_l = {l: float(s[1]) for l, s in svals.items()}
+    lam_min_tail = min(lambda_l[l] for l in range(3, L + 1))
+    lambda_f = _s_min(trace0.z[1])
+    lambda_3_to_l = math.prod(lambda_l[l] for l in range(3, L + 1))
+    c_lambda_init, c0_init = loss(cfg, params0, trace0.z[0], y, lam, trace0)
+    return InitSpectra(
+        lambda_f, lambda_l, {l: float(s[0]) + lam_min_tail for l, s in svals.items()},
+        lambda_3_to_l, 2.0 ** (-(L - 3)) * gamma ** (L - 2) * lambda_f * lambda_3_to_l,
+        0.5 * min(lambda_f, lam_min_tail), c_lambda_init, c0_init, params0.norm())
 
 
 def _ceil_log_ratio(arg: float, rate: float) -> float:
@@ -234,10 +217,11 @@ def _ceil_log_ratio(arg: float, rate: float) -> float:
     return float(math.ceil(math.log(arg) / math.log1p(-rate)))
 
 
-def thm2_schedule(sched: Thm2Schedule, cfg: NetworkConfig, inp: Thm1Inputs, b: float,
-                  lam: float | None = None, eta: float | None = None) -> Thm2Schedule:
-    """Fill in the weight-decay/step-size caps and the two-phase step count from
-    `inp`, data bound `b` and theta_0's C_lambda, c_0 and norm on `sched`.
+def thm2_schedule(s0: InitSpectra, cfg: NetworkConfig, inp: Thm1Inputs, b: float,
+                  lam: float | None = None, eta: float | None = None) -> dict:
+    """The `schedule` block, a new dict: the fields of theta_0's spectra `s0`, then
+    Assumption 3, the weight-decay/step-size caps and the two-phase step count
+    from `inp` and data bound `b`.
 
     `lam`/`eta` default to their caps; passing smaller values recomputes the
     step count for the values actually used in a run.
@@ -246,58 +230,61 @@ def thm2_schedule(sched: Thm2Schedule, cfg: NetworkConfig, inp: Thm1Inputs, b: f
     beta = cfg.activation.beta if cfg.activation.beta is not None else 1.0
     L = cfg.depth
     eps1, eps2, x_opnorm, n = inp.eps1, inp.eps2, inp.x_opnorm, inp.n
-    c0_init, theta0_norm = sched.c0_init, sched.theta0_norm
-    sched.b = b
-    sched.eps1_premise = eps1 <= _eps1_cap(inp)
-    sched.assumption3 = check_assumption3(sched, c0_init, gamma, L)
+    eps1_premise = eps1 <= _eps1_cap(inp)
+    lam_min_tail = min(s0.lambda_l[l] for l in range(3, L + 1))
+    assumption3 = (s0.lambda_f * s0.lambda_3_to_l * min(s0.lambda_f, lam_min_tail)
+                   >= 8.0 * gamma * math.sqrt((2.0 / gamma) ** L * s0.c0_init))
 
-    sched.lambda_caps = (
-        2.0 * (gamma / 2.0) ** (L - 2) * sched.lambda_f * sched.lambda_3_to_l,
-        2.0 * c0_init / theta0_norm ** 2 if theta0_norm > 0 else math.inf,
-        eps1 ** 2 / (18.0 * (theta0_norm + sched.lambda_f / 2.0) ** 2),
+    lambda_caps = (
+        2.0 * (gamma / 2.0) ** (L - 2) * s0.lambda_f * s0.lambda_3_to_l,
+        2.0 * s0.c0_init / s0.theta0_norm ** 2 if s0.theta0_norm > 0 else math.inf,
+        eps1 ** 2 / (18.0 * (s0.theta0_norm + s0.lambda_f / 2.0) ** 2),
     )
-    sched.lambda_cap = min(sched.lambda_caps)
-    lam = sched.lam = sched.lambda_cap if lam is None else lam
+    lambda_cap = min(lambda_caps)
+    lam = lambda_cap if lam is None else lam
 
-    sched.m_lambda = ((1.0 + math.sqrt(4.0 * lam / sched.alpha)) ** 2
-                      * (theta0_norm + sched.r0) ** 2) if sched.alpha > 0 else math.inf
-    sched.beta1 = lipschitz_const(
-        [max(1.0, sched.bar_lambda_l[l]) for l in range(1, L + 1)], b, n, beta)
+    m_lambda = ((1.0 + math.sqrt(4.0 * lam / s0.alpha)) ** 2
+                * (s0.theta0_norm + s0.r0) ** 2) if s0.alpha > 0 else math.inf
+    beta1 = lipschitz_const([max(1.0, s0.bar_lambda_l[l]) for l in range(1, L + 1)], b, n, beta)
 
     growth = 2.0 * eps1 ** 2 / lam if lam > 0 else math.inf
-    sched.eta_caps = (
-        1.0 / (2.0 * sched.beta1),
+    eta_caps = (
+        1.0 / (2.0 * beta1),
         1.0 / lipschitz_const([math.sqrt(max(1.0, growth))] * L, b, n, beta),
         1.0 / (2.0 * lam) if lam > 0 else math.inf,
         (1.0 / growth) ** (cfg.l1 + L) * eps2 / (4.0 * x_opnorm ** 2)
         if growth > 0 and x_opnorm > 0 else math.inf,
     )
-    sched.eta_cap = min(sched.eta_caps)
-    eta = sched.eta = sched.eta_cap if eta is None else eta
+    eta_cap = min(eta_caps)
+    eta = eta_cap if eta is None else eta
 
-    lam_m = lam * sched.m_lambda
-    if sched.c_lambda_init <= 2.0 * lam_m:
+    lam_m = lam * m_lambda
+    if s0.c_lambda_init <= 2.0 * lam_m:
         k1 = 0.0  # first phase complete at initialization
     else:
-        k1 = _ceil_log_ratio(lam_m / (sched.c_lambda_init - lam_m), eta * sched.alpha / 8.0)
+        k1 = _ceil_log_ratio(lam_m / (s0.c_lambda_init - lam_m), eta * s0.alpha / 8.0)
     k2 = _ceil_log_ratio(lam * eps2 / (4.0 * eps1 ** 2), eta * lam)
-    sched.k_floor_terms = (k1, k2)
-    sched.k_floor = k1 + k2
 
     base = eps1 * math.sqrt(2.0 / lam) if lam > 0 else math.inf
-    sched.r_of_lambda = max(base, base ** (L - 2) * x_opnorm, base ** (L - 1) * x_opnorm)
-    return sched
+    r_of_lambda = max(base, base ** (L - 2) * x_opnorm, base ** (L - 1) * x_opnorm)
+    # theta_0's fields, each per-layer dict copied so that no block aliases the record
+    return {**vars(s0), "lambda_l": dict(s0.lambda_l), "bar_lambda_l": dict(s0.bar_lambda_l),
+            "b": b, "m_lambda": m_lambda, "beta1": beta1, "lambda_cap": lambda_cap,
+            "lambda_caps": lambda_caps, "eta_cap": eta_cap, "eta_caps": eta_caps, "lam": lam,
+            "eta": eta, "k_floor": k1 + k2, "k_floor_terms": (k1, k2),
+            "r_of_lambda": r_of_lambda, "assumption3": assumption3, "eps1_premise": eps1_premise}
 
 
 def pl_check(cfg: NetworkConfig, x: np.ndarray, y: np.ndarray, trajectory,
-             sched: Thm2Schedule, lam: float, eta: float) -> BoundReport:
+             sched: dict, lam: float, eta: float) -> BoundReport:
     """Shifted-PL inequality, geometric decay and the first-phase exit bound,
-    checked at recorded steps whose parameters stayed in the ball B(theta0, r0).
+    checked at recorded steps whose parameters stayed in the ball B(theta0, r0);
+    alpha, r0 and m_lambda are read from `sched`, a `thm2_schedule` block.
     It reports no value, so it sets its label from the three checks itself:
     `bound_report` would make it vacuous. `nclab bounds` does not run it.
     """
     rep = BoundReport(name="pl_decay")
-    alpha, r0, m_lam = sched.alpha, sched.r0, sched.m_lambda
+    alpha, r0, m_lam = sched["alpha"], sched["r0"], sched["m_lambda"]
     recs = [r for r in trajectory.records if r.params is not None]
     in_ball = [r for r in recs if r.dist_from_init <= r0]
     rep.premises["alpha_positive"] = alpha > 0
@@ -363,6 +350,11 @@ def balanced_power_gap(cfg: NetworkConfig, params: ParamSet, r: float,
         densemat.op_norm(np.linalg.matrix_power(w_l @ w_l.T, l2) - prod @ prod.T))
 
 
+def _reason(exc: ArithmeticError | ValueError, what: str) -> str:
+    """Why `what` has no value: the message of `exc`, an overflow named as one."""
+    return f"{what} overflows a float: {exc}" if isinstance(exc, OverflowError) else str(exc)
+
+
 def bound_report(name: str, premises: dict, rhs, measured: float | None,
                  lower: bool = False) -> BoundReport:
     """Report for the bound value `rhs()` against `measured`, labelled by the
@@ -372,10 +364,8 @@ def bound_report(name: str, premises: dict, rhs, measured: float | None,
     rep = BoundReport(name=name, measured=measured)
     try:
         rep.value = rhs()
-    except (VacuousBound, ValueError) as exc:
-        rep.detail["vacuous_reason"] = str(exc)
-    except OverflowError as exc:  # e.g. a float power of r
-        rep.detail["vacuous_reason"] = f"the bound overflows a float: {exc}"
+    except (ValueError, ArithmeticError) as exc:  # e.g. a float power of r overflows
+        rep.detail["vacuous_reason"] = _reason(exc, "the bound")
     rep.premises = {key: bool(p(rep.value)) if callable(p) else p
                     for key, p in premises.items() if rep.value is not None or not callable(p)}
     if rep.value is not None and measured is None:
@@ -404,16 +394,14 @@ class RunContext:
     """What every state of one run shares; a state's rank threshold is its report's."""
     ds: Dataset
     x_opnorm: float
-    spectra: Thm2Schedule | dict  # theta_0's, with its C_lambda, c_0 and norm; or {"error": why}
+    spectra: InitSpectra | dict  # theta_0's, or {"error": why}
 
 
 def _schedule_or_error(fn):
     try:
         return fn()
-    except (ValueError, VacuousBound) as exc:
-        return {"error": str(exc)}
-    except OverflowError as exc:  # e.g. the Lipschitz constant's float power
-        return {"error": f"the GD schedule overflows a float: {exc}"}
+    except (ValueError, ArithmeticError) as exc:  # e.g. a zero theta_0's lambda cap
+        return {"error": _reason(exc, "the GD schedule")}
 
 
 def run_context(cfg: NetworkConfig, ds: Dataset, lam: float,
@@ -424,11 +412,7 @@ def run_context(cfg: NetworkConfig, ds: Dataset, lam: float,
         if params0 is None:
             raise ValueError("no params_init.npz: the run did not store its parameters")
         schedule_gamma(cfg)  # refuses an uncovered net before theta_0 is traced
-        trace0 = forward(cfg, params0, ds.x)
-        sched = init_spectra(cfg, params0, trace0)
-        sched.c_lambda_init, sched.c0_init = loss(cfg, params0, ds.x, ds.y, lam, trace0)
-        sched.theta0_norm = params0.norm()
-        return sched
+        return init_spectra(cfg, params0, forward(cfg, params0, ds.x), ds.y, lam)
 
     return RunContext(ds, densemat.op_norm(ds.x), _schedule_or_error(spectra))
 
@@ -486,10 +470,10 @@ def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
         measured["residual_to_pinv"] = residual_to_pinv(
             trace.z[cfg.depth - 1], w_l, ds.y, rank_tol)
 
-    s0 = ctx.spectra  # filled on a copy: it serves every state
+    s0 = ctx.spectra
     floored = replace(inp, eps1=max(inp.eps1, 1e-6), eps2=max(inp.eps2, 1e-8))
     schedule = s0 if isinstance(s0, dict) else _schedule_or_error(
-        lambda: asdict(thm2_schedule(replace(s0), cfg, floored, ds.b)))
+        lambda: thm2_schedule(s0, cfg, floored, ds.b))
     return {"measured": measured, "reports": reports, "schedule": schedule}, inp
 
 

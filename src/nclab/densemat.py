@@ -20,8 +20,14 @@ orderings share the tolerance, rotation and sweep cap; rows * cols of B
   every round rotates n/2 disjoint pairs with the same few numpy calls.
 
 Both are one-sided Jacobi with the same accuracy argument (Demmel & Veselic
-1992). The bound is measured: values-only calls, microseconds per call,
-median of 7 interleaved repeats on one Xeon core with one BLAS thread:
+1992), and rotate a pair only when |b_i . b_j| / (|b_i| |b_j|) exceeds
+JACOBI_TOL and the smaller column exceeds JACOBI_TOL times the larger:
+identical columns otherwise stall, as their first rotation leaves a column of
+rounding noise that no rotation makes orthogonal. Leaving such a pair moves
+the values by at most about JACOBI_TOL * sigma_1 (Weyl), and the full SVD
+completes the left vector of a column at most JACOBI_TOL * sigma_1 as it
+does a zero column's. The bound is measured: values-only calls, microseconds
+per call, median of 7 interleaved repeats on one Xeon core with one BLAS thread:
 
     shape    entries  round-robin  Python floats
     3x3          9        521            54
@@ -236,7 +242,8 @@ def _cyclic_sweep(b: list, v: list | None) -> float:
             aqq = sum(map(mul, bj, bj))
             apq = sum(map(mul, bi, bj))
             scale = math.sqrt(app * aqq)
-            if scale == 0.0 or abs(apq) <= JACOBI_TOL * scale:
+            tol = JACOBI_TOL * scale  # app <= tol iff |b_i| <= JACOBI_TOL |b_j|
+            if scale == 0.0 or abs(apq) <= tol or app <= tol or aqq <= tol:
                 continue
             worst = max(worst, abs(apq) / scale)
             tau = (aqq - app) / (2.0 * apq)
@@ -297,7 +304,8 @@ def _round_robin_sweep(w: np.ndarray, rows: int) -> float:
         aqq = np.einsum("ij,ij->i", bq, bq)
         apq = np.einsum("ij,ij->i", bp, bq)
         scale = np.sqrt(app * aqq)
-        rot = (scale != 0.0) & (np.abs(apq) > JACOBI_TOL * scale)
+        tol = JACOBI_TOL * scale
+        rot = (scale != 0.0) & (np.abs(apq) > tol) & (np.minimum(app, aqq) > tol)
         k = int(np.count_nonzero(rot))
         if k == 0:
             continue
@@ -485,7 +493,8 @@ def svd(a, compute_uv: bool = True, top_only: bool = False,
     v = v[:, order]
 
     u = np.zeros_like(b)
-    nonzero = int(np.count_nonzero(sigma))  # sigma is non-increasing
+    # sigma is non-increasing; below JACOBI_TOL * sigma_1 a column may be unrotated noise
+    nonzero = int(np.count_nonzero(sigma > JACOBI_TOL * sigma[0]))
     u[:, :nonzero] = b[:, :nonzero] / sigma[:nonzero]
     _complete_orthonormal(u, nonzero)
 

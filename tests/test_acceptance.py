@@ -137,10 +137,7 @@ def test_criterion_6_shifted_pl_decay_and_exit_bound(pyramidal_run):
     net, ds = pyramidal_run["net"], pyramidal_run["ds"]
     traj, tcfg = pyramidal_run["traj"], pyramidal_run["tcfg"]
     params0 = traj.records[0].params
-    sched = bounds.init_spectra(net, params0, forward(net, params0, ds.x))
-    from nclab.network import loss
-    clam0, c00 = loss(net, params0, ds.x, ds.y, tcfg.lam)
-    sched.c_lambda_init, sched.c0_init, sched.theta0_norm = clam0, c00, params0.norm()
+    s0 = bounds.init_spectra(net, params0, forward(net, params0, ds.x), ds.y, tcfg.lam)
     rep_metrics = metrics.measure(net, pyramidal_run["params"],
                                   forward(net, pyramidal_run["params"], ds.x),
                                   ds.y, ds.idx)
@@ -148,7 +145,7 @@ def test_criterion_6_shifted_pl_decay_and_exit_bound(pyramidal_run):
         eps1=EPS1_TARGET, eps2=EPS2_TARGET, r=rep_metrics.r,
         n_lminus1=net.widths[net.depth - 2], k=net.n_classes, n=ds.x.shape[1],
         sK_y=ds.idx.sK_y, x_opnorm=densemat.op_norm(ds.x), l1=net.l1, l2=net.l2)
-    sched = bounds.thm2_schedule(sched, net, inp, ds.b, lam=tcfg.lam, eta=tcfg.eta)
+    sched = bounds.thm2_schedule(s0, net, inp, ds.b, lam=tcfg.lam, eta=tcfg.eta)
     rep = bounds.pl_check(net, ds.x, ds.y, traj, sched, tcfg.lam, tcfg.eta)
     assert rep.detail["pl_ok"], rep.detail
     assert rep.detail["decay_ok"], rep.detail

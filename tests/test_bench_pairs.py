@@ -115,3 +115,33 @@ def test_trace_seed_alternates_three_traced_runs_per_side(tmp_path, monkeypatch,
     progress = capsys.readouterr().out.splitlines()
     assert progress[0] == ("wide pair 0: time_to_verdict_s parent 1.000 change 0.500, "
                            "setup_s parent 1.000 change 0.500")
+
+
+def _fake_main(tmp_path, monkeypatch, workdir):
+    exported = []
+    monkeypatch.setattr(bench_pairs, "PAIRS", 1)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: exported.append(dest) or "abc")
+    monkeypatch.setattr(bench_pairs, "export_worktree", lambda dest: exported.append(dest))
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: _result(1.0))
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "HEAD", "--out",
+                                      str(tmp_path / "BENCH.json"), "--workloads", "wide",
+                                      "--seed0", "1", "--workdir", str(workdir)])
+    return bench_pairs.main(), exported
+
+
+def test_a_missing_workdir_is_created(tmp_path, monkeypatch, capsys):
+    workdir = tmp_path / "new" / "work"
+    code, exported = _fake_main(tmp_path, monkeypatch, workdir)
+    assert code == 0 and workdir.is_dir()
+    assert [p.parent.parent for p in exported] == [workdir, workdir]
+    assert list(workdir.iterdir()) == []  # the run's own directory is removed
+
+
+def test_a_workdir_that_cannot_be_made_is_refused_with_one_line(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, exported = _fake_main(tmp_path, monkeypatch, blocker / "work")
+    assert code == 2 and exported == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"bench_pairs: cannot use --workdir {blocker}")
+    assert not (tmp_path / "BENCH.json").exists()

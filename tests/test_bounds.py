@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -310,7 +310,7 @@ def test_singular_vectors_are_built_only_for_pinv(monkeypatch):
     rep = metrics.measure(cfg, params, trace, ds.y, ds.idx)
     ctx = bounds.run_context(cfg, ds, 0.01, None)
     bounds.state_verdicts(ctx, cfg, params, trace, rep)
-    bounds.init_spectra(cfg, params, forward(cfg, params, ds.x))
+    bounds.init_spectra(cfg, params, forward(cfg, params, ds.x), ds.y, 0.01)
     out = cli.evaluate_bounds(BOUNDS_CFG, cfg, ds, params, params)
     assert "residual_to_pinv" in out["measured"] and "error" not in out["schedule"]
     # the one vector reader: state_verdicts' single SVD of W_L, which feeds the
@@ -338,7 +338,7 @@ def test_only_op_norm_asks_for_the_top_singular_value(monkeypatch):
     rep = metrics.measure(cfg, params, trace, ds.y, ds.idx)
     ctx = bounds.run_context(cfg, ds, 0.01, None)
     bounds.state_verdicts(ctx, cfg, params, trace, rep)
-    bounds.init_spectra(cfg, params, forward(cfg, params, ds.x))
+    bounds.init_spectra(cfg, params, forward(cfg, params, ds.x), ds.y, 0.01)
     cli.evaluate_bounds(BOUNDS_CFG, cfg, ds, params, params)
     from_op_norm = [(uv, top) for name, uv, top in calls if name == "nclab.densemat.op_norm"]
     assert from_op_norm and all(top and not uv for uv, top in from_op_norm)
@@ -434,8 +434,8 @@ def schedule_net(seed=0, scale=1.0):
 
 
 def test_init_spectra_matches_direct_computation():
-    cfg, params, x, _ = schedule_net()
-    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
+    cfg, params, x, y = schedule_net()
+    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x), y, 0.01)
     for layer in range(1, 5):
         ref = np.linalg.svd(params.weights[layer - 1], compute_uv=False)
         assert sched.lambda_l[layer] == pytest.approx(ref[-1], rel=1e-10)
@@ -453,10 +453,15 @@ def test_init_spectra_matches_direct_computation():
     assert sched.r0 == pytest.approx(
         0.5 * min(sched.lambda_f, min(sched.lambda_l[3], sched.lambda_l[4])),
         rel=1e-12)
+    # theta_0's loss and norm, which the schedule reads, are in the same record
+    assert (sched.c_lambda_init, sched.c0_init) == loss(cfg, params, x, y, 0.01)
+    assert sched.theta0_norm == params.norm()
+    with pytest.raises(FrozenInstanceError):  # one record serves every state
+        setattr(sched, "c0_init", 0.0)
 
 
 def test_init_spectra_takes_one_svd_per_weight(monkeypatch):
-    cfg, params, x, _ = schedule_net()
+    cfg, params, x, y = schedule_net()
     calls = []
     real = densemat.svd
 
@@ -465,7 +470,7 @@ def test_init_spectra_takes_one_svd_per_weight(monkeypatch):
         return real(a, compute_uv=compute_uv, extremes=extremes)
 
     monkeypatch.setattr(densemat, "svd", counting)
-    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
+    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x), y, 0.01)
     assert len(calls) == cfg.depth + 1  # each weight, then the first features
     tail_min = min(sched.lambda_l[l] for l in range(3, cfg.depth + 1))
     for layer in range(1, cfg.depth + 1):
@@ -482,7 +487,8 @@ def test_init_spectra_requires_depth_and_gamma():
                        for i in (1, 2)])
     with pytest.raises(ValueError, match="depth"):
         bounds.init_spectra(shallow, params,
-                            forward(shallow, params, rng.standard_normal((2, 3))))
+                            forward(shallow, params, rng.standard_normal((2, 3))),
+                            np.zeros((2, 3)), 0.01)
 
 
 def test_init_spectra_refuses_a_linear_first_layer():
@@ -491,7 +497,8 @@ def test_init_spectra_refuses_a_linear_first_layer():
     rng = np.random.default_rng(2)
     params = ParamSet([rng.standard_normal(cfg.layer_shape(i)) for i in (1, 2, 3)])
     with pytest.raises(ValueError, match="l1 >= 1"):
-        bounds.init_spectra(cfg, params, forward(cfg, params, rng.standard_normal((4, 6))))
+        bounds.init_spectra(cfg, params, forward(cfg, params, rng.standard_normal((4, 6))),
+                            np.zeros((2, 6)), 0.01)
 
 
 # perfbench's pyramidal and wide nets (Z_1 above the R route's 256 entries)
@@ -507,7 +514,7 @@ def test_lambda_f_from_the_trace_is_sigma_min_of_sigma_w1_x(widths, l1, d, k, n_
     ds = data.synth_gaussian(d, k, n_per_class, class_sep=1.0, noise=0.1, seed=0)
     x = np.asarray(ds.x, order=order)
     params = init_params(cfg, InitSpec(), 1)
-    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
+    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x), ds.y, 0.01)
     assert sched.lambda_f == bounds._s_min(act_apply(SMOOTH, params.weights[0] @ x))
 
 
@@ -591,77 +598,80 @@ def test_bounds_trace_each_state_once(monkeypatch):
 def test_assumption3_threshold_in_initial_loss():
     # lhs >= 8*gamma*sqrt((2/gamma)^L * c0) flips exactly at
     # c0* = (lhs / (8*gamma))^2 / (2/gamma)^L
-    cfg, params, x, _ = schedule_net(seed=3)
-    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
+    cfg, params, x, y = schedule_net(seed=3)
+    s0 = bounds.init_spectra(cfg, params, forward(cfg, params, x), y, 0.01)
     gamma, L = 0.3, cfg.depth
-    lam_min_tail = min(sched.lambda_l[l] for l in range(3, L + 1))
-    lhs = sched.lambda_f * sched.lambda_3_to_l * min(sched.lambda_f,
-                                                     lam_min_tail)
+    lam_min_tail = min(s0.lambda_l[l] for l in range(3, L + 1))
+    lhs = s0.lambda_f * s0.lambda_3_to_l * min(s0.lambda_f, lam_min_tail)
     c0_star = (lhs / (8.0 * gamma)) ** 2 / (2.0 / gamma) ** L
-    assert bounds.check_assumption3(sched, 0.99 * c0_star, gamma, L)
-    assert not bounds.check_assumption3(sched, 1.01 * c0_star, gamma, L)
+    inp = make_inputs(eps1=0.3, eps2=1e-3, x_opnorm=densemat.op_norm(x), k=2, n=6)
+
+    def assumption3(c0):
+        return bounds.thm2_schedule(replace(s0, c0_init=c0), cfg, inp, 1.4)["assumption3"]
+
+    assert assumption3(0.99 * c0_star)
+    assert not assumption3(1.01 * c0_star)
 
 
 def test_thm2_schedule_caps_and_floor():
     cfg, params, x, y = schedule_net(seed=4, scale=3.0)
-    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
+    s0 = bounds.init_spectra(cfg, params, forward(cfg, params, x), y, 0.01)
+    spectra = asdict(s0)
     clam0, c00 = loss(cfg, params, x, y, 0.01)
-    sched.c_lambda_init, sched.c0_init, sched.theta0_norm = clam0, c00, params.norm()
     eps1, eps2, b = 0.3, 1e-3, 1.4
     x_op = densemat.op_norm(x)
     inp = make_inputs(eps1=eps1, eps2=eps2, x_opnorm=x_op, k=2, n=6)
-    sched = bounds.thm2_schedule(sched, cfg, inp, b)
-    # theta_0's numbers are read from the schedule, not written back
-    assert (sched.c_lambda_init, sched.c0_init, sched.theta0_norm) == (
+    sched = bounds.thm2_schedule(s0, cfg, inp, b)
+    # theta_0's numbers are read from the spectra, which stay as they were
+    assert (sched["c_lambda_init"], sched["c0_init"], sched["theta0_norm"]) == (
         clam0, c00, params.norm())
+    assert asdict(s0) == spectra
     gamma, beta, L = 0.3, 2.0, 4
-    caps = (2 * (gamma / 2) ** (L - 2) * sched.lambda_f * sched.lambda_3_to_l,
+    caps = (2 * (gamma / 2) ** (L - 2) * sched["lambda_f"] * sched["lambda_3_to_l"],
             2 * c00 / params.norm() ** 2,
-            eps1 ** 2 / (18 * (params.norm() + sched.lambda_f / 2) ** 2))
-    assert sched.lambda_caps == pytest.approx(caps, rel=1e-12)
-    assert sched.lambda_cap == pytest.approx(min(caps), rel=1e-12)
-    assert sched.lam == sched.lambda_cap
-    lam = sched.lam
-    m_lam = (1 + math.sqrt(4 * lam / sched.alpha)) ** 2 \
-        * (params.norm() + sched.r0) ** 2
-    assert sched.m_lambda == pytest.approx(m_lam, rel=1e-12)
-    prod = math.prod(max(1.0, sched.bar_lambda_l[l]) for l in range(1, 5))
-    assert sched.beta1 == pytest.approx(
+            eps1 ** 2 / (18 * (params.norm() + sched["lambda_f"] / 2) ** 2))
+    assert sched["lambda_caps"] == pytest.approx(caps, rel=1e-12)
+    assert sched["lambda_cap"] == pytest.approx(min(caps), rel=1e-12)
+    assert sched["lam"] == sched["lambda_cap"]
+    lam = sched["lam"]
+    m_lam = (1 + math.sqrt(4 * lam / sched["alpha"])) ** 2 \
+        * (params.norm() + sched["r0"]) ** 2
+    assert sched["m_lambda"] == pytest.approx(m_lam, rel=1e-12)
+    prod = math.prod(max(1.0, sched["bar_lambda_l"][l]) for l in range(1, 5))
+    assert sched["beta1"] == pytest.approx(
         5 * 6 * beta * b ** 3 * prod ** 3 * 4 ** 2.5, rel=1e-12)
-    assert sched.beta1 == bounds.lipschitz_const(
-        [max(1.0, sched.bar_lambda_l[l]) for l in range(1, 5)], b, 6, beta)
+    assert sched["beta1"] == bounds.lipschitz_const(
+        [max(1.0, sched["bar_lambda_l"][l]) for l in range(1, 5)], b, 6, beta)
     growth = 2 * eps1 ** 2 / lam
-    eta_caps = (1 / (2 * sched.beta1),
+    eta_caps = (1 / (2 * sched["beta1"]),
                 1 / (5 * 6 * beta * b ** 3 * max(1.0, growth) ** 6 * 4 ** 2.5),
                 1 / (2 * lam),
                 (1 / growth) ** 6 * eps2 / (4 * x_op ** 2))
-    assert sched.eta_caps == pytest.approx(eta_caps, rel=1e-12)
-    assert sched.eta == pytest.approx(min(eta_caps), rel=1e-12)
-    assert sched.k_floor == sum(sched.k_floor_terms)
-    assert sched.r_of_lambda == pytest.approx(max(
+    assert sched["eta_caps"] == pytest.approx(eta_caps, rel=1e-12)
+    assert sched["eta"] == pytest.approx(min(eta_caps), rel=1e-12)
+    assert sched["k_floor"] == sum(sched["k_floor_terms"])
+    assert sched["r_of_lambda"] == pytest.approx(max(
         eps1 * math.sqrt(2 / lam),
         (eps1 * math.sqrt(2 / lam)) ** 2 * x_op,
         (eps1 * math.sqrt(2 / lam)) ** 3 * x_op), rel=1e-12)
     # growth > 1: the second eta cap is 1/lipschitz_const at radii sqrt(growth)
-    sched = bounds.thm2_schedule(sched, cfg, inp, b, lam=0.01)
+    sched = bounds.thm2_schedule(s0, cfg, inp, b, lam=0.01)
     growth = 2 * eps1 ** 2 / 0.01
     assert growth > 1
-    assert sched.eta_caps[1] == pytest.approx(
+    assert sched["eta_caps"][1] == pytest.approx(
         1 / (5 * 6 * beta * b ** 3 * growth ** 6 * 4 ** 2.5), rel=1e-12)
     # the Lipschitz lemma needs data columns of norm up to b >= 1
     with pytest.raises(ValueError, match="data bound"):
-        bounds.thm2_schedule(sched, cfg, inp, 0.9)
+        bounds.thm2_schedule(s0, cfg, inp, 0.9)
 
 
 def test_k_floor_first_phase_already_done():
     cfg, params, x, y = schedule_net(seed=5, scale=3.0)
-    sched = bounds.init_spectra(cfg, params, forward(cfg, params, x))
-    sched.c_lambda_init, sched.c0_init = loss(cfg, params, x, y, 0.01)
-    sched.theta0_norm = params.norm()
+    s0 = bounds.init_spectra(cfg, params, forward(cfg, params, x), y, 0.01)
     # huge lambda override makes 2*lam*m_lambda exceed the initial loss
     inp = make_inputs(eps1=0.3, eps2=1e-3, x_opnorm=densemat.op_norm(x), k=2, n=6)
-    sched = bounds.thm2_schedule(sched, cfg, inp, 1.4, lam=10.0, eta=1e-4)
-    assert sched.k_floor_terms[0] == 0.0
+    sched = bounds.thm2_schedule(s0, cfg, inp, 1.4, lam=10.0, eta=1e-4)
+    assert sched["k_floor_terms"][0] == 0.0
 
 
 def test_pl_check_on_single_linear_layer():
@@ -676,7 +686,7 @@ def test_pl_check_on_single_linear_layer():
     tcfg = TrainConfig(eta=0.01, lam=0.0, steps=30, seed=0,
                        lr_drop_fraction=1.0)
     _, traj = train(cfg, tcfg, x, y, metrics.ClassIndex((3,)))
-    sched = bounds.Thm2Schedule(alpha=alpha, r0=1e9, m_lambda=0.0)
+    sched = {"alpha": alpha, "r0": 1e9, "m_lambda": 0.0}
     rep = bounds.pl_check(cfg, x, y, traj, sched, lam=0.0, eta=0.01)
     assert rep.holds == bounds.HOLDS
     assert rep.detail["pl_ok"] and rep.detail["decay_ok"]
@@ -767,6 +777,10 @@ def test_bound_report_without_a_number_has_no_margin():
     rep = bounds.bound_report("x", {"p": True}, lambda: 1e160 ** 2, 1.0)
     assert (rep.holds, rep.value, rep.margin) == (bounds.VACUOUS, None, None)
     assert rep.detail["vacuous_reason"].startswith("the bound overflows a float: ")
+    # so is any other arithmetic fault, with its message as the reason
+    rep = bounds.bound_report("x", {"p": True}, lambda: 1.0 / 0.0, 1.0)
+    assert (rep.holds, rep.value, rep.margin) == (bounds.VACUOUS, None, None)
+    assert rep.detail == {"vacuous_reason": "float division by zero"}
 
 
 def _compared(value, measured, lower):

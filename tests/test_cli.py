@@ -580,6 +580,25 @@ def test_bounds_reports_a_schedule_overflow_and_keeps_the_verdicts(tmp_path):
     assert {"measured", "ntk"} <= set(bounds_out)
 
 
+SCHEDULE_KEYS = {
+    "lambda_f", "lambda_l", "bar_lambda_l", "lambda_3_to_l", "alpha", "r0", "b", "m_lambda",
+    "beta1", "lambda_cap", "lambda_caps", "eta_cap", "eta_caps", "lam", "eta", "k_floor",
+    "k_floor_terms", "r_of_lambda", "c0_init", "c_lambda_init", "theta0_norm", "assumption3",
+    "eps1_premise"}
+
+
+def test_bounds_schedule_block_has_every_key_on_a_depth_3_run(tmp_path):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"]["steps"] = 50
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    schedule = json.loads((out / "report.json").read_text())["bounds"]["schedule"]
+    assert len(SCHEDULE_KEYS) == 23 and set(schedule) == SCHEDULE_KEYS
+    assert set(schedule["lambda_l"]) == set(schedule["bar_lambda_l"]) == {"1", "2", "3"}
+
+
 def _read_csv(path):
     lines = path.read_text().splitlines()[1:]  # below the schema line
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -760,6 +779,21 @@ def test_a_state_that_overflows_a_float_diverges_and_its_bounds_are_vacuous(tmp_
     assert block["reports"]["ntk_lower"]["holds"] == "vacuous"
     assert block["reports"]["balanced_power_gap"]["detail"]["vacuous_reason"].startswith(
         "the bound overflows a float: ")
+
+
+def test_a_zero_init_run_trains_and_its_schedule_states_the_division_by_zero(tmp_path, capsys):
+    # Z_1 = sigma(0) has identical columns, whose SVD must converge; theta_0 = 0
+    # makes lambda_F = 0, so the third lambda cap divides by zero
+    cfg = json.loads(json.dumps(OVERFLOW_CONFIG))
+    cfg["train"]["init_scales"] = [0.0, 0.0, 0.0]
+    cfg["data"]["d"] = 6
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    schedule = json.loads((out / "report.json").read_text())["bounds"]["schedule"]
+    assert schedule == {"error": "float division by zero"}
 
 
 def test_a_sweep_whose_member_overflows_writes_its_row(tmp_path, capsys):

@@ -255,6 +255,19 @@ def test_svd_rank_deficient_completes_orthonormal_basis():
     assert np.linalg.norm(a - res.reconstruct()) < 1e-12 * np.linalg.norm(a)
 
 
+@pytest.mark.parametrize("shape, value", [((8, 3), 1.0), ((3, 3), 0.3), ((20, 20), 0.3)])
+def test_svd_of_identical_columns_converges(shape, value):
+    # a rotation leaves one column of rounding noise beside the other, which
+    # never turns orthogonal; such a pair is not rotated. 8x3 and 3x3 are
+    # swept on Python floats, 20x20 round-robin
+    a = np.full(shape, value)
+    ref = np.linalg.svd(a, compute_uv=False)
+    for res in (densemat.svd(a), densemat.svd(a, compute_uv=False)):
+        assert abs(res.s[0] - ref[0]) <= 1e-12 * ref[0]
+        assert np.all(np.abs(res.s[1:] - ref[1:]) <= 1e-12 * ref[0])
+    assert np.linalg.norm(a - densemat.svd(a).reconstruct()) < 1e-12 * np.linalg.norm(a)
+
+
 def test_svd_wide_matrix_transpose_path():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((3, 9))

@@ -5,7 +5,7 @@
 
 The change is this working tree and the parent the commit `--parent`. Each
 runs from a copy in a scratch directory (`--workdir`, default a new
-temporary directory, deleted afterwards): the parent exported with `git
+temporary directory, deleted afterwards; a missing DIR is created): the parent exported with `git
 archive`, the change as the files git tracks or would add. Neither copy has
 cached bytecode, so both sides start from the same bytecode state; in the
 working tree itself the change would load whatever `__pycache__` holds
@@ -170,7 +170,13 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     workloads = args.workloads.split(",")
-    work = Path(tempfile.mkdtemp(dir=args.workdir, prefix="bench_pairs-"))
+    try:
+        if args.workdir is not None:
+            args.workdir.mkdir(parents=True, exist_ok=True)
+        work = Path(tempfile.mkdtemp(dir=args.workdir, prefix="bench_pairs-"))
+    except OSError as exc:
+        print(f"bench_pairs: cannot use --workdir {args.workdir}: {exc}", file=sys.stderr)
+        return 2
     try:
         trees = {"parent": work / "parent", "change": work / "change"}
         sha = export(args.parent, trees["parent"])
