@@ -5,16 +5,16 @@ Lipschitz lemmas; and the conditioning / NTK bounds.
 
 Every closed-form bound is a pure function of one per-state record,
 `Thm1Inputs`, that `state_verdicts` builds; the GD schedule is one of that
-record and theta_0's frozen `InitSpectra`. A failed premise, non-positive
-denominator or float fault (an `ArithmeticError`: overflow, division by zero)
-makes a bound *vacuous*, never silently clamped.
+record and theta_0's frozen `InitSpectra`, at the state's own eps1 and eps2.
+A failed premise makes a bound *vacuous*, and so does a number that cannot be
+computed (a `ValueError` or `ArithmeticError`: a non-positive denominator, an
+overflow), whose reason `_attempt` states; nothing is silently clamped.
 `nclab bounds` and `nclab verify` reach them on one path: `run_context` once
 per data set and theta_0, then `state_verdicts` per state.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -238,7 +238,8 @@ def thm2_schedule(s0: InitSpectra, cfg: NetworkConfig, inp: Thm1Inputs, b: float
     lambda_caps = (
         2.0 * (gamma / 2.0) ** (L - 2) * s0.lambda_f * s0.lambda_3_to_l,
         2.0 * s0.c0_init / s0.theta0_norm ** 2 if s0.theta0_norm > 0 else math.inf,
-        eps1 ** 2 / (18.0 * (s0.theta0_norm + s0.lambda_f / 2.0) ** 2),
+        eps1 ** 2 / (18.0 * (s0.theta0_norm + s0.lambda_f / 2.0) ** 2)
+        if s0.theta0_norm + s0.lambda_f / 2.0 > 0 else math.inf,
     )
     lambda_cap = min(lambda_caps)
     lam = lambda_cap if lam is None else lam
@@ -344,15 +345,20 @@ def balanced_power_gap(cfg: NetworkConfig, params: ParamSet, r: float,
     bounded = all(op_norms[l] <= r * (1 + 1e-12) for l in range(cfg.l1 + 1, cfg.depth + 1))
     w_l = params.weights[-1]
     prod = partial_product(cfg, params, cfg.depth, cfg.l1 + 1)
-    return bound_report(
-        "balanced_power_gap", {"weights_bounded_by_r": bounded},
-        lambda: 0.5 * l2 ** 2 * eps2 * r ** (2 * (l2 - 1)),
-        densemat.op_norm(np.linalg.matrix_power(w_l @ w_l.T, l2) - prod @ prod.T))
+    measured, _ = _attempt(lambda: densemat.op_norm(
+        np.linalg.matrix_power(w_l @ w_l.T, l2) - prod @ prod.T), "the measured gap")
+    return bound_report("balanced_power_gap", {"weights_bounded_by_r": bounded},
+                        lambda: 0.5 * l2 ** 2 * eps2 * r ** (2 * (l2 - 1)), measured)
 
 
-def _reason(exc: ArithmeticError | ValueError, what: str) -> str:
-    """Why `what` has no value: the message of `exc`, an overflow named as one."""
-    return f"{what} overflows a float: {exc}" if isinstance(exc, OverflowError) else str(exc)
+def _attempt(fn, what: str) -> tuple:
+    """(fn(), None), or (None, why) when `fn` raises a ValueError or an
+    ArithmeticError: the message, an overflow named as one of `what`."""
+    try:
+        return fn(), None
+    except (ValueError, ArithmeticError) as exc:
+        overflow = isinstance(exc, OverflowError)
+        return None, f"{what} overflows a float: {exc}" if overflow else str(exc)
 
 
 def bound_report(name: str, premises: dict, rhs, measured: float | None,
@@ -362,15 +368,14 @@ def bound_report(name: str, premises: dict, rhs, measured: float | None,
     when `rhs` raises or `measured` is None), else holds iff the margin is >= 0.
     A callable premise is decided on the value, and left out without one."""
     rep = BoundReport(name=name, measured=measured)
-    try:
-        rep.value = rhs()
-    except (ValueError, ArithmeticError) as exc:  # e.g. a float power of r overflows
-        rep.detail["vacuous_reason"] = _reason(exc, "the bound")
+    rep.value, why = _attempt(rhs, "the bound")  # e.g. a float power of r overflows
     rep.premises = {key: bool(p(rep.value)) if callable(p) else p
                     for key, p in premises.items() if rep.value is not None or not callable(p)}
-    if rep.value is not None and measured is None:
+    if why is not None:
+        rep.detail["vacuous_reason"] = why
+    elif measured is None:
         rep.detail["vacuous_reason"] = "measured value undefined on this state"
-    elif rep.value is not None:
+    else:
         hi, lo = (measured, rep.value) if lower else (rep.value, measured)
         # equal infinities tie instead of giving NaN; a NaN input gives NaN, which fails
         rep.margin = float(hi) - float(lo) if hi != lo else 0.0
@@ -382,26 +387,12 @@ def bound_report(name: str, premises: dict, rhs, measured: float | None,
 THM1_LINEAR_BOUNDS = ("thm1_kappa", "thm1_nc2", "thm1_nc3", "balanced_power_gap")
 
 
-def _cond_or_none(a: np.ndarray, rank_tol: float) -> float | None:
-    try:
-        return densemat.cond(a, rank_tol)
-    except ValueError:
-        return None
-
-
 @dataclass
 class RunContext:
     """What every state of one run shares; a state's rank threshold is its report's."""
     ds: Dataset
     x_opnorm: float
     spectra: InitSpectra | dict  # theta_0's, or {"error": why}
-
-
-def _schedule_or_error(fn):
-    try:
-        return fn()
-    except (ValueError, ArithmeticError) as exc:  # e.g. a zero theta_0's lambda cap
-        return {"error": _reason(exc, "the GD schedule")}
 
 
 def run_context(cfg: NetworkConfig, ds: Dataset, lam: float,
@@ -414,7 +405,8 @@ def run_context(cfg: NetworkConfig, ds: Dataset, lam: float,
         schedule_gamma(cfg)  # refuses an uncovered net before theta_0 is traced
         return init_spectra(cfg, params0, forward(cfg, params0, ds.x), ds.y, lam)
 
-    return RunContext(ds, densemat.op_norm(ds.x), _schedule_or_error(spectra))
+    s0, why = _attempt(spectra, "the GD schedule")
+    return RunContext(ds, densemat.op_norm(ds.x), s0 if why is None else {"error": why})
 
 
 def verdict_layers(cfg: NetworkConfig) -> tuple:
@@ -434,10 +426,11 @@ def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
     its reports vacuous, with the reason."""
     ds, rank_tol = ctx.ds, rep.rank_tol
     w_l = densemat.svd(params.weights[-1])
-    kappa_wl = _cond_or_none(w_l, rank_tol)
+    kappa_wl, _ = _attempt(lambda: densemat.cond(w_l, rank_tol), "cond(W_L)")
     kappa_prod = kappa_wl if cfg.l2 == 1 else None  # W_{L:L} = W_L
     if cfg.l2 >= 2:
-        kappa_prod = _cond_or_none(partial_product(cfg, params, cfg.depth, cfg.l1 + 1), rank_tol)
+        kappa_prod, _ = _attempt(lambda: densemat.cond(
+            partial_product(cfg, params, cfg.depth, cfg.l1 + 1), rank_tol), "cond(W_{L:L1+1})")
     inp = Thm1Inputs(eps1=rep.eps1, eps2=rep.eps2, r=rep.r, n_lminus1=cfg.widths[-2],
                      k=cfg.n_classes, n=ds.x.shape[1], sK_y=ds.idx.sK_y, x_opnorm=ctx.x_opnorm,
                      l1=cfg.l1, l2=cfg.l2, c3=kappa_prod, kappa_wl=kappa_wl)
@@ -466,15 +459,16 @@ def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
 
     measured = {"eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r, "sK_y": inp.sK_y, "nc1": head.nc1,
                 "x_opnorm": inp.x_opnorm, "kappa_w_l": kappa_wl, "kappa_prod": kappa_prod}
-    with contextlib.suppress(VacuousBound, ValueError):
-        measured["residual_to_pinv"] = residual_to_pinv(
-            trace.z[cfg.depth - 1], w_l, ds.y, rank_tol)
+    residual, _ = _attempt(lambda: residual_to_pinv(
+        trace.z[cfg.depth - 1], w_l, ds.y, rank_tol), "the residual")
+    if residual is not None:
+        measured["residual_to_pinv"] = residual
 
     s0 = ctx.spectra
-    floored = replace(inp, eps1=max(inp.eps1, 1e-6), eps2=max(inp.eps2, 1e-8))
-    schedule = s0 if isinstance(s0, dict) else _schedule_or_error(
-        lambda: thm2_schedule(s0, cfg, floored, ds.b))
-    return {"measured": measured, "reports": reports, "schedule": schedule}, inp
+    schedule, why = (s0, None) if isinstance(s0, dict) else _attempt(
+        lambda: thm2_schedule(s0, cfg, inp, ds.b), "the GD schedule")
+    return {"measured": measured, "reports": reports,
+            "schedule": schedule if why is None else {"error": why}}, inp
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +484,12 @@ def ntk_verdict(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,
                 state: dict, inp: Thm1Inputs) -> tuple:
     """`ntk` block ({"error": why} if not finite) and `ntk_lower` report, on `thm1_nc1`'s
     premises, of a state with trace `trace` and `state_verdicts` output (state, inp)."""
-    try:
-        nrep = ntk.ntk_opnorm(cfg, params, trace)
-        block, rho = {"theta_opnorm": nrep.rho, "iterations": nrep.iterations,
-                      "residual": nrep.residual, "converged": nrep.converged}, nrep.rho
-    except FloatingPointError as exc:  # a non-finite NTK
-        block, rho = {"error": str(exc)}, None
+    nrep, why = _attempt(lambda: ntk.ntk_opnorm(cfg, params, trace), "the NTK")
+    block = {"error": why} if why is not None else {
+        "theta_opnorm": nrep.rho, "iterations": nrep.iterations,
+        "residual": nrep.residual, "converged": nrep.converged}
     return block, bound_report("ntk_lower", state["reports"]["thm1_nc1"].premises,
-                               lambda: ntk_lower_bound(inp), rho, lower=True)
+                               lambda: ntk_lower_bound(inp), block.get("theta_opnorm"), lower=True)
 
 
 def large_lr_kappa_bound(inp: Thm1Inputs, c_ntk: float, m: int) -> float:

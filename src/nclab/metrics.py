@@ -100,7 +100,10 @@ def balancedness_gap(w_next: np.ndarray, w: np.ndarray) -> float:
     w = np.asarray(w, dtype=np.float64)
     if w_next.shape[1] != w.shape[0]:
         raise ValueError("inner dimensions of the interface do not match")
-    return densemat.op_norm(w_next.T @ w_next - w @ w.T)
+    # both weights scaled by one exact power of two: the Grams overflow only if the gap does
+    _, e = math.frexp(max(float(np.max(np.abs(w_next))), float(np.max(np.abs(w)))))
+    w_next, w = np.ldexp(w_next, -e), np.ldexp(w, -e)
+    return float(np.ldexp(densemat.op_norm(w_next.T @ w_next - w @ w.T), 2 * e))
 
 
 def balancedness_ratio(gap: float, norm_next: float, norm: float) -> float:
@@ -161,7 +164,7 @@ class MetricsReport:
 def _try(fn, *args):
     try:
         return fn(*args)
-    except ValueError:
+    except (ValueError, ArithmeticError):  # bounds._attempt's rule; a record keeps no reason
         return None
 
 

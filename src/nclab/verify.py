@@ -133,7 +133,7 @@ def lemma_c2_suite(n_instances: int = 100) -> tuple:
         params = ParamSet([w.copy() for w in weights])
         norms = {l: densemat.op_norm(w) for l, w in enumerate(weights, start=1)}
         rep = bounds.balanced_power_gap(cfg, params, max(norms.values()), 0.0, norms)
-        if rep.measured > 1e-10:
+        if rep.measured is None or rep.measured > 1e-10:
             return False, {"seed": seed, "exact_gap": rep.measured}
         eps2_scale = 10.0 ** rng.uniform(-8, -2)
         j = int(rng.integers(0, l2 - 1))

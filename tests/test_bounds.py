@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclab import bounds, cli, data, densemat, metrics, network
+from nclab import bounds, cli, data, densemat, metrics, network, verify
 from nclab.network import ActivationSpec, NetworkConfig, ParamSet, act_apply, forward, loss
 from nclab.trainer import InitSpec, TrainConfig, init_params, train
 from nclab.verify import (balanced_chain, balanced_factors, check_thm1_instance,
@@ -244,6 +244,16 @@ def _digest(a) -> str:
     return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
 
 
+def _caller() -> str:
+    """`module.function` of the function that called the spy calling this one:
+    the first frame past the spy that is no `<lambda>` or comprehension, so that
+    a call from either names its enclosing function on every Python."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
+
+
 def _record_svd_inputs(monkeypatch) -> list:
     """Patch densemat.svd to log a digest of every matrix it decomposes."""
     seen = []
@@ -300,8 +310,7 @@ def test_singular_vectors_are_built_only_for_pinv(monkeypatch):
     real = densemat.svd
 
     def recording(a, compute_uv=True, top_only=False, extremes=False):
-        caller = sys._getframe(1)
-        calls.append((f"{caller.f_globals['__name__']}.{caller.f_code.co_name}", compute_uv))
+        calls.append((_caller(), compute_uv))
         return real(a, compute_uv=compute_uv, top_only=top_only, extremes=extremes)
 
     monkeypatch.setattr(densemat, "svd", recording)
@@ -327,9 +336,7 @@ def test_only_op_norm_asks_for_the_top_singular_value(monkeypatch):
     real = densemat.svd
 
     def recording(a, compute_uv=True, top_only=False, extremes=False):
-        caller = sys._getframe(1)
-        name = f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"
-        calls.append((name, compute_uv, top_only))
+        calls.append((_caller(), compute_uv, top_only))
         return real(a, compute_uv=compute_uv, top_only=top_only, extremes=extremes)
 
     monkeypatch.setattr(densemat, "svd", recording)
@@ -355,8 +362,7 @@ def test_bounds_above_the_crossover_sweep_no_values_only_spectrum(monkeypatch):
     real_svd = densemat.svd
 
     def recording(a, compute_uv=True, top_only=False, extremes=False):
-        caller = sys._getframe(1)
-        call = {"name": f"{caller.f_globals['__name__']}.{caller.f_code.co_name}",
+        call = {"name": _caller(),
                 "whole_values_only": not (compute_uv or top_only or extremes),
                 "r_route": extremes and np.size(a) > densemat.EXTREMES_MIN_ENTRIES,
                 "sweeps": 0}
@@ -575,7 +581,7 @@ def test_bounds_trace_each_state_once(monkeypatch):
         return real_forward(cfg_, params_, x, out)
 
     def activating(*args):
-        activated.append(sys._getframe(1).f_code.co_name)
+        activated.append(_caller().rsplit(".", 1)[1])
         return real_act(*args)
 
     def losing(*args, **kw):
@@ -593,6 +599,24 @@ def test_bounds_trace_each_state_once(monkeypatch):
     assert traced == [id(params0), id(params)]
     assert set(activated) == {"forward"} and len(activated) == 2 * cfg.l1
     assert losses == [True]
+
+
+def test_state_verdicts_hands_the_schedule_the_record_it_returns(monkeypatch):
+    cfg = NetworkConfig(input_dim=6, widths=(8, 6, 5, 3), l1=2, l2=2, activation=SMOOTH)
+    ds = data.synth_gaussian(d=6, k=3, n_per_class=4, class_sep=2.0, noise=0.3, seed=3)
+    params = init_params(cfg, InitSpec(), 0)
+    read, real = [], bounds.thm2_schedule
+
+    def recording(s0, cfg_, inp, b):
+        read.append(inp)
+        return real(s0, cfg_, inp, b)
+
+    monkeypatch.setattr(bounds, "thm2_schedule", recording)
+    trace = forward(cfg, params, ds.x)
+    rep = metrics.measure(cfg, params, trace, ds.y, ds.idx, *bounds.verdict_layers(cfg))
+    out, inp = bounds.state_verdicts(bounds.run_context(cfg, ds, 0.01, params), cfg, params,
+                                     trace, rep)
+    assert len(read) == 1 and read[0] is inp and "error" not in out["schedule"]
 
 
 def test_assumption3_threshold_in_initial_loss():
@@ -721,6 +745,18 @@ def test_balanced_power_gap_exact_and_perturbed():
     r = max(max(norms.values()), 1.0)
     rep = bounds.balanced_power_gap(cfg, params, r, eps2=eps2, op_norms=norms)
     assert rep.holds == bounds.HOLDS
+
+
+def test_a_power_gap_too_large_to_measure_is_vacuous_and_fails_lemma_c2(monkeypatch):
+    # (W_L W_L^T)^2 of a 1e100 W_L overflows a float, so the gap has no value
+    cfg = NetworkConfig(input_dim=3, widths=(3, 3), l1=0, l2=2, activation=SMOOTH)
+    params = ParamSet([np.eye(3), 1e100 * np.eye(3)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = bounds.balanced_power_gap(cfg, params, 1.0, 0.0, {1: 1.0, 2: 1e100})
+    assert (rep.value, rep.measured, rep.holds) == (0.0, None, bounds.VACUOUS)
+    assert rep.detail == {"vacuous_reason": "measured value undefined on this state"}
+    monkeypatch.setattr(bounds, "balanced_power_gap", lambda *args: rep)
+    assert verify.lemma_c2_suite(1) == (False, {"seed": 1000, "exact_gap": None})
 
 
 def test_ntk_and_large_lr_bounds():

@@ -759,13 +759,30 @@ OVERFLOW_CONFIG = {
 }
 
 
-def test_a_state_that_overflows_a_float_diverges_and_its_bounds_are_vacuous(tmp_path, capsys):
+# (init_scales, divergence step, balanced_power_gap's reason): a first layer, then
+# head layers, whose numbers overflow a float; [1, 1e160, 1e-160] has a finite c_0
+# at step 0, and at [1, 1e100, 1e100] the bound's power of r stays in range while
+# the measured gap's (W_L W_L^T)^2 overflows
+OVERFLOWS = [
+    ([1e160, 1.0, 1.0], 0, "the bound overflows a float: "),
+    ([1.0, 1e155, 1.0], 0, "the bound overflows a float: "),
+    ([1.0, 1e200, 1e200], 0, "the bound overflows a float: "),
+    ([1.0, 1e160, 1e-160], 1, "the bound overflows a float: "),
+    ([1.0, 1e100, 1e100], 0, "measured value undefined on this state"),
+]
+
+
+@pytest.mark.parametrize("scales, step, gap_reason", OVERFLOWS)
+def test_a_state_that_overflows_a_float_diverges_and_its_bounds_are_vacuous(
+        tmp_path, capsys, scales, step, gap_reason):
     # tier 1 turns every warning into an error: no numpy warning may leak
+    cfg = json.loads(json.dumps(OVERFLOW_CONFIG))
+    cfg["train"]["init_scales"] = scales
     out = tmp_path / "run"
-    assert cli.main(["train", "--config", str(write_config(tmp_path, OVERFLOW_CONFIG)),
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)]) == cli.EXIT_DIVERGED
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("diverged at step 0: c_0 = inf")
+    assert len(err.splitlines()) == 1 and err.startswith(f"diverged at step {step}: c_0 = inf")
     assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert sum(": vacuous, " in line for line in lines) == 6
@@ -778,12 +795,13 @@ def test_a_state_that_overflows_a_float_diverges_and_its_bounds_are_vacuous(tmp_
     assert block["ntk"] == {"error": "the NTK applied to a probe is not finite"}
     assert block["reports"]["ntk_lower"]["holds"] == "vacuous"
     assert block["reports"]["balanced_power_gap"]["detail"]["vacuous_reason"].startswith(
-        "the bound overflows a float: ")
+        gap_reason)
 
 
-def test_a_zero_init_run_trains_and_its_schedule_states_the_division_by_zero(tmp_path, capsys):
+def test_a_zero_init_runs_schedule_has_zero_caps_from_a_zero_lambda_f(tmp_path, capsys):
     # Z_1 = sigma(0) has identical columns, whose SVD must converge; theta_0 = 0
-    # makes lambda_F = 0, so the third lambda cap divides by zero
+    # makes lambda_F = ||theta_0|| = 0: the first lambda cap is 0, the two that
+    # divide by ||theta_0|| are inf, and the step count's first phase never ends
     cfg = json.loads(json.dumps(OVERFLOW_CONFIG))
     cfg["train"]["init_scales"] = [0.0, 0.0, 0.0]
     cfg["data"]["d"] = 6
@@ -793,7 +811,23 @@ def test_a_zero_init_run_trains_and_its_schedule_states_the_division_by_zero(tmp
     assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
     assert capsys.readouterr().err == ""
     schedule = json.loads((out / "report.json").read_text())["bounds"]["schedule"]
-    assert schedule == {"error": "float division by zero"}
+    assert (schedule["lambda_caps"], schedule["lambda_cap"]) == ([0.0, "inf", "inf"], 0.0)
+    assert (schedule["eta_cap"], schedule["k_floor_terms"]) == (0.0, ["inf", 0.0])
+
+
+def test_the_schedule_reads_a_zero_eps2_unfloored(tmp_path):
+    # L2 = 1 has no linear interface, so eps2 is exactly 0: the fourth eta cap is 0,
+    # and at eta = 0 the first phase never ends (at eps2 = 1e-8 the eta cap was
+    # 7.6e-24 and the step count 9.3e27)
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["network"]["l1"] = 2
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    block = json.loads((out / "report.json").read_text())["bounds"]
+    assert block["measured"]["eps2"] == 0.0
+    assert (block["schedule"]["eta_cap"], block["schedule"]["k_floor"]) == (0.0, "inf")
 
 
 def test_a_sweep_whose_member_overflows_writes_its_row(tmp_path, capsys):

@@ -7,32 +7,40 @@ the `bounds` block is its closed form of that block's `measured` numbers."""
 import csv
 import json
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
 from nclab import cli, densemat, metrics, verify
 from nclab.network import forward
 
-SMOOTH_ACT = {"kind": "smoothed_leaky_relu", "gamma": 0.3, "beta": 2.0}
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _bench_config(widths, d, k, n_per_class, eta, steps, record_every, rank_tol):
-    """perfbench/run.py's config at seeds (0, 1), with few steps."""
-    return {
-        "schema_version": 1,
-        "network": {"widths": widths, "l1": 3, "activation": SMOOTH_ACT},
-        "train": {"eta": eta, "lam": 0.02, "steps": steps, "record_every": record_every,
-                  "lr_drop_fraction": 1.0, "lr_drop_factor": 10.0, "seed": 1,
-                  "store_params": True},
-        "data": {"kind": "synthetic", "d": d, "k": k, "n_per_class": n_per_class,
-                 "class_sep": 1.0, "noise": 0.1, "seed": 0, "min_col_norm_one": True},
-        "bounds": {"rank_tol": rank_tol},
-    }
+def _bench_workloads() -> dict:
+    """perfbench/run.py's `WORKLOADS`, read and not edited."""
+    bench = str(ROOT / "perfbench")
+    sys.path.insert(0, bench)  # run.py imports its neighbours by name
+    try:
+        return runpy.run_path(str(ROOT / "perfbench" / "run.py"))["WORKLOADS"]
+    finally:
+        sys.path.remove(bench)
 
 
+def _bench_config(workload, steps, record_every, rank_tol):
+    """perfbench's config of `workload` at seeds (0, 1), with few steps."""
+    cfg = WORKLOADS[workload]((0, 1))
+    cfg["train"].update(steps=steps, record_every=record_every)
+    cfg["bounds"]["rank_tol"] = rank_tol
+    return cfg
+
+
+WORKLOADS = _bench_workloads()
 BENCH_NETS = {
-    "pyramidal": lambda tol: _bench_config([64, 32, 16, 8, 4], 16, 4, 8, 0.03, 40, 20, tol),
-    "wide": lambda tol: _bench_config([256, 128, 64, 10, 10], 64, 10, 20, 0.01, 20, 10, tol),
+    "pyramidal": lambda tol: _bench_config("pyramidal", 40, 20, tol),
+    "wide": lambda tol: _bench_config("wide", 20, 10, tol),
 }
 
 
