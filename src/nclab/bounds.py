@@ -9,6 +9,7 @@ record and theta_0's frozen `InitSpectra`, at the state's own eps1 and eps2.
 A failed premise makes a bound *vacuous*, and so does a number that cannot be
 computed (a `ValueError` or `ArithmeticError`: a non-positive denominator, an
 overflow), whose reason `_attempt` states; nothing is silently clamped.
+Every report is made and labelled by `bound_report`, except `pl_check`'s.
 `nclab bounds` and `nclab verify` reach them on one path: `run_context` once
 per data set and theta_0, then `state_verdicts` per state.
 """
@@ -81,10 +82,11 @@ def _nc1_den(inp: Thm1Inputs) -> float:
     return den
 
 
-def _defined(cond: float | None, of: str) -> float:
-    if cond is None:
-        raise ValueError(f"cond({of}) is undefined")
-    return cond
+def _defined(x: float | None, what: str) -> float:
+    """`x`, or a ValueError naming `what` when it is None or NaN (which `min` passes over)."""
+    if x is None or math.isnan(x):
+        raise ValueError(f"{what} is {'undefined' if x is None else 'NaN'}")
+    return x
 
 
 def psi(inp: Thm1Inputs) -> float:
@@ -110,7 +112,7 @@ def thm2_nc1_rhs(inp: Thm1Inputs) -> float:
 def thm1_kappa_rhs(inp: Thm1Inputs) -> float:
     """Upper bound on cond(W_L) given cond(W_{L:L1+1}) <= c3, with the stated
     exponent 1/L2 on (1+eps)."""
-    c3 = _defined(inp.c3, "W_{L:L1+1}")
+    c3 = _defined(inp.c3, "cond(W_{L:L1+1})")
     margin = _sk_margin(inp)
     perturb = 0.5 * inp.l2 ** 2 * inp.r ** (2 * (inp.l2 - 1)) * inp.eps2
     base = margin ** 2 / (inp.x_opnorm ** 2 * inp.r ** (2 * inp.l1))
@@ -124,7 +126,7 @@ def thm1_kappa_rhs(inp: Thm1Inputs) -> float:
 
 def thm1_nc2_rhs(inp: Thm1Inputs) -> float:
     """Upper bound on cond(class means of Z_{L-1})."""
-    kappa_wl = _defined(inp.kappa_wl, "W_L")
+    kappa_wl = _defined(inp.kappa_wl, "cond(W_L)")
     q = inp.r * psi(inp) / inp.sK_y
     if 1.0 - q <= 0:
         raise VacuousBound("residual term reaches 1 in the NC2 bound")
@@ -134,7 +136,7 @@ def thm1_nc2_rhs(inp: Thm1Inputs) -> float:
 def thm1_nc3_rhs(inp: Thm1Inputs) -> float:
     """Lower bound on the feature/weight alignment; may be vacuous-weak (< -1),
     which `state_verdicts` reports as a failed `nontrivial` premise."""
-    kappa_wl = _defined(inp.kappa_wl, "W_L")
+    kappa_wl = _defined(inp.kappa_wl, "cond(W_L)")
     p = psi(inp)
     num = ((math.sqrt(inp.n) - inp.eps1) ** 2
            + inp.n / kappa_wl ** 2
@@ -241,7 +243,7 @@ def thm2_schedule(s0: InitSpectra, cfg: NetworkConfig, inp: Thm1Inputs, b: float
         eps1 ** 2 / (18.0 * (s0.theta0_norm + s0.lambda_f / 2.0) ** 2)
         if s0.theta0_norm + s0.lambda_f / 2.0 > 0 else math.inf,
     )
-    lambda_cap = min(lambda_caps)
+    lambda_cap = min(_defined(c, f"lambda_caps[{i}]") for i, c in enumerate(lambda_caps))
     lam = lambda_cap if lam is None else lam
 
     m_lambda = ((1.0 + math.sqrt(4.0 * lam / s0.alpha)) ** 2
@@ -256,7 +258,7 @@ def thm2_schedule(s0: InitSpectra, cfg: NetworkConfig, inp: Thm1Inputs, b: float
         (1.0 / growth) ** (cfg.l1 + L) * eps2 / (4.0 * x_opnorm ** 2)
         if growth > 0 and x_opnorm > 0 else math.inf,
     )
-    eta_cap = min(eta_caps)
+    eta_cap = min(_defined(c, f"eta_caps[{i}]") for i, c in enumerate(eta_caps))
     eta = eta_cap if eta is None else eta
 
     lam_m = lam * m_lambda
@@ -340,14 +342,18 @@ def lipschitz_const(radii, b: float, n: int, beta: float) -> float:
 def balanced_power_gap(cfg: NetworkConfig, params: ParamSet, r: float,
                        eps2: float, op_norms: dict) -> BoundReport:
     """||(W_L W_L^T)^{L2} - W_{L:L1+1} W_{L:L1+1}^T||_op vs (L2^2/2) eps2 r^{2(L2-1)};
-    `op_norms` maps each linear layer l to ||W_l||_op."""
+    `op_norms` maps each linear layer l to ||W_l||_op. With no linear layer
+    W_{L:L1+1} is undefined, and so is the measured gap."""
     l2 = cfg.l2
     bounded = all(op_norms[l] <= r * (1 + 1e-12) for l in range(cfg.l1 + 1, cfg.depth + 1))
     w_l = params.weights[-1]
-    prod = partial_product(cfg, params, cfg.depth, cfg.l1 + 1)
-    measured, _ = _attempt(lambda: densemat.op_norm(
-        np.linalg.matrix_power(w_l @ w_l.T, l2) - prod @ prod.T), "the measured gap")
-    return bound_report("balanced_power_gap", {"weights_bounded_by_r": bounded},
+
+    def gap():
+        prod = partial_product(cfg, params, cfg.depth, cfg.l1 + 1)
+        return densemat.op_norm(np.linalg.matrix_power(w_l @ w_l.T, l2) - prod @ prod.T)
+    measured, _ = _attempt(gap, "the measured gap")
+    return bound_report("balanced_power_gap",
+                        {"has_linear_interface": l2 >= 2, "weights_bounded_by_r": bounded},
                         lambda: 0.5 * l2 ** 2 * eps2 * r ** (2 * (l2 - 1)), measured)
 
 
@@ -384,9 +390,6 @@ def bound_report(name: str, premises: dict, rhs, measured: float | None,
     return rep
 
 
-THM1_LINEAR_BOUNDS = ("thm1_kappa", "thm1_nc2", "thm1_nc3", "balanced_power_gap")
-
-
 @dataclass
 class RunContext:
     """What every state of one run shares; a state's rank threshold is its report's."""
@@ -421,16 +424,15 @@ def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
     `ctx`'s run, from its trace and `metrics.measure` report `rep` (over at least
     `verdict_layers(cfg)`; `measured` takes eps1, eps2 and r from it), and the
     `Thm1Inputs` every bound read. Every cond and pinv is at rep's `rank_tol`; one
-    svd of W_L gives cond(W_L) and `residual_to_pinv`. `thm1_nc1` needs L2 >= 1 and
-    the bounds on the linear head L2 >= 2. A quantity that cannot be computed makes
-    its reports vacuous, with the reason."""
+    svd of W_L gives cond(W_L) and `residual_to_pinv`. Theorem 1's premises on the
+    net are stated: `thm1_nc1` needs L2 >= 1, and the bounds on the linear head
+    L2 >= 2. A quantity that cannot be computed makes its reports vacuous, with
+    the reason."""
     ds, rank_tol = ctx.ds, rep.rank_tol
     w_l = densemat.svd(params.weights[-1])
     kappa_wl, _ = _attempt(lambda: densemat.cond(w_l, rank_tol), "cond(W_L)")
-    kappa_prod = kappa_wl if cfg.l2 == 1 else None  # W_{L:L} = W_L
-    if cfg.l2 >= 2:
-        kappa_prod, _ = _attempt(lambda: densemat.cond(
-            partial_product(cfg, params, cfg.depth, cfg.l1 + 1), rank_tol), "cond(W_{L:L1+1})")
+    kappa_prod = kappa_wl if cfg.l2 == 1 else _attempt(lambda: densemat.cond(  # W_{L:L} = W_L
+        partial_product(cfg, params, cfg.depth, cfg.l1 + 1), rank_tol), "cond(W_{L:L1+1})")[0]
     inp = Thm1Inputs(eps1=rep.eps1, eps2=rep.eps2, r=rep.r, n_lminus1=cfg.widths[-2],
                      k=cfg.n_classes, n=ds.x.shape[1], sK_y=ds.idx.sK_y, x_opnorm=ctx.x_opnorm,
                      l1=cfg.l1, l2=cfg.l2, c3=kappa_prod, kappa_wl=kappa_wl)
@@ -439,23 +441,19 @@ def state_verdicts(ctx: RunContext, cfg: NetworkConfig, params: ParamSet,
     reports = {"thm1_nc1": bound_report(  # Theorem 1 ends the net in linear layers
         "thm1_nc1", {**premises, "linear_last_layer": cfg.l2 >= 1},
         lambda: thm1_nc1_rhs(inp), head.nc1)}
-    if cfg.l2 < 2:
-        reports.update((name, BoundReport(name=name, premises={"has_linear_interface": False}))
-                       for name in THM1_LINEAR_BOUNDS)
-    else:
-        reports["thm1_kappa"] = bound_report(
-            "thm1_kappa", premises, lambda: thm1_kappa_rhs(inp), kappa_wl)
-        reports["thm1_nc2"] = bound_report(
-            "thm1_nc2", premises, lambda: thm1_nc2_rhs(inp), head.nc2)
-        reports["thm1_nc3"] = bound_report(  # a cosine is >= -1: a lower RHS says nothing
-            "thm1_nc3", {**premises, "nontrivial": lambda v: v >= -1.0},
-            lambda: thm1_nc3_rhs(inp), head.nc3, lower=True)
-        gap = balanced_power_gap(cfg, params, inp.r, inp.eps2, rep.op_norms)
-        if kappa_wl is not None:
-            gap.detail["kappa_w_l"] = kappa_wl
-        if kappa_prod is not None:
-            gap.detail["kappa_prod_root"] = kappa_prod ** (1.0 / cfg.l2)
-        reports["balanced_power_gap"] = gap
+    linear = {**premises, "has_linear_interface": cfg.l2 >= 2}  # the head's bounds need L2 >= 2
+    reports["thm1_kappa"] = bound_report(
+        "thm1_kappa", linear, lambda: thm1_kappa_rhs(inp), kappa_wl)
+    reports["thm1_nc2"] = bound_report("thm1_nc2", linear, lambda: thm1_nc2_rhs(inp), head.nc2)
+    reports["thm1_nc3"] = bound_report(  # a cosine is >= -1: a lower RHS says nothing
+        "thm1_nc3", {**linear, "nontrivial": lambda v: v >= -1.0},
+        lambda: thm1_nc3_rhs(inp), head.nc3, lower=True)
+    gap = balanced_power_gap(cfg, params, inp.r, inp.eps2, rep.op_norms)
+    if kappa_wl is not None:
+        gap.detail["kappa_w_l"] = kappa_wl
+    if kappa_prod is not None:
+        gap.detail["kappa_prod_root"] = kappa_prod ** (1.0 / cfg.l2)
+    reports["balanced_power_gap"] = gap
 
     measured = {"eps1": rep.eps1, "eps2": rep.eps2, "r": rep.r, "sK_y": inp.sK_y, "nc1": head.nc1,
                 "x_opnorm": inp.x_opnorm, "kappa_w_l": kappa_wl, "kappa_prod": kappa_prod}

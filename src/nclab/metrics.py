@@ -162,10 +162,13 @@ class MetricsReport:
 
 
 def _try(fn, *args):
+    """fn(*args); None if it raises a ValueError or an ArithmeticError or gives NaN
+    (NC1's inf/inf): bounds._attempt's rule, but a record keeps no reason."""
     try:
-        return fn(*args)
-    except (ValueError, ArithmeticError):  # bounds._attempt's rule; a record keeps no reason
+        out = fn(*args)
+    except (ValueError, ArithmeticError):
         return None
+    return None if isinstance(out, float) and math.isnan(out) else out
 
 
 def measure(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,

@@ -276,13 +276,13 @@ def _c0(resid: np.ndarray) -> float:
 
 def loss(cfg: NetworkConfig, params: ParamSet, x, y, lam: float = 0.0,
          trace: ForwardTrace | None = None) -> tuple:
-    """Returns (c_lambda, c_0), c_0 = 0.5*||Z_L - Y||_F^2 from `_c0`."""
+    """Returns (c_lambda, c_0), c_0 = 0.5*||Z_L - Y||_F^2 from `_c0`; c_lambda is
+    c_0 at lam = 0, also where ||theta|| is inf (0 * inf would be NaN)."""
     y = np.asarray(y, dtype=np.float64)
     if trace is None:
         trace = forward(cfg, params, x)
     c0 = _c0(trace.z[-1] - y)
-    clam = c0 + 0.5 * lam * params.norm() ** 2
-    return clam, c0
+    return (c0 + 0.5 * lam * params.norm() ** 2 if lam else c0), c0
 
 
 def backprop(cfg: NetworkConfig, params: ParamSet, trace: ForwardTrace,

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import math
 import sys
 from dataclasses import FrozenInstanceError, asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,7 +288,8 @@ def test_each_matrix_is_decomposed_once(monkeypatch, l1):
     w_l = _digest(params.weights[-1])
     assert {h for h in seen if seen.count(h) > 1} == {w_l} and seen.count(w_l) == 2
     assert verdicts["measured"]["kappa_prod"] is not None
-    assert set(verdicts["reports"]) == {"thm1_nc1", *bounds.THM1_LINEAR_BOUNDS}
+    assert set(verdicts["reports"]) == {"thm1_nc1", "thm1_kappa", "thm1_nc2", "thm1_nc3",
+                                        "balanced_power_gap"}
 
 
 def test_bounds_decompose_w_l_twice_and_y_never(monkeypatch):
@@ -724,6 +727,25 @@ def test_lipschitz_const_formula_and_preconditions():
         bounds.lipschitz_const([0.5, 2.0], b=1.2, n=10, beta=2.0)
     with pytest.raises(ValueError):
         bounds.lipschitz_const([1.5, 2.0], b=0.9, n=10, beta=2.0)
+
+
+def _bound_report_callers() -> list:
+    """(module, top-level definition) of every call of BoundReport in src/nclab."""
+    found = []
+    for path in sorted(Path(bounds.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                f = node.func if isinstance(node, ast.Call) else None
+                if getattr(f, "id", getattr(f, "attr", None)) == "BoundReport":
+                    found.append((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_every_report_but_pl_check_is_made_by_bound_report():
+    # one labelling rule: a report is labelled by bound_report alone, except
+    # pl_check's, which has no value and decides its label from its own checks
+    assert sorted(_bound_report_callers()) == [("bounds.py", "bound_report"),
+                                               ("bounds.py", "pl_check")]
 
 
 def test_balanced_power_gap_exact_and_perturbed():

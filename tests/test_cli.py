@@ -796,6 +796,41 @@ def test_a_state_that_overflows_a_float_diverges_and_its_bounds_are_vacuous(
     assert block["reports"]["ntk_lower"]["holds"] == "vacuous"
     assert block["reports"]["balanced_power_gap"]["detail"]["vacuous_reason"].startswith(
         gap_reason)
+    assert _nan_fields(out) == []
+
+
+def _nan_fields(run: Path) -> list:
+    """(file, field) of every field of `run`'s CSV and JSON artifacts that reads
+    nan: a number that cannot be computed is None, empty or a stated reason."""
+    def walk(value, where):
+        if isinstance(value, dict):
+            return [hit for k, v in value.items() for hit in walk(v, f"{where}/{k}")]
+        if isinstance(value, list):
+            return [hit for i, v in enumerate(value) for hit in walk(v, f"{where}/{i}")]
+        return [where] if isinstance(value, str) and value.lower() == "nan" else []
+
+    hits = []
+    for path in sorted(run.iterdir()):
+        if path.suffix == ".json":
+            hits += [(path.name, where) for where in walk(json.loads(path.read_text()), "")]
+        elif path.suffix == ".csv":
+            rows = csv.reader(path.read_text().splitlines())
+            hits += [(path.name, f"row {i}") for i, row in enumerate(rows)
+                     if any(field.lower() == "nan" for field in row)]
+    return hits
+
+
+def test_a_nan_cap_makes_the_schedule_an_error_that_names_it(tmp_path):
+    # an inf ||theta_0|| and c_0 make the second lambda cap 2 c_0 / ||theta_0||^2
+    # inf/inf, which `min` would pass over to take the first, finite cap
+    cfg = json.loads(json.dumps(OVERFLOW_CONFIG))
+    cfg["train"]["init_scales"] = [1.0, 1e200, 1e200]
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == cli.EXIT_DIVERGED
+    assert cli.main(["bounds", "--run", str(out)]) == cli.EXIT_OK
+    block = json.loads((out / "report.json").read_text())["bounds"]
+    assert block["schedule"] == {"error": "lambda_caps[1] is NaN"}
 
 
 def test_a_zero_init_runs_schedule_has_zero_caps_from_a_zero_lambda_f(tmp_path, capsys):
@@ -1076,16 +1111,17 @@ def test_vacuous_weak_alignment_bound_is_reported_vacuous(tmp_path, capsys):
     # on this net the NC3 lower bound falls below -1, where every cosine lies
     nc3 = _linear_only_head_bounds(tmp_path)["reports"]["thm1_nc3"]
     assert nc3["value"] < -1.0
-    assert nc3["premises"] == {"eps1_small": True, "nontrivial": False}
+    assert nc3["premises"] == {"eps1_small": True, "has_linear_interface": True,
+                               "nontrivial": False}
     assert nc3["holds"] == "vacuous"
     assert "evaluated 6 bounds, 3 hold" in capsys.readouterr().out
 
 
-def _no_linear_layer_bounds(tmp_path, capsys) -> tuple:
+def _short_head_bounds(tmp_path, capsys, l1: int = 3) -> tuple:
     """`bounds` block and `nclab bounds` stdout lines of a 50-step net with
-    no linear layer (L2 = 0)."""
+    3 - `l1` linear layers: none (L2 = 0) by default."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
-    cfg["network"].update({"widths": [8, 4, 3], "l1": 3})
+    cfg["network"].update({"widths": [8, 4, 3], "l1": l1})
     cfg["train"]["steps"] = 50
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
@@ -1099,7 +1135,7 @@ def _no_linear_layer_bounds(tmp_path, capsys) -> tuple:
 def test_ntk_floor_of_a_net_without_linear_layers_is_vacuous(tmp_path, capsys):
     # with L2 = 0 the floor margin^2 L2 / (K r)^2 is 0, which every NTK norm
     # meets; the report takes thm1_nc1's premises, and linear_last_layer fails
-    bounds_out, lines = _no_linear_layer_bounds(tmp_path, capsys)
+    bounds_out, lines = _short_head_bounds(tmp_path, capsys)
     rep = bounds_out["reports"]["ntk_lower"]
     assert rep["holds"] == "vacuous" and rep["value"] == 0.0
     assert rep["premises"] == {"eps1_small": True, "linear_last_layer": False}
@@ -1114,7 +1150,7 @@ def test_ntk_floor_of_a_net_without_linear_layers_is_vacuous(tmp_path, capsys):
 def test_thm1_nc1_of_a_net_without_linear_layers_is_measured_and_vacuous(tmp_path, capsys):
     # Theorem 1 needs a linear last layer: NC1 of Z_{L-1} and the RHS are
     # both given, and the failed premise alone makes the report vacuous
-    bounds_out, lines = _no_linear_layer_bounds(tmp_path, capsys)
+    bounds_out, lines = _short_head_bounds(tmp_path, capsys)
     rep = bounds_out["reports"]["thm1_nc1"]
     assert rep["measured"] == bounds_out["measured"]["nc1"]
     assert rep["measured"] > 0 and rep["value"] > 0
@@ -1126,6 +1162,27 @@ def test_thm1_nc1_of_a_net_without_linear_layers_is_measured_and_vacuous(tmp_pat
     assert (f"thm1_nc1: vacuous, margin {rep['margin']!r}, "
             "failed premises: linear_last_layer") in lines
     assert lines[-1] == "evaluated 6 bounds, 0 hold"
+
+
+@pytest.mark.parametrize("l1", [3, 2])
+def test_the_head_bounds_of_a_net_with_one_linear_layer_or_none_state_their_premise(
+        tmp_path, capsys, l1):
+    # Theorem 1's bounds on the head need two linear layers: with L2 < 2 each is
+    # made by bound_report, shows what numbers it has and fails has_linear_interface
+    bounds_out, lines = _short_head_bounds(tmp_path, capsys, l1)
+    reports = bounds_out["reports"]
+    for name in ("thm1_kappa", "thm1_nc2", "thm1_nc3", "balanced_power_gap"):
+        rep = reports[name]
+        assert rep["holds"] == "vacuous" and rep["premises"]["has_linear_interface"] is False
+        failed = ", ".join(key for key, ok in rep["premises"].items() if not ok)
+        assert f"{name}: vacuous, margin {rep['margin']!r}, failed premises: {failed}" in lines
+    kappa, gap = reports["thm1_kappa"], reports["balanced_power_gap"]
+    if l1 == 2:  # W_{L:L1+1} = W_L, and eps2 = 0 with no linear interface
+        assert kappa["value"] == kappa["measured"] == bounds_out["measured"]["kappa_w_l"]
+        assert kappa["margin"] == 0.0 and gap["margin"] == 0.0
+    else:  # W_{L:L1+1} is an empty product
+        assert gap["measured"] is None
+        assert gap["detail"]["vacuous_reason"] == "measured value undefined on this state"
 
 
 @pytest.mark.parametrize("command", ["train", "sweep", "bounds"])
