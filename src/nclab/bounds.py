@@ -9,7 +9,7 @@ record and theta_0's frozen `InitSpectra`, at the state's own eps1 and eps2.
 A failed premise makes a bound *vacuous*, and so does a number that cannot be
 computed (a `ValueError` or `ArithmeticError`: a non-positive denominator, an
 overflow), whose reason `_attempt` states; nothing is silently clamped.
-Every report is made and labelled by `bound_report`, except `pl_check`'s.
+Every report is made and labelled by `bound_report`.
 `nclab bounds` and `nclab verify` reach them on one path: `run_context` once
 per data set and theta_0, then `state_verdicts` per state.
 """
@@ -248,7 +248,10 @@ def thm2_schedule(s0: InitSpectra, cfg: NetworkConfig, inp: Thm1Inputs, b: float
 
     m_lambda = ((1.0 + math.sqrt(4.0 * lam / s0.alpha)) ** 2
                 * (s0.theta0_norm + s0.r0) ** 2) if s0.alpha > 0 else math.inf
-    beta1 = lipschitz_const([max(1.0, s0.bar_lambda_l[l]) for l in range(1, L + 1)], b, n, beta)
+    try:
+        beta1 = lipschitz_const([max(1.0, s0.bar_lambda_l[l]) for l in range(1, L + 1)], b, n, beta)
+    except OverflowError as exc:  # named as the block's key, as a NaN cap is
+        raise OverflowError(f"beta1: {exc}") from exc
 
     growth = 2.0 * eps1 ** 2 / lam if lam > 0 else math.inf
     eta_caps = (
@@ -283,50 +286,42 @@ def pl_check(cfg: NetworkConfig, x: np.ndarray, y: np.ndarray, trajectory,
     """Shifted-PL inequality, geometric decay and the first-phase exit bound,
     checked at recorded steps whose parameters stayed in the ball B(theta0, r0);
     alpha, r0 and m_lambda are read from `sched`, a `thm2_schedule` block.
-    It reports no value, so it sets its label from the three checks itself:
-    `bound_report` would make it vacuous. `nclab bounds` does not run it.
+    An upper bound of value 0 on its largest violation past each check's
+    tolerance: -pl_margin - 1e-12, -decay_margin / max(1, |rhs|) - 1e-12 and, at
+    the first-phase exit, k1_dist - dist_cap - 1e-12; so the margin is >= 0 iff
+    every check passes. `nclab bounds` does not run it.
     """
-    rep = BoundReport(name="pl_decay")
     alpha, r0, m_lam = sched["alpha"], sched["r0"], sched["m_lambda"]
     recs = [r for r in trajectory.records if r.params is not None]
     in_ball = [r for r in recs if r.dist_from_init <= r0]
-    rep.premises["alpha_positive"] = alpha > 0
-    rep.premises["entered_ball"] = bool(in_ball)
+    premises = {"alpha_positive": bool(alpha > 0), "entered_ball": bool(in_ball)}
     if not in_ball or alpha <= 0:
-        return rep
+        return bound_report("pl_decay", premises, lambda: 0.0, None)
     c_init = recs[0].c_lambda
     lam_m = lam * m_lam
-    pl_ok, decay_ok = True, True
     worst = {"pl_margin": math.inf, "decay_margin": math.inf}
+    excess = {"pl": -math.inf, "decay": -math.inf}
     for r in in_ball:
         g = gradient(cfg, r.params, x, y, lam)
         gn2 = sum(float(np.sum(w * w)) for w in g.weights)
         pl_margin = gn2 - (alpha / 4.0) * (r.c_lambda - lam_m)
-        worst["pl_margin"] = min(worst["pl_margin"], pl_margin)
-        if pl_margin < -1e-12:
-            pl_ok = False
         rhs = (c_init - lam_m) * (1.0 - eta * alpha / 8.0) ** r.step
         decay_margin = rhs - (r.c_lambda - lam_m)
+        worst["pl_margin"] = min(worst["pl_margin"], pl_margin)
         worst["decay_margin"] = min(worst["decay_margin"], decay_margin)
-        if decay_margin < -1e-12 * max(1.0, abs(rhs)):
-            decay_ok = False
-    exit_ok = None
+        excess["pl"] = max(excess["pl"], -pl_margin - 1e-12)
+        excess["decay"] = max(excess["decay"], -decay_margin / max(1.0, abs(rhs)) - 1e-12)
     k1_rec = next((r for r in recs if r.c_lambda <= 2.0 * lam_m), None)
     if k1_rec is not None:
         dist_cap = 8.0 * math.sqrt(c_init / alpha)
         # the radius condition is an assumption of the two-phase argument:
         # when it fails the exit bound is unsupported, not refuted
-        rep.premises["radius_covers_first_phase"] = dist_cap <= r0 + 1e-12
-        exit_ok = k1_rec.dist_from_init <= dist_cap + 1e-12
-        worst["k1"] = k1_rec.step
-        worst["k1_dist"] = k1_rec.dist_from_init
-        worst["k1_dist_cap"] = dist_cap
-    rep.detail = worst
-    rep.detail["pl_ok"] = pl_ok
-    rep.detail["decay_ok"] = decay_ok
-    rep.detail["exit_ok"] = exit_ok
-    all_ok = pl_ok and decay_ok and (exit_ok is not False)
-    rep.holds = HOLDS if all_ok else VIOLATED
+        premises["radius_covers_first_phase"] = bool(dist_cap <= r0 + 1e-12)
+        excess["exit"] = k1_rec.dist_from_init - dist_cap - 1e-12
+        worst.update(k1=k1_rec.step, k1_dist=k1_rec.dist_from_init, k1_dist_cap=dist_cap)
+    rep = bound_report("pl_decay", premises, lambda: 0.0, max(excess.values()))
+    rep.detail.update(worst, pl_ok=bool(excess["pl"] <= 0), decay_ok=bool(excess["decay"] <= 0),
+                      exit_ok=bool(excess["exit"] <= 0) if "exit" in excess else None)
     return rep
 
 

@@ -151,7 +151,12 @@ def test_criterion_6_shifted_pl_decay_and_exit_bound(pyramidal_run):
     assert rep.detail["decay_ok"], rep.detail
     # distance bound at the first-phase exit step
     assert rep.detail["exit_ok"] is not False, rep.detail
-    assert rep.holds == bounds.HOLDS
+    # every check passes, but only step 0 lies in B(theta0, r0) and the first
+    # phase's distance cap is far past r0: the exit bound is unsupported there,
+    # so the report is vacuous through that premise alone
+    assert (rep.holds, [k for k, ok in rep.premises.items() if not ok]) == (
+        bounds.VACUOUS, ["radius_covers_first_phase"]), rep.detail
+    assert rep.margin >= 0, rep.detail
 
 
 def test_criterion_7_ntk_power_iteration_and_lower_bound(pyramidal_run):

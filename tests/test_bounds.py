@@ -701,10 +701,24 @@ def test_k_floor_first_phase_already_done():
     assert sched["k_floor_terms"][0] == 0.0
 
 
-def test_pl_check_on_single_linear_layer():
+# (alpha factor, r0, m_lambda, lam, label, failed premises): pl_decay is an upper
+# bound of value 0 on the checks' largest violation, vacuous on a failed premise
+PL_CASES = {
+    "holds": (1.0, 1e9, 0.0, 0.0, bounds.HOLDS, []),
+    "alpha_too_large": (1e3, 1e9, 0.0, 0.0, bounds.VIOLATED, []),
+    "outside_the_ball": (1.0, -1.0, 0.0, 0.0, bounds.VACUOUS, ["entered_ball"]),
+    "radius_short_of_first_phase": (1.0, 1e-9, 1e12, 1.0, bounds.VACUOUS,
+                                    ["radius_covers_first_phase"]),
+    "radius_covers_first_phase": (1.0, 1e9, 1e12, 1.0, bounds.HOLDS, []),
+}
+
+
+@pytest.mark.parametrize("case", PL_CASES)
+def test_pl_check_on_single_linear_layer(case):
     # for Z = WX with X square invertible, C_0 = 0.5*||WX - Y||^2 satisfies
     # ||grad||^2 = ||(WX - Y)X^T||^2 >= 2 s_min(X)^2 C_0, i.e. PL with
     # alpha = 8 s_min(X)^2, and the minimum value is zero
+    factor, r0, m_lambda, lam, label, failed = PL_CASES[case]
     rng = np.random.default_rng(7)
     cfg = NetworkConfig(input_dim=3, widths=(2,), l1=0, l2=1, activation=SMOOTH)
     x = rng.standard_normal((3, 3))
@@ -713,10 +727,24 @@ def test_pl_check_on_single_linear_layer():
     tcfg = TrainConfig(eta=0.01, lam=0.0, steps=30, seed=0,
                        lr_drop_fraction=1.0)
     _, traj = train(cfg, tcfg, x, y, metrics.ClassIndex((3,)))
-    sched = {"alpha": alpha, "r0": 1e9, "m_lambda": 0.0}
-    rep = bounds.pl_check(cfg, x, y, traj, sched, lam=0.0, eta=0.01)
-    assert rep.holds == bounds.HOLDS
-    assert rep.detail["pl_ok"] and rep.detail["decay_ok"]
+    sched = {"alpha": factor * alpha, "r0": r0, "m_lambda": m_lambda}
+    rep = bounds.pl_check(cfg, x, y, traj, sched, lam=lam, eta=0.01)
+    assert (rep.holds, [k for k, ok in rep.premises.items() if not ok]) == (label, failed)
+    if case == "outside_the_ball":
+        assert (rep.value, rep.measured, rep.margin) == (0.0, None, None)
+        assert rep.detail == {"vacuous_reason": "measured value undefined on this state"}
+        return
+    assert rep.margin == -rep.measured
+    checks = [rep.detail[k] for k in ("pl_ok", "decay_ok", "exit_ok")]
+    if label == bounds.VIOLATED:
+        assert rep.margin == pytest.approx(-14.2, abs=0.05)
+        assert checks == [False, False, None]
+    else:
+        assert rep.margin >= 0 and checks[:2] == [True, True]
+    if m_lambda:  # 2 lam m_lambda passes C_0: the first phase ends at step 0
+        assert (rep.detail["k1"], rep.detail["k1_dist"], checks[2]) == (0, 0.0, True)
+    if case == "radius_short_of_first_phase":  # decay's tolerance at step 0
+        assert rep.margin == 1e-12
 
 
 def test_lipschitz_const_formula_and_preconditions():
@@ -729,23 +757,41 @@ def test_lipschitz_const_formula_and_preconditions():
         bounds.lipschitz_const([1.5, 2.0], b=0.9, n=10, beta=2.0)
 
 
-def _bound_report_callers() -> list:
-    """(module, top-level definition) of every call of BoundReport in src/nclab."""
+LABEL_FIELDS = ("holds", "margin", "value", "premises")
+
+
+def _label_writers() -> list:
+    """(module, top-level definition, what) of every call of BoundReport and every
+    write to a report's label field (an assignment, a `del`, an item assignment or
+    an `update`-like call on it) in src/nclab."""
     found = []
     for path in sorted(Path(bounds.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
+            where = (path.name, getattr(top, "name", "<module>"))
             for node in ast.walk(top):
                 f = node.func if isinstance(node, ast.Call) else None
                 if getattr(f, "id", getattr(f, "attr", None)) == "BoundReport":
-                    found.append((path.name, getattr(top, "name", "<module>")))
+                    found.append((*where, "BoundReport"))
+                if (isinstance(node, ast.Attribute) and node.attr in LABEL_FIELDS
+                        and isinstance(node.ctx, (ast.Store, ast.Del))):
+                    found.append((*where, node.attr))
+                if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                    target = node.value  # rep.premises[key] = ... or del rep.premises[key]
+                elif getattr(f, "attr", None) in ("update", "setdefault", "pop", "popitem", "clear"):
+                    target = f.value
+                else:
+                    continue
+                if isinstance(target, ast.Attribute) and target.attr in LABEL_FIELDS:
+                    found.append((*where, target.attr))
     return found
 
 
-def test_every_report_but_pl_check_is_made_by_bound_report():
-    # one labelling rule: a report is labelled by bound_report alone, except
-    # pl_check's, which has no value and decides its label from its own checks
-    assert sorted(_bound_report_callers()) == [("bounds.py", "bound_report"),
-                                               ("bounds.py", "pl_check")]
+def test_every_report_is_made_and_labelled_by_bound_report():
+    # one labelling rule: only bound_report makes a report or writes its label
+    # fields; any other function returns bound_report's report, its detail added
+    found = _label_writers()
+    assert [w for w in found if w[:2] != ("bounds.py", "bound_report")] == []
+    assert {w[2] for w in found} == {"BoundReport", *LABEL_FIELDS}
 
 
 def test_balanced_power_gap_exact_and_perturbed():

@@ -770,6 +770,9 @@ OVERFLOWS = [
     ([1.0, 1e160, 1e-160], 1, "the bound overflows a float: "),
     ([1.0, 1e100, 1e100], 0, "measured value undefined on this state"),
 ]
+# the schedule's error names its term: beta1 = lipschitz_const(...) cubes the
+# product of theta_0's layer norms on these two, a lambda cap is NaN on the rest
+BETA1_OVERFLOWS = ([1.0, 1e160, 1e-160], [1.0, 1e100, 1e100])
 
 
 @pytest.mark.parametrize("scales, step, gap_reason", OVERFLOWS)
@@ -793,6 +796,9 @@ def test_a_state_that_overflows_a_float_diverges_and_its_bounds_are_vacuous(
 
     block = json.loads((out / "report.json").read_text(), parse_constant=refuse)["bounds"]
     assert block["ntk"] == {"error": "the NTK applied to a probe is not finite"}
+    assert list(block["schedule"]) == ["error"] and block["schedule"]["error"].startswith(
+        "the GD schedule overflows a float: beta1: " if scales in BETA1_OVERFLOWS
+        else "lambda_caps[1] is NaN")
     assert block["reports"]["ntk_lower"]["holds"] == "vacuous"
     assert block["reports"]["balanced_power_gap"]["detail"]["vacuous_reason"].startswith(
         gap_reason)
